@@ -1,16 +1,11 @@
 """Deterministic checkpoint/resume for long simulated runs.
 
-Two modes share one snapshot format (:mod:`repro.ckpt.format`):
-
-- **Legacy / replay-token** (:mod:`repro.ckpt.runner`): the pinned
-  E1–E8 scenarios run unmodified; snapshots record a spill cursor plus
-  state fingerprints, and resume re-executes deterministically from
-  t=0, verifying the surviving prefix byte-for-byte and the component
-  fingerprints at the snapshot instant.
-- **Native / state-restore** (:mod:`repro.ckpt.native`): workloads
-  built from registered process factories snapshot explicit state
-  dicts and resume by re-entering the factories in a fresh kernel at
-  the snapshot instant — no replay, constant resume cost.
+Replay-token mode (:mod:`repro.ckpt.runner`): the pinned E1–E8
+scenarios run unmodified; snapshots (:mod:`repro.ckpt.format`) record a
+spill cursor plus state fingerprints, and resume re-executes
+deterministically from t=0, verifying the surviving prefix
+byte-for-byte and the component fingerprints at the snapshot instant.
+At full scale a resume costs at most one uninterrupted run.
 
 Crash-injection proof lives in ``tests/chaos`` and the ``ckpt-smoke``
 CI job; the format and invariants are documented in
@@ -35,7 +30,6 @@ from repro.ckpt.format import (
     write_snapshot,
 )
 from repro.ckpt.coordinator import (
-    CheckpointCoordinator,
     SnapshotTrigger,
     collect_fingerprints,
     verify_fingerprints,
@@ -50,13 +44,10 @@ from repro.ckpt.runner import (
     trace_digest_from_tracer,
     verdict_digest,
 )
-from repro.ckpt.native import resume_native, run_native
-from repro.ckpt.workload import WorkloadConfig
 
 __all__ = [
     "SCHEMA",
     "SCHEMA_VERSION",
-    "CheckpointCoordinator",
     "CkptResult",
     "DEFAULT_CADENCE",
     "FingerprintMismatch",
@@ -74,10 +65,7 @@ __all__ = [
     "read_manifest",
     "read_snapshot",
     "resume",
-    "resume_native",
     "run_checkpointed",
-    "run_native",
-    "WorkloadConfig",
     "trace_digest_from_spill",
     "trace_digest_from_tracer",
     "verdict_digest",

@@ -5,32 +5,33 @@ Subcommands::
     python -m repro.ckpt run --bench E2 --dir /tmp/ckpt        # record
     python -m repro.ckpt resume --dir /tmp/ckpt                # continue
     python -m repro.ckpt digest --dir /tmp/ckpt                # recompute
-    python -m repro.ckpt run --native --dir /tmp/ckpt          # native mode
 
 ``run``/``resume`` print the final trace digest on stdout (the value
 kill/resume round trips are gated on) and exit non-zero when the
 scenario's SLO verdict fails.  ``--throttle-ms`` slows record emission
 in wall-clock terms so the crash-injection harness can land SIGKILLs
 mid-run; it does not affect simulated time or the trace bytes.
+``resume`` and ``digest`` print one ``error:`` line and exit 2 when the
+directory holds no run to act on.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 from repro.obs.tracer import SpanSink
 
 from repro.ckpt.format import read_manifest
-from repro.ckpt.native import resume_native, run_native
 from repro.ckpt.runner import (
     DEFAULT_CADENCE,
+    SPILL_DIR,
     resume,
     run_checkpointed,
     trace_digest_from_spill,
 )
-from repro.ckpt.workload import WorkloadConfig
 
 
 class ThrottleSink(SpanSink):
@@ -61,16 +62,11 @@ def _parse_args(argv):
     run = sub.add_parser("run", help="start a checkpointed run")
     run.add_argument("--dir", required=True, help="checkpoint directory")
     run.add_argument("--bench", default="E2", help="scenario id (default E2)")
-    run.add_argument("--native", action="store_true",
-                     help="run the checkpoint-native reference workload")
     run.add_argument("--cadence", type=float, default=None,
                      help="snapshot cadence in simulated seconds")
     run.add_argument("--full", action="store_true",
                      help="paper-scale scenario parameters")
     run.add_argument("--segment-records", type=int, default=2000)
-    run.add_argument("--items", type=int, default=120,
-                     help="native workload size")
-    run.add_argument("--consumers", type=int, default=4)
     run.add_argument("--throttle-ms", type=float, default=0.0,
                      help="wall-clock sleep per record (crash harness)")
 
@@ -84,52 +80,43 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _digest(directory: str, manifest: dict) -> int:
+    if manifest.get("completed") and not manifest.get("traced", True):
+        print(manifest["digest"])
+        return 0
+    spill_dir = os.path.join(directory, SPILL_DIR)
+    if not os.path.isdir(spill_dir):
+        return _error(f"no {SPILL_DIR}/ directory in {directory!r}")
+    print(trace_digest_from_spill(spill_dir))
+    return 0
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     throttle = getattr(args, "throttle_ms", 0.0)
     extra = (ThrottleSink(throttle / 1000.0),) if throttle > 0 else ()
 
     if args.cmd == "run":
-        if args.native:
-            config = WorkloadConfig(
-                n_items=args.items, n_consumers=args.consumers
-            )
-            result = run_native(
-                args.dir,
-                config,
-                cadence=args.cadence if args.cadence is not None else 50.0,
-                segment_records=args.segment_records,
-                extra_sinks=extra,
-            )
-        else:
-            result = run_checkpointed(
-                args.bench,
-                args.dir,
-                cadence=(
-                    args.cadence if args.cadence is not None else DEFAULT_CADENCE
-                ),
-                full=args.full,
-                segment_records=args.segment_records,
-                extra_sinks=extra,
-            )
-    elif args.cmd == "resume":
-        manifest = read_manifest(args.dir)
-        if manifest is not None and manifest.get("kind") == "native":
-            result = resume_native(args.dir, extra_sinks=extra)
-        else:
-            result = resume(args.dir, extra_sinks=extra)
-    else:  # digest
+        result = run_checkpointed(
+            args.bench,
+            args.dir,
+            cadence=args.cadence if args.cadence is not None else DEFAULT_CADENCE,
+            full=args.full,
+            segment_records=args.segment_records,
+            extra_sinks=extra,
+        )
+    else:
         manifest = read_manifest(args.dir)
         if manifest is None:
-            print("error: no checkpoint manifest", file=sys.stderr)
-            return 2
-        if manifest.get("completed") and not manifest.get("traced", True):
-            print(manifest["digest"])
-            return 0
-        import os
-
-        print(trace_digest_from_spill(os.path.join(args.dir, "spill")))
-        return 0
+            return _error(f"no checkpoint manifest in {args.dir!r}")
+        if args.cmd == "digest":
+            return _digest(args.dir, manifest)
+        result = resume(args.dir, extra_sinks=extra)
 
     print(result.digest)
     if result.resumed_from is not None:

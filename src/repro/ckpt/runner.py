@@ -22,9 +22,6 @@ fingerprints must equal the recorded ones (:class:`FingerprintMismatch`
 otherwise).  The final trace digest is computed from the spill
 segments, so a kill-resume run is byte-comparable to an uninterrupted
 one.
-
-For workloads built checkpoint-aware (true state restore, no replay),
-see :mod:`repro.ckpt.native`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ scattered dotfiles.  The shape::
 
     [tool.simlint]
     paths = ["src", "tests"]          # default CLI targets
-    disable = []                      # rule ids switched off globally
+    disable = []                      # rule ids/families switched off
     enable = []                       # empty = everything registered
     entry-globs = ["*/__main__.py"]   # DET005 exemption (CLI surfaces)
     baseline = []                     # grandfathered finding fingerprints
@@ -19,6 +19,10 @@ Scoping resolution: a rule uses its own id's scope if present, else its
 family's, else the implicit "everywhere" scope.  Globs use
 :func:`fnmatch.fnmatch`, where ``*`` matches across path separators —
 ``src/repro/*`` covers the whole package tree.
+
+Every key under ``scopes``, ``enable`` and ``disable`` must name a
+registered rule id or family; anything else (a typo, a deleted rule) is
+a :class:`ConfigError` rather than a silently ignored setting.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Optional
+
+from repro.lint.rules import REGISTRY
 
 #: Scopes shipped as defaults; pyproject entries override per key.
 #: DET and the OBS/RES bypass rules police the simulation substrate in
@@ -64,9 +70,6 @@ _DEFAULT_SCOPES: dict[str, dict[str, list[str]]] = {
         "include": ["src/repro/simkernel/*"],
         "exclude": ["src/repro/simkernel/queueing.py"],
     },
-    # The checkpoint-safety rule (no lambda/closure process payloads)
-    # polices the one subtree that promises factory re-entry resume.
-    "KER007": {"include": ["src/repro/ckpt/*"], "exclude": []},
     # stdout is the product for the report/viz CLI surfaces.
     "OBS002": {
         "include": ["src/repro/*"],
@@ -94,11 +97,11 @@ class LintConfig:
 
     # -- queries -----------------------------------------------------------
 
-    def rule_enabled(self, rule_id: str) -> bool:
-        if rule_id in self.disable:
+    def rule_enabled(self, rule_id: str, family: str = "") -> bool:
+        if rule_id in self.disable or family in self.disable:
             return False
         if self.enable:
-            return rule_id in self.enable
+            return rule_id in self.enable or family in self.enable
         return True
 
     def rule_applies(self, rule_id: str, family: str, relpath: str) -> bool:
@@ -114,6 +117,25 @@ class LintConfig:
 
     def is_entry_point(self, relpath: str) -> bool:
         return any(fnmatch(relpath, g) for g in self.entry_globs)
+
+
+class ConfigError(ValueError):
+    """``[tool.simlint]`` names a rule id or family that does not exist."""
+
+
+def _check_rule_keys(cfg: LintConfig) -> None:
+    known = set(REGISTRY) | {rule.family for rule in REGISTRY.values()}
+    for where, keys in (
+        ("scopes", cfg.scopes),
+        ("enable", cfg.enable),
+        ("disable", cfg.disable),
+    ):
+        for key in keys:
+            if key not in known:
+                raise ConfigError(
+                    f"[tool.simlint] {where}: {key!r} names no registered "
+                    "rule id or family"
+                )
 
 
 def load_config(root: Path, pyproject: Optional[Path] = None) -> LintConfig:
@@ -148,6 +170,7 @@ def load_config(root: Path, pyproject: Optional[Path] = None) -> LintConfig:
                 "include": [str(g) for g in scope.get("include", [])],
                 "exclude": [str(g) for g in scope.get("exclude", [])],
             }
+    _check_rule_keys(cfg)
     return cfg
 
 

@@ -198,7 +198,7 @@ def _lint_one(
     for rule in all_rules():
         if isinstance(rule, ProgramRule):
             continue  # runs once, in the program pass
-        if not config.rule_enabled(rule.id):
+        if not config.rule_enabled(rule.id, rule.family):
             continue
         if not config.rule_applies(rule.id, rule.family, relpath):
             continue
@@ -227,7 +227,7 @@ def _run_program_pass(
     rules = [
         r
         for r in all_rules()
-        if isinstance(r, ProgramRule) and config.rule_enabled(r.id)
+        if isinstance(r, ProgramRule) and config.rule_enabled(r.id, r.family)
     ]
     if not rules or not parsed_files:
         return

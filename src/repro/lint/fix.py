@@ -152,7 +152,7 @@ def fix_source(
     imports = astutil.build_import_map(tree)
 
     def active(rule_id: str, family: str) -> bool:
-        return config.rule_enabled(rule_id) and config.rule_applies(
+        return config.rule_enabled(rule_id, family) and config.rule_applies(
             rule_id, family, relpath
         )
 

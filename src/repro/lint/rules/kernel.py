@@ -289,90 +289,3 @@ class FixedIntervalPollRule(Rule):
                     "timeout (polling); wake on the event that changes "
                     "the polled state instead",
                 )
-
-
-def _nested_defs(tree: ast.Module) -> set[str]:
-    """Names of functions defined *inside* other functions (closures)."""
-    nested: set[str] = set()
-    for fn in astutil.functions(tree):
-        node = astutil.parent(fn)
-        while node is not None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested.add(fn.name)
-                break
-            node = astutil.parent(node)
-    return nested
-
-
-@register
-class UnresumableProcessPayloadRule(Rule):
-    id = "KER007"
-    family = "KERNEL"
-    summary = "process payload that cannot survive checkpoint/resume"
-    rationale = (
-        "Checkpoint/resume never pickles generator frames: a resumed "
-        "run re-enters each process through a *registered factory* — a "
-        "module-level body whose whole position lives in an explicit "
-        "state dict (docs/CHECKPOINT.md).  A payload built from a "
-        "lambda, a generator expression, or a function nested inside "
-        "another function closes over frame-local state that no "
-        "factory can reconstruct, so the process silently vanishes "
-        "from resumed runs.  Scoped to src/repro/ckpt/* — the one "
-        "subtree that promises resumability."
-    )
-    bad = (
-        "def launch(env, items):\n"
-        "    def worker():  # closure over `items`\n"
-        "        yield env.timeout(1)\n"
-        "    env.process(worker())"
-    )
-    good = (
-        "def worker_body(env, ctx, state):  # registered factory\n"
-        "    yield env.timeout_at(state['t_next'])\n"
-        "env.process(worker_body(env, ctx, state))"
-    )
-
-    def check(self, ctx) -> Iterator[Finding]:
-        nested = _nested_defs(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "process"
-            ):
-                continue
-            if not node.args:
-                continue
-            arg = node.args[0]
-            if isinstance(arg, ast.Lambda) or (
-                isinstance(arg, ast.Call) and isinstance(arg.func, ast.Lambda)
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "process payload is a lambda; a resumed run cannot "
-                    "re-enter it through the factory registry — use a "
-                    "module-level body with an explicit state dict",
-                )
-            elif isinstance(arg, ast.GeneratorExp):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "process payload is a generator expression; it closes "
-                    "over frame-local state no checkpoint can capture — "
-                    "use a module-level body with an explicit state dict",
-                )
-            elif (
-                isinstance(arg, ast.Call)
-                and isinstance(arg.func, ast.Name)
-                and arg.func.id in nested
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"process payload {arg.func.id}() is a nested function "
-                    "(closure); resume re-enters processes via registered "
-                    "module-level factories, which cannot reconstruct "
-                    "closed-over frame state",
-                )

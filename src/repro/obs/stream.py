@@ -63,7 +63,6 @@ __all__ = [
     "replay_jsonl",
     "scan_spill",
     "tracer_from_segments",
-    "truncate_spill",
 ]
 
 
@@ -355,55 +354,6 @@ def scan_spill(directory) -> dict:
     }
 
 
-def truncate_spill(directory, records: int) -> int:
-    """Cut a spill directory back to its first ``records`` complete lines.
-
-    Native checkpoint resume uses this to drop every record the crashed
-    run emitted *after* its last snapshot's spill cursor (those instants
-    will be re-simulated); segments past the cut are deleted, the
-    boundary segment is truncated in place and fsynced.  Returns the
-    number of lines dropped.  Raises :class:`SpillCorruptionError` when
-    the directory holds fewer complete lines than ``records`` — the
-    snapshot promised bytes the disk does not have.
-    """
-    if records < 0:
-        raise ValueError("records must be >= 0")
-    info = scan_spill(directory)
-    if info["records"] < records:
-        raise SpillCorruptionError(
-            f"spill {str(directory)!r} holds {info['records']} records "
-            f"but the snapshot cursor expects {records}"
-        )
-    dropped = info["records"] - records
-    acc = 0
-    for pos, (idx, path, n_lines) in enumerate(info["segments"]):
-        if acc >= records:
-            os.remove(path)
-            continue
-        if acc + n_lines > records:
-            keep_lines = records - acc
-            with open(path, "rb") as fh:
-                data = fh.read()
-            offset = 0
-            for _ in range(keep_lines):
-                offset = data.index(b"\n", offset) + 1
-            with open(path, "r+b") as fh:
-                fh.truncate(offset)
-                fh.flush()
-                os.fsync(fh.fileno())
-        elif pos == len(info["segments"]) - 1 and info["torn_tail_bytes"]:
-            # Keeping the whole final segment: still shear its torn tail.
-            with open(path, "rb") as fh:
-                data = fh.read()
-            with open(path, "r+b") as fh:
-                fh.truncate(len(data) - info["torn_tail_bytes"])
-                fh.flush()
-                os.fsync(fh.fileno())
-        acc += n_lines
-    _fsync_dir(str(directory))
-    return dropped
-
-
 def _fsync_dir(directory: str) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
@@ -472,7 +422,6 @@ class JsonlSpillSink(SpanSink):
         directory,
         segment_records: int = 100_000,
         retain_segments: Optional[int] = None,
-        verify_prefix: bool = True,
     ) -> "JsonlSpillSink":
         """Resume spilling into a directory a crashed run left behind.
 
@@ -484,12 +433,6 @@ class JsonlSpillSink(SpanSink):
         bytes, and :class:`SpillResumeMismatch` is raised the moment the
         replayed prefix diverges.  Record N+1 onward appends normally,
         continuing mid-segment.
-
-        ``verify_prefix=False`` skips the suppression arming and
-        appends from the first write — for native (state-restore)
-        resumes that continue *mid-stream* instead of replaying from
-        t=0, after :func:`truncate_spill` cut the directory back to the
-        snapshot's cursor.
         """
         if retain_segments is not None:
             raise ValueError(
@@ -510,9 +453,6 @@ class JsonlSpillSink(SpanSink):
         if info["segments"]:
             sink._segment_idx = info["segments"][-1][0]
             sink._records_in_segment = info["segments"][-1][2]
-            sink.total_records = info["records"] if not verify_prefix else 0
-        if not verify_prefix:
-            return sink
         sink._suppress_remaining = info["records"]
         sink._expected_sha = info["sha256"]
         sink._hasher = hashlib.sha256()

@@ -355,16 +355,6 @@ class Tracer:
         else:
             self.sink.on_finish(span)
 
-    def restore_counters(self, next_id: int, n_instants: int = 0) -> None:
-        """Reset the id/instant counters to a checkpointed position.
-
-        Used by :mod:`repro.ckpt` native resume: a restored run must
-        hand out the *same* span ids the uninterrupted run would have,
-        or the resumed trace diverges byte-wise from the golden digest.
-        """
-        self._next_id = int(next_id)
-        self._n_instants = int(n_instants)
-
     def close(self) -> None:
         """Flush and close the sink (idempotent).
 

@@ -2,7 +2,7 @@
 
 Two entry points (full guide: ``docs/SANITIZER.md``):
 
-* :func:`enable_sanitizer` — attach the instrumented drive loop to an
+* :func:`enable_sanitizer` — attach a batch observer to an
   :class:`~repro.simkernel.core.Environment` and collect cross-process
   write-write pairs per same-instant batch.
 * ``python -m repro.sanitizer`` — re-run the golden E1–E8 scenarios at

@@ -3,8 +3,10 @@
 The calendar-queue kernel dispatches every event of one simulated
 instant as a batch (``docs/SIMKERNEL.md``).  Batch order is schedule
 order — deterministic, but *incidental*: code is only allowed to depend
-on it through explicit event edges.  The :class:`Sanitizer` replaces
-the kernel's hot loop with an instrumented drive loop that
+on it through explicit event edges.  The :class:`Sanitizer` is a
+batch observer of the kernel's one event loop
+(:attr:`Environment.observer <repro.simkernel.core.Environment.observer>`)
+that
 
 * tags each same-instant dispatch batch and each dispatch *unit*
   (one event plus everything its callbacks run synchronously),
@@ -20,14 +22,13 @@ the kernel's hot loop with an instrumented drive loop that
   (:mod:`repro.sanitizer.permute`) turns "the golden digest moved"
   into a confirmed order dependence.
 
-The drive loop always takes the kernel's *generic* dispatch path — it
-skips the Timeout-recycling/inlined-waiter fast path, which is
-semantically identical by construction (held so by the differential
-fuzzer in ``tests/simkernel/``) — so enabling the sanitizer never
-changes simulation results, only observes them.  With the sanitizer
-disabled an :class:`~repro.simkernel.core.Environment` runs its own
-loop untouched; the only added cost is one attribute test per
-``run()`` call.
+While an observer is attached the loop takes the kernel's *generic*
+dispatch path — it skips the Timeout-recycling/inlined-waiter fast
+path, which is semantically identical by construction (held so by the
+differential fuzzer in ``tests/simkernel/``) — so enabling the
+sanitizer never changes simulation results, only observes them.  With
+the sanitizer disabled the loop's only added cost is one attribute
+test per batch.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.sanitizer import hooks
-from repro.simkernel.queueing import heap_pop, heap_push
 
 #: Sentinel for "value not captured" — conservative: colliding writes
 #: with unknown values are reported.
@@ -93,7 +93,12 @@ class _Access:
 
 
 class Sanitizer:
-    """Instrumented batch-tagging drive loop + access-set recorder.
+    """Batch observer + access-set recorder.
+
+    Implements the kernel's observer protocol: ``begin_batch``,
+    ``begin_unit`` and ``end_batch``.  :data:`hooks.ACTIVE` points at
+    the sanitizer from ``begin_batch`` to ``end_batch``, which the loop
+    calls even when an exception cuts the batch short.
 
     Parameters
     ----------
@@ -163,7 +168,9 @@ class Sanitizer:
 
     # -- batch lifecycle -----------------------------------------------------
 
-    def _begin_batch(self, t: float, batch: list) -> None:
+    def begin_batch(self, t: float, batch: list) -> None:
+        """Open a same-instant batch; permute it in place if asked."""
+        hooks.ACTIVE = self
         self._batch_t = t
         self.batches += 1
         self._accesses.clear()
@@ -172,11 +179,14 @@ class Sanitizer:
         elif self.permute == "shuffle":
             self._rng.shuffle(batch)
 
-    def _begin_unit(self, index: int, event: Any) -> None:
+    def begin_unit(self, index: int, event: Any) -> None:
+        """Attribute the accesses that follow to ``event``'s unit."""
         self.units += 1
         self._unit = f"{index}:{_describe(event)}"
 
-    def _end_batch(self) -> None:
+    def end_batch(self) -> None:
+        """Close the batch: report its write-write pairs."""
+        hooks.ACTIVE = None
         for (container, member), accesses in self._accesses.items():
             writes = [a for a in accesses if a.mode in ("w", "x", "o")]
             by_unit: dict[str, _Access] = {}
@@ -222,57 +232,6 @@ class Sanitizer:
                     )
                 )
         self._accesses.clear()
-
-    # -- the drive loop ------------------------------------------------------
-
-    def drive(self, env, stop_at: float) -> None:
-        """Drain ``env``'s calendar exactly like ``Environment._run_loop``
-        but with batch tagging, permutation, and generic dispatch.
-
-        Mirrors the structural invariants of the hot loop: urgent
-        buckets drain before normal at equal time, the live-batch state
-        (``_batch``/``_batch_it``/``_batch_t``/``_batch_urgent``) is
-        maintained so the urgent mid-batch splice in
-        ``Environment.schedule`` still works, and the bucket cache is
-        invalidated when a normal batch is popped.
-        """
-        times = env._times
-        buckets = env._buckets
-        urgent = env._urgent
-        previous = hooks.ACTIVE
-        hooks.ACTIVE = self
-        try:
-            while times:
-                t = heap_pop(times)
-                if t > stop_at:
-                    heap_push(times, t)
-                    return
-                env._now = t
-                while True:
-                    batch = urgent.pop(t, None)
-                    is_urgent = batch is not None
-                    if batch is None:
-                        batch = buckets.pop(t, None)
-                        if batch is None:
-                            break
-                        # The cache may alias this (now live) batch list.
-                        env._bcache_t = None
-                    self._begin_batch(t, batch)
-                    env._dispatched += len(batch)
-                    env._batch = batch
-                    env._batch_it = it = iter(batch)
-                    env._batch_t = t
-                    env._batch_urgent = is_urgent
-                    index = 0
-                    for ev in it:
-                        self._begin_unit(index, ev)
-                        index += 1
-                        env._dispatch(ev)
-                    self._end_batch()
-                    env._batch = None
-                    env._active_proc = None
-        finally:
-            hooks.ACTIVE = previous
 
     # -- results -------------------------------------------------------------
 
@@ -365,14 +324,13 @@ class WatchedDict(dict):
 def enable_sanitizer(
     env, permute: Optional[str] = None, seed: int = 0
 ) -> Sanitizer:
-    """Attach a :class:`Sanitizer` to ``env``; its next ``run()`` uses
-    the instrumented drive loop.  Returns the sanitizer (also reachable
-    as ``env._sanitizer``)."""
+    """Attach a :class:`Sanitizer` to ``env`` as its batch observer and
+    return it (also reachable as ``env.observer``)."""
     sanitizer = Sanitizer(permute=permute, seed=seed)
-    env._sanitizer = sanitizer
+    env.observer = sanitizer
     return sanitizer
 
 
 def disable_sanitizer(env) -> None:
-    """Detach any sanitizer; ``env`` runs its plain hot loop again."""
-    env._sanitizer = None
+    """Detach any sanitizer; ``env`` takes its fast path again."""
+    env.observer = None

@@ -9,8 +9,8 @@ The contract is a single module global:
 
 ``ACTIVE``
     ``None`` (the overwhelmingly common case) or the
-    :class:`repro.sanitizer.core.Sanitizer` currently driving an
-    environment.  Instrumented call sites guard every record with::
+    :class:`repro.sanitizer.core.Sanitizer` observing the batch the
+    kernel is dispatching.  Instrumented call sites guard every record with::
 
         if hooks.ACTIVE is not None:
             hooks.ACTIVE.record(self, member, "w")
@@ -19,15 +19,16 @@ The contract is a single module global:
     comparison — and none of the instrumented operations sit on the
     kernel's event hot loop (they are scheduler/bookkeeping paths).
 
-Only :meth:`Sanitizer.drive` assigns ``ACTIVE`` (set on entry, cleared
-in a ``finally``): accesses outside a sanitized run — scenario setup,
-teardown, other environments — are never recorded, and two
-environments cannot cross-talk because only one drive loop runs at a
+Only the sanitizer's batch callbacks assign ``ACTIVE``: set by
+``begin_batch``, cleared by ``end_batch``, which the kernel loop calls
+from a ``finally``.  Accesses outside a sanitized batch — scenario
+setup, teardown, other environments — are never recorded, and two
+environments cannot cross-talk because only one batch dispatches at a
 time.
 """
 
 from __future__ import annotations
 
-#: The sanitizer currently driving a run, or None.  Assigned only by
-#: ``Sanitizer.drive``.
+#: The sanitizer observing the current batch, or None.  Assigned only
+#: by ``Sanitizer.begin_batch`` / ``Sanitizer.end_batch``.
 ACTIVE = None

@@ -230,11 +230,10 @@ def check_scenario(
     base = build_traces(only=[bench_id])[bench_id]
     results = []
     for mode in modes:
-        envs: list = []
+        sanitizers: list = []
 
         def hook(env, sink, _mode=mode):
-            envs.append(env)
-            enable_sanitizer(env, permute=_mode, seed=seed)
+            sanitizers.append(enable_sanitizer(env, permute=_mode, seed=seed))
 
         with tracing_hook(hook):
             perm = build_traces(only=[bench_id])[bench_id]
@@ -242,8 +241,8 @@ def check_scenario(
         races: list = []
         order_warnings: list = []
         batches = units = 0
-        for env in envs:
-            report = env._sanitizer.report()
+        for sanitizer in sanitizers:
+            report = sanitizer.report()
             races.extend(report["races"])
             order_warnings.extend(report["order_warnings"])
             batches += report["batches"]

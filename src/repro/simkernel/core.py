@@ -35,7 +35,9 @@ Anything outside that shape — manual events, conditions, interrupts,
 failures, multiple waiters — takes the generic :meth:`_dispatch` path,
 which is semantically identical to the old single-heap loop (preserved
 as :class:`repro.simkernel.reference.NaiveEnvironment` and held equal
-by the differential fuzzer in ``tests/simkernel/``).
+by the differential fuzzer in ``tests/simkernel/``).  So does every
+event while a batch :attr:`Environment.observer` is attached (the
+simsan race sanitizer is one); there is no other dispatch loop.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from repro.simkernel.events import (
 from repro.simkernel.queueing import (
     calendar_peek,
     calendar_pending,
-    calendar_pop_one,
     calendar_reinsert,
     heap_pop,
     heap_push,
@@ -127,12 +128,10 @@ class Environment:
         #: The list is append-only and empty unless :mod:`repro.ckpt`
         #: is in play — zero cost on the hot path.
         self.ckpt_probes: list = []
-        #: simsan hook: when :func:`repro.sanitizer.enable_sanitizer`
-        #: attaches one, ``run()`` hands the calendar to its
-        #: instrumented drive loop instead of ``_run_loop``.  ``None``
-        #: costs a single attribute test per ``run()`` call — nothing
-        #: on the per-event path.
-        self._sanitizer = None
+        #: Optional batch observer (see :meth:`_run_loop`), e.g. the
+        #: :class:`repro.sanitizer.Sanitizer`.  ``None`` keeps the fast
+        #: path: the loop tests it once per batch, never per event.
+        self.observer = None
         #: ``timeout`` is installed as an instance attribute (a closure
         #: over the calendar structures): the hot path pays one
         #: attribute load instead of a descriptor + bound-method
@@ -206,67 +205,6 @@ class Environment:
                 )
                 self._bcache_t = None
             batch.clear()
-
-    def schedule_at(self, event: Event, t: float, priority: int = NORMAL) -> None:
-        """Queue ``event`` at the *exact* absolute instant ``t``.
-
-        ``schedule(event, delay=t - now)`` is not the same thing: float
-        round-trips (``now + (t - now)``) can land one ulp off ``t``,
-        which splits a bucket and reorders same-instant dispatch — fatal
-        for checkpoint/resume, where a restored run must re-arm events
-        at bit-identical timestamps.  This entry point skips the
-        addition entirely.
-        """
-        t = float(t)
-        if t < self._now:
-            raise ValueError(f"schedule_at t={t} is in the past (now={self._now})")
-        if priority:  # NORMAL
-            if t == self._bcache_t:
-                self._bcache.append(event)
-                return
-            buckets = self._buckets
-            bucket = buckets.get(t)
-            if bucket is None:
-                if t not in self._urgent:
-                    heap_push(self._times, t)
-                buckets[t] = bucket = [event]
-            else:
-                bucket.append(event)
-            self._bcache_t = t
-            self._bcache = bucket
-            return
-        urgent = self._urgent
-        bucket = urgent.get(t)
-        if bucket is None:
-            if t not in self._buckets:
-                heap_push(self._times, t)
-            urgent[t] = [event]
-        else:
-            bucket.append(event)
-        batch = self._batch
-        if batch and not self._batch_urgent and t == self._batch_t:
-            rest = batch[len(batch) - self._batch_it.__length_hint__():]
-            if rest:
-                self._dispatched -= len(rest)
-                calendar_reinsert(
-                    self._buckets, self._urgent, self._times, t, rest
-                )
-                self._bcache_t = None
-            batch.clear()
-
-    def timeout_at(self, t: float, value: Any = None) -> Event:
-        """An event triggering at the exact absolute instant ``t``.
-
-        The absolute-time counterpart of ``env.timeout(delay)`` (see
-        :meth:`schedule_at` for why the delta form cannot be exact).
-        Checkpoint-safe processes wait on an absolute grid so a resumed
-        run re-arms bit-identical instants.
-        """
-        ev = Event(self)
-        ev._ok = True
-        ev._value = value
-        self.schedule_at(ev, t)
-        return ev
 
     def ckpt_fingerprint(self) -> dict:
         """A JSON-able digest of the kernel's semantic queue state.
@@ -398,31 +336,19 @@ class Environment:
                 f"Unhandled failure in {event!r}: {exc!r}"
             ) from exc
 
-    def step(self) -> None:
-        """Process the single next event.
-
-        Raises
-        ------
-        IndexError
-            If the queue is empty.
-        SimulationError
-            If the event failed and nobody defused the failure.
-        """
-        popped = calendar_pop_one(self._buckets, self._urgent, self._times)
-        if popped is None:
-            raise IndexError("step from an empty schedule")
-        # The pop may have deleted the bucket the cache aliases.
-        self._bcache_t = None
-        t, event = popped
-        self._now = t
-        self._dispatched += 1
-        self._dispatch(event)
-
     def _run_loop(self, stop_at: float) -> None:
         """Drain the calendar, batching same-instant dispatch.
 
         ``stop_at`` is checked once per distinct instant (not per
         event); pass ``inf`` to run to exhaustion.
+
+        When :attr:`observer` is set, each batch instead takes the
+        generic :meth:`_dispatch` path, bracketed by the observer's
+        ``begin_batch(t, batch)`` (which may permute ``batch`` in
+        place), ``begin_unit(index, event)`` before each event, and
+        ``end_batch()`` — also called when an exception cuts the batch
+        short.  The observer is read once per batch, so with ``None``
+        the per-event path is untouched.
         """
         times = self._times
         buckets = self._buckets
@@ -438,116 +364,121 @@ class Environment:
             self._now = t
             while True:
                 batch = urgent.pop(t, None)
-                if batch is not None:
-                    self._dispatched += len(batch)
-                    self._batch = batch
-                    self._batch_it = it = iter(batch)
-                    self._batch_t = t
-                    self._batch_urgent = True
-                    for ev in it:
-                        self._dispatch(ev)
-                    self._batch = None
-                    continue
-                batch = buckets.pop(t, None)
-                if batch is None:
-                    break
-                # The cache may alias this (now live) batch list.
-                self._bcache_t = None
+                is_urgent = batch is not None
+                if not is_urgent:
+                    batch = buckets.pop(t, None)
+                    if batch is None:
+                        break
+                    # The cache may alias this (now live) batch list.
+                    self._bcache_t = None
                 self._dispatched += len(batch)
                 self._batch = batch
-                self._batch_it = it = iter(batch)
                 self._batch_t = t
-                self._batch_urgent = False
-                for ev in it:
-                    # Fast path: a Timeout with exactly one waiting
-                    # process and no callbacks — resume it inline.
-                    # Timeouts cannot fail, so no _ok/_defused check.
-                    if ev.__class__ is TO:
-                        proc = ev._waiter
-                        cbs = ev.callbacks
-                        if proc is not None and not cbs:
-                            value = ev._value
-                            send = proc._send
-                            if getrc(ev) == 4:
-                                # Sole refs: the batch list, the loop
-                                # var, getrefcount's arg, proc.target.
-                                # Nobody can observe it again — recycle.
-                                ev._waiter = None
-                                ev._value = PENDING
-                                if self._timeout_slot is None:
-                                    self._timeout_slot = ev
+                self._batch_urgent = is_urgent
+                self._batch_it = it = iter(batch)
+                observer = self.observer
+                if observer is not None:
+                    observer.begin_batch(t, batch)
+                    try:
+                        for index, ev in enumerate(it):
+                            observer.begin_unit(index, ev)
+                            self._dispatch(ev)
+                    finally:
+                        observer.end_batch()
+                elif is_urgent:
+                    for ev in it:
+                        self._dispatch(ev)
+                else:
+                    for ev in it:
+                        # Fast path: a Timeout with exactly one waiting
+                        # process and no callbacks — resume it inline.
+                        # Timeouts cannot fail, so no _ok/_defused check.
+                        if ev.__class__ is TO:
+                            proc = ev._waiter
+                            cbs = ev.callbacks
+                            if proc is not None and not cbs:
+                                value = ev._value
+                                send = proc._send
+                                if getrc(ev) == 4:
+                                    # Sole refs: the batch list, the loop
+                                    # var, getrefcount's arg, proc.target.
+                                    # Nobody can observe it again — recycle.
+                                    ev._waiter = None
+                                    ev._value = PENDING
+                                    if self._timeout_slot is None:
+                                        self._timeout_slot = ev
+                                    else:
+                                        pool.append(ev)
                                 else:
-                                    pool.append(ev)
-                            else:
-                                ev._waiter = None
-                                ev.callbacks = None
-                            while True:
-                                self._active_proc = proc
-                                try:
-                                    nxt = send(value)
-                                except StopIteration as exc:
-                                    proc.target = None
-                                    proc._ok = True
-                                    proc._value = exc.value
-                                    self.schedule(proc)
-                                    break
-                                except BaseException as exc:
-                                    proc.target = None
-                                    proc._ok = False
-                                    proc._value = exc
-                                    self.schedule(proc)
-                                    break
-                                try:
-                                    ncbs = nxt.callbacks
-                                except AttributeError:
-                                    self._active_proc = None
-                                    proc.target = None
-                                    proc._throw(
-                                        TypeError(
-                                            f"Process {proc.name} yielded "
-                                            f"non-event {nxt!r}"
+                                    ev._waiter = None
+                                    ev.callbacks = None
+                                while True:
+                                    self._active_proc = proc
+                                    try:
+                                        nxt = send(value)
+                                    except StopIteration as exc:
+                                        proc.target = None
+                                        proc._ok = True
+                                        proc._value = exc.value
+                                        self.schedule(proc)
+                                        break
+                                    except BaseException as exc:
+                                        proc.target = None
+                                        proc._ok = False
+                                        proc._value = exc
+                                        self.schedule(proc)
+                                        break
+                                    try:
+                                        ncbs = nxt.callbacks
+                                    except AttributeError:
+                                        self._active_proc = None
+                                        proc.target = None
+                                        proc._throw(
+                                            TypeError(
+                                                f"Process {proc.name} yielded "
+                                                f"non-event {nxt!r}"
+                                            )
                                         )
-                                    )
-                                    break
-                                if ncbs is None:
-                                    if nxt._ok:
-                                        # Already-processed success:
-                                        # feed its value straight back.
-                                        value = nxt._value
-                                        continue
-                                    # Already-processed failure: the
-                                    # generic path handles defusing.
-                                    self._active_proc = None
-                                    proc._resume(nxt)
+                                        break
+                                    if ncbs is None:
+                                        if nxt._ok:
+                                            # Already-processed success:
+                                            # feed its value straight back.
+                                            value = nxt._value
+                                            continue
+                                        # Already-processed failure: the
+                                        # generic path handles defusing.
+                                        self._active_proc = None
+                                        proc._resume(nxt)
+                                        nxt = None
+                                        break
+                                    if not ncbs and nxt._waiter is None:
+                                        nxt._waiter = proc
+                                    else:
+                                        proc._cb_index = len(ncbs)
+                                        ncbs.append(proc._resume_cb)
+                                    proc.target = nxt
+                                    # Drop the local pin: `nxt` is function-
+                                    # scoped and would otherwise hold a 5th
+                                    # reference to this event at its own
+                                    # dispatch, defeating the recycle check.
                                     nxt = None
                                     break
-                                if not ncbs and nxt._waiter is None:
-                                    nxt._waiter = proc
-                                else:
-                                    proc._cb_index = len(ncbs)
-                                    ncbs.append(proc._resume_cb)
-                                proc.target = nxt
-                                # Drop the local pin: `nxt` is function-
-                                # scoped and would otherwise hold a 5th
-                                # reference to this event at its own
-                                # dispatch, defeating the recycle check.
-                                nxt = None
-                                break
+                            else:
+                                # Timeout with extra callbacks (or no
+                                # waiter): generic dispatch minus the
+                                # failure check.
+                                self._active_proc = None
+                                ev.callbacks = None
+                                if proc is not None:
+                                    ev._waiter = None
+                                    proc._resume(ev)
+                                if cbs:
+                                    for cb in cbs:
+                                        if cb is not None:
+                                            cb(ev)
                         else:
-                            # Timeout with extra callbacks (or no
-                            # waiter): generic dispatch minus the
-                            # failure check.
-                            self._active_proc = None
-                            ev.callbacks = None
-                            if proc is not None:
-                                ev._waiter = None
-                                proc._resume(ev)
-                            if cbs:
-                                for cb in cbs:
-                                    if cb is not None:
-                                        cb(ev)
-                    else:
-                        self._dispatch(ev)
+                            self._dispatch(ev)
                 self._batch = None
                 self._active_proc = None
 
@@ -603,10 +534,7 @@ class Environment:
                 raise ValueError(f"until={stop_at} is in the past (now={self._now})")
 
         try:
-            if self._sanitizer is not None:
-                self._sanitizer.drive(self, stop_at)
-            else:
-                self._run_loop(stop_at)
+            self._run_loop(stop_at)
         except StopSimulation:
             pass
         finally:

@@ -35,8 +35,8 @@ event.  It keeps a *calendar*:
 The helpers below implement the slow-path operations on that layout.
 The :class:`Environment` run loop intentionally inlines the fast-path
 equivalents (see ``core.py``) — a function call per event would cost
-more than the work it wraps — but slow paths (``peek``, ``step``,
-batch recovery after ``StopSimulation``) route through here so the
+more than the work it wraps — but slow paths (``peek``, batch
+recovery after ``StopSimulation``) route through here so the
 invariants live in one place.
 """
 
@@ -48,7 +48,6 @@ from heapq import heapify as heap_make  # noqa: F401  (re-export)
 from heapq import heappop as heap_pop
 from heapq import heappush as heap_push
 from heapq import merge as heap_merge  # noqa: F401  (re-export)
-from typing import Optional
 
 __all__ = [
     "heap_make",
@@ -58,7 +57,6 @@ __all__ = [
     "calendar_insert",
     "calendar_peek",
     "calendar_pending",
-    "calendar_pop_one",
     "calendar_reinsert",
 ]
 
@@ -102,27 +100,6 @@ def calendar_pending(buckets: dict, urgent: dict) -> int:
     for bucket in urgent.values():
         n += len(bucket)
     return n
-
-
-def calendar_pop_one(buckets: dict, urgent: dict, times: list) -> Optional[tuple]:
-    """Pop the single next ``(time, event)`` in dispatch order.
-
-    Slow path backing :meth:`Environment.step`.  Returns ``None`` when
-    both calendars are empty.  Emptied buckets are deleted; the stale
-    ``times`` entry is cleaned up lazily by the next peek.
-    """
-    t = calendar_peek(buckets, urgent, times)
-    if t == float("inf"):
-        return None
-    bucket = urgent.get(t)
-    source = urgent
-    if not bucket:
-        bucket = buckets.get(t)
-        source = buckets
-    event = bucket.pop(0)
-    if not bucket:
-        del source[t]
-    return t, event
 
 
 def calendar_reinsert(buckets: dict, other: dict, times: list, t: float, rest: list) -> None:

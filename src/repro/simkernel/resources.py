@@ -246,32 +246,6 @@ class Store:
                 ev.succeed(item)
                 progressed = True
 
-    # -- checkpoint support --------------------------------------------------
-
-    def ckpt_items(self) -> list:
-        """The stored items, oldest first (snapshot view).
-
-        Waiting get/put *events* are deliberately not part of a
-        snapshot: checkpoint-safe processes re-issue their own pending
-        operations when re-entered from their registered factory
-        (:mod:`repro.ckpt`), so only the data — the items actually in
-        the store — crosses the snapshot boundary.
-        """
-        return list(self.items)
-
-    def ckpt_waiting(self) -> tuple[int, int]:
-        """``(waiting getters, waiting putters)`` for fingerprints."""
-        return len(self._getters), len(self._putters)
-
-    def ckpt_restore_items(self, items) -> None:
-        """Load snapshot items into a freshly built (empty) store."""
-        if self.items or self._getters or self._putters:
-            raise RuntimeError(
-                "ckpt_restore_items requires a pristine store; restore "
-                "state before any process touches it"
-            )
-        self.items.extend(items)
-
 
 class FilterStore(Store):
     """A :class:`Store` whose getters may select items by predicate.

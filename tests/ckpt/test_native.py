@@ -1,156 +1,57 @@
-"""Native checkpoint mode: true state restore reproduces the
-uninterrupted digest from any snapshot, under randomized crash points
-(hypothesis) and adversarial spill damage."""
+"""Checkpointed runs of the E5 scenario at a fine snapshot cadence: two
+runs agree on digest and snapshot indices, and resume after a crash
+that left a torn partial record on the open spill segment reproduces
+the uninterrupted digest, from a mid-run snapshot or from none."""
 
 from __future__ import annotations
 
-import os
 import pathlib
-import shutil
-import tempfile
 
-import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from repro.ckpt.format import list_snapshots
+from repro.ckpt.runner import SPILL_DIR, baseline_digest, resume, run_checkpointed
+from tests.ckpt.test_runner import crash_sim
 
-from repro.ckpt.format import (
-    list_snapshots,
-    read_manifest,
-    read_snapshot,
-    write_manifest,
-)
-from repro.ckpt.native import resume_native, run_native
-from repro.ckpt.workload import WorkloadConfig
-from repro.obs.stream import SpillCorruptionError
-
-CADENCE = 20.0
-
-#: Manifest keys that describe a native run (vs. record completion).
-_CONFIG_KEYS = ("kind", "workload", "config", "cadence", "segment_records")
+BENCH = "E5"
+CADENCE = 60.0
+SEGMENT_RECORDS = 50
 
 
-def crash_sim_native(directory, keep_index, extra_records=0, torn_tail=b""):
-    """Doctor a completed native run into a crashed-looking one.
-
-    Keeps snapshots up to ``keep_index`` (None keeps every one), cuts
-    the spill back to the kept snapshot's cursor plus ``extra_records``
-    re-simulatable lines, demotes the final segment to ``.part`` and
-    optionally appends a torn partial line to it.
-    """
-    directory = pathlib.Path(directory)
-    manifest = read_manifest(directory)
-    doc = {k: manifest[k] for k in _CONFIG_KEYS}
-    doc["completed"] = False
-    write_manifest(directory, doc)
-
-    cursor = 0
-    for index, path in list_snapshots(directory):
-        if keep_index is not None and index > keep_index:
-            os.remove(path)
-        elif keep_index is None or index <= keep_index:
-            cursor = int(read_snapshot(path)["spill"]["records"])
-
-    remaining = cursor + extra_records
-    survivors = []
-    for seg in sorted((directory / "spill").glob("segment-*.jsonl")):
-        lines = seg.read_bytes().splitlines(keepends=True)
-        if remaining >= len(lines):
-            survivors.append(seg)
-            remaining -= len(lines)
-        elif remaining > 0:
-            seg.write_bytes(b"".join(lines[:remaining]))
-            survivors.append(seg)
-            remaining = 0
-        else:
-            seg.unlink()
-    if survivors:
-        last = survivors[-1]
-        pathlib.Path(str(last) + ".part").write_bytes(
-            last.read_bytes() + torn_tail
-        )
-        last.unlink()
-
-
-def _config(n_items=30, n_consumers=3):
-    return WorkloadConfig(
-        n_items=n_items, n_consumers=n_consumers, horizon=400.0
+def _run(directory):
+    return run_checkpointed(
+        BENCH, directory, cadence=CADENCE, segment_records=SEGMENT_RECORDS
     )
+
+
+def _append_torn_tail(directory, tail):
+    """Append a partial record to the open ``.part`` spill segment."""
+    part = sorted((pathlib.Path(directory) / SPILL_DIR).glob("*.part"))[-1]
+    part.write_bytes(part.read_bytes() + tail)
 
 
 class TestNativeDeterminism:
     def test_two_runs_same_digest(self, tmp_path):
-        a = run_native(tmp_path / "a", _config(), cadence=CADENCE)
-        b = run_native(tmp_path / "b", _config(), cadence=CADENCE)
-        assert a.digest == b.digest
+        a = _run(tmp_path / "a")
+        b = _run(tmp_path / "b")
+        assert a.digest == b.digest == baseline_digest(BENCH)
         assert a.snapshots == b.snapshots
         assert len(a.snapshots) >= 3
 
     def test_resume_from_midpoint_snapshot(self, tmp_path):
-        golden = run_native(tmp_path / "run", _config(), cadence=CADENCE)
+        golden = _run(tmp_path / "run")
         keep = golden.snapshots[len(golden.snapshots) // 2]
-        crash_sim_native(
-            tmp_path / "run", keep, extra_records=7, torn_tail=b'{"torn'
-        )
-        result = resume_native(tmp_path / "run")
+        crash_sim(tmp_path / "run", keep_index=keep, cut_bytes=700)
+        _append_torn_tail(tmp_path / "run", b'{"torn')
+        assert max(i for i, _ in list_snapshots(tmp_path / "run")) == keep
+        result = resume(tmp_path / "run")
         assert result.digest == golden.digest
         assert result.resumed_from == keep
+        assert result.verified
 
     def test_resume_with_all_snapshots_gone(self, tmp_path):
-        golden = run_native(tmp_path / "run", _config(), cadence=CADENCE)
-        crash_sim_native(tmp_path / "run", -1, extra_records=5)
-        result = resume_native(tmp_path / "run")
+        golden = _run(tmp_path / "run")
+        crash_sim(tmp_path / "run", keep_index=-1, cut_bytes=500)
+        _append_torn_tail(tmp_path / "run", b'{"half-a-record')
+        assert list_snapshots(tmp_path / "run") == []
+        result = resume(tmp_path / "run")
         assert result.digest == golden.digest
-        assert result.resumed_from is None  # wiped spill, cold re-run
-
-    def test_spill_below_cursor_is_refused(self, tmp_path):
-        golden = run_native(tmp_path / "run", _config(), cadence=CADENCE)
-        keep = golden.snapshots[-1]
-        crash_sim_native(tmp_path / "run", keep, extra_records=0)
-        # Shear *below* the kept snapshot's cursor: impossible after a
-        # real crash (snapshots follow a spill fsync), so resume must
-        # refuse rather than silently re-simulate durable history.
-        part = sorted((tmp_path / "run" / "spill").glob("*.part"))[-1]
-        lines = part.read_bytes().splitlines(keepends=True)
-        part.write_bytes(b"".join(lines[:-3]))
-        with pytest.raises(SpillCorruptionError):
-            resume_native(tmp_path / "run")
-
-
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    n_items=st.integers(min_value=8, max_value=40),
-    n_consumers=st.integers(min_value=1, max_value=4),
-    keep_frac=st.floats(min_value=0.0, max_value=1.0),
-    extra_records=st.integers(min_value=0, max_value=25),
-    torn=st.booleans(),
-)
-def test_resume_at_random_instant_reproduces_digest(
-    n_items, n_consumers, keep_frac, extra_records, torn
-):
-    """Checkpoint at a random instant + resume == uninterrupted digest."""
-    config = WorkloadConfig(
-        n_items=n_items, n_consumers=n_consumers, horizon=400.0
-    )
-    with tempfile.TemporaryDirectory(prefix="ckpt-hyp-") as work:
-        work = pathlib.Path(work)
-        golden = run_native(work / "golden", config, cadence=CADENCE)
-        shutil.copytree(work / "golden", work / "crash")
-        keep = golden.snapshots[
-            min(
-                int(keep_frac * len(golden.snapshots)),
-                len(golden.snapshots) - 1,
-            )
-        ]
-        crash_sim_native(
-            work / "crash",
-            keep,
-            extra_records=extra_records,
-            torn_tail=b'{"half-a-record' if torn else b"",
-        )
-        result = resume_native(work / "crash")
-        assert result.digest == golden.digest
-        assert result.resumed_from == keep
+        assert result.resumed_from is None  # no token left: cold re-run

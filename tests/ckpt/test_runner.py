@@ -1,13 +1,17 @@
 """Checkpointed scenario runs: record == baseline, crash+resume ==
-golden, and loud rejection of tampered spills and snapshots."""
+golden (also from randomized crash points), and loud rejection of
+tampered spills and snapshots."""
 
 from __future__ import annotations
 
 import os
 import pathlib
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.ckpt.format import (
     FingerprintMismatch,
@@ -19,6 +23,7 @@ from repro.ckpt.format import (
     write_snapshot,
 )
 from repro.ckpt.runner import (
+    SPILL_DIR,
     baseline_digest,
     resume,
     run_checkpointed,
@@ -51,7 +56,7 @@ def crash_sim(directory, keep_index=None, cut_bytes=0, demote_last=True):
         if keep_index is not None and index > keep_index:
             os.remove(path)
 
-    segs = sorted((directory / "spill").glob("segment-*.jsonl"))
+    segs = sorted((directory / SPILL_DIR).glob("segment-*.jsonl"))
     remaining = cut_bytes
     while remaining > 0 and segs:
         seg = segs[-1]
@@ -169,3 +174,58 @@ class TestTamperRejection:
         write_snapshot(crashed, body)  # re-checksummed: torn-detection passes
         with pytest.raises(FingerprintMismatch):
             resume(crashed)
+
+
+#: A fast traced scenario with many snapshots and spill segments.
+FAST_BENCH = "E5"
+FAST_CADENCE = 60.0
+FAST_SEGMENT_RECORDS = 50
+
+
+@pytest.fixture(scope="module")
+def fast_recorded(tmp_path_factory):
+    """One completed E5 run plus its uninterrupted digest."""
+    d = tmp_path_factory.mktemp("ckpt-fast") / "run"
+    result = run_checkpointed(
+        FAST_BENCH, d, cadence=FAST_CADENCE, segment_records=FAST_SEGMENT_RECORDS
+    )
+    assert len(result.snapshots) >= 10
+    assert result.digest == baseline_digest(FAST_BENCH)
+    spill_bytes = sum(p.stat().st_size for p in (d / SPILL_DIR).iterdir())
+    return d, result.digest, spill_bytes
+
+
+@settings(
+    max_examples=9,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# Newest snapshot kept, half the spill sheared: far below its cursor.
+@example(keep_frac=1.0, cut_frac=0.5, demote_last=True)
+@given(
+    keep_frac=st.floats(min_value=0.0, max_value=1.0),
+    cut_frac=st.floats(min_value=0.0, max_value=1.0),
+    demote_last=st.booleans(),
+)
+def test_resume_at_random_crash_point_reproduces_digest(
+    fast_recorded, keep_frac, cut_frac, demote_last
+):
+    """Any kept snapshot, any spill shear (down to below the kept
+    snapshot's cursor, or the whole spill): resume == golden digest.
+    Replay re-simulates whatever records the crash lost."""
+    recorded, golden, spill_bytes = fast_recorded
+    with tempfile.TemporaryDirectory(prefix="ckpt-hyp-") as work:
+        d = pathlib.Path(work) / "run"
+        shutil.copytree(recorded, d)
+        snaps = [i for i, _ in list_snapshots(d)]
+        keep = snaps[min(int(keep_frac * len(snaps)), len(snaps) - 1)]
+        crash_sim(
+            d,
+            keep_index=keep,
+            cut_bytes=int(cut_frac * spill_bytes),
+            demote_last=demote_last,
+        )
+        result = resume(d)
+        assert result.digest == golden
+        assert result.resumed_from == keep
+        assert result.verified

@@ -7,17 +7,26 @@ implementation *before* the scheduling/primitive optimizations landed —
 a digest mismatch means a grant order, simulated timestamp, or exported
 field changed, which the perf work explicitly must not do.
 
+The ``-sanitizer`` cases rebuild each trace with the simsan sanitizer
+attached as the kernel's batch observer (no permutation, attached
+through the same :func:`repro.obs.tracing_hook` as
+:func:`repro.sanitizer.permute.check_scenario`): observing a run must
+not move its digest either.
+
 If a digest changes because of an *intentional* behaviour change,
 regenerate with ``PYTHONPATH=src python tests/golden/regen.py`` and say
 so in the commit message.
 """
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.obs import tracing_hook
+from repro.sanitizer import enable_sanitizer
 from tests.golden.traces import BUILDERS, build_traces
 
 PINNED = json.loads(
@@ -29,9 +38,22 @@ def test_pinned_set_matches_builders():
     assert set(PINNED) == set(BUILDERS)
 
 
-@pytest.mark.parametrize("bench_id", sorted(BUILDERS))
-def test_trace_digest(bench_id):
-    text = build_traces(only={bench_id})[bench_id]
+@pytest.mark.parametrize(
+    "bench_id, sanitized",
+    [pytest.param(b, False, id=b) for b in sorted(BUILDERS)]
+    + [pytest.param(b, True, id=f"{b}-sanitizer") for b in sorted(BUILDERS)],
+)
+def test_trace_digest(bench_id, sanitized):
+    sanitizers: list = []
+
+    def attach(env, sink):
+        sanitizers.append(enable_sanitizer(env))
+
+    with tracing_hook(attach) if sanitized else contextlib.nullcontext():
+        text = build_traces(only={bench_id})[bench_id]
+    # E8 has no discrete-event run, so nothing to observe.
+    assert all(s.batches for s in sanitizers)
+    assert sanitized == bool(sanitizers) or bench_id == "E8"
     digest = hashlib.sha256(text.encode()).hexdigest()
     pinned = PINNED[bench_id]
     assert len(text.encode()) == pinned["bytes"], (

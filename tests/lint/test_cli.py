@@ -83,6 +83,15 @@ class TestCli:
         proc = run_cli(["no/such/dir"], cwd=root)
         assert proc.returncode == 2
 
+    def test_exit_2_on_stale_rule_scope(self, tmp_path):
+        root = make_project(tmp_path, "x = 1\n")
+        (root / "pyproject.toml").write_text(
+            '[tool.simlint.scopes]\nKER007 = { include = ["src/*"] }\n'
+        )
+        proc = run_cli(["src"], cwd=root)
+        assert proc.returncode == 2
+        assert "KER007" in proc.stderr
+
     def test_syntax_error_reported_not_crashed(self, tmp_path):
         root = make_project(tmp_path, "def broken(:\n")
         proc = run_cli(["src", "--json"], cwd=root)

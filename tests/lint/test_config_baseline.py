@@ -7,6 +7,7 @@ import pytest
 
 from repro.lint import LintConfig, lint_paths, lint_source, load_config
 from repro.lint.baseline import render_baseline_toml
+from repro.lint.config import ConfigError
 from repro.lint.config import tomllib  # stdlib on 3.11+, tomli backport on 3.10
 
 VIOLATION = "import random\ndelay = random.random()\n"
@@ -63,6 +64,30 @@ class TestConfig:
         assert cfg.rule_applies("DET002", "DET", "lib/a.py")
         assert not cfg.rule_applies("DET002", "DET", "src/repro/a.py")
         assert cfg.baseline == ["DET002|lib/a.py|delay = random.random()"]
+
+    @needs_toml
+    @pytest.mark.parametrize(
+        "body",
+        [
+            'enable = ["DET01"]',
+            'disable = ["KER007"]',
+            '[tool.simlint.scopes]\nKER007 = { include = ["src/*"] }',
+        ],
+    )
+    def test_unknown_rule_key_is_a_config_error(self, tmp_path: Path, body):
+        (tmp_path / "pyproject.toml").write_text(f"[tool.simlint]\n{body}\n")
+        with pytest.raises(ConfigError, match="DET01|KER007"):
+            load_config(tmp_path)
+
+    @needs_toml
+    def test_families_are_valid_keys(self, tmp_path: Path):
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.simlint]\ndisable = ["RACE"]\n'
+            '[tool.simlint.scopes]\nKERNEL = { include = ["src/*"] }\n'
+        )
+        cfg = load_config(tmp_path)
+        assert not cfg.rule_enabled("RACE001", "RACE")
+        assert cfg.rule_enabled("KER001", "KERNEL")
 
     def test_missing_pyproject_gives_defaults(self, tmp_path: Path):
         cfg = load_config(tmp_path)

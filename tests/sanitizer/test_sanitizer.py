@@ -9,7 +9,7 @@ import pytest
 from repro.sanitizer import WatchedDict, enable_sanitizer, disable_sanitizer
 from repro.sanitizer import hooks
 from repro.sanitizer.permute import classify
-from repro.simkernel import Environment
+from repro.simkernel import Environment, SimulationError
 
 from tests.sanitizer import fixture_race
 
@@ -28,15 +28,43 @@ class TestDriveEquivalence:
         env = Environment()
         enable_sanitizer(env)
         disable_sanitizer(env)
-        assert env._sanitizer is None
+        assert env.observer is None
         fixture_race.trace(env)  # runs the untouched hot loop
 
     def test_hooks_inactive_outside_drive(self):
         env = Environment()
         san = enable_sanitizer(env)
         fixture_race.trace(env)
-        assert hooks.ACTIVE is None  # restored by drive()'s finally
+        assert hooks.ACTIVE is None  # restored by end_batch()
         assert san.batches > 0
+
+        def tick(env):
+            yield env.timeout(1.0)
+
+        # run(until=event) stopping mid-batch: the three completions at
+        # t=1 form one batch, and the stop fires on its first unit.
+        env = Environment()
+        enable_sanitizer(env)
+        procs = [env.process(tick(env), name=f"p{i}") for i in range(3)]
+        env.run(until=procs[0])
+        assert hooks.ACTIVE is None
+        assert not procs[2].processed
+        env.run()
+        assert hooks.ACTIVE is None
+        assert all(p.processed for p in procs)
+
+        # A propagating SimulationError.
+        def boom(env):
+            yield env.timeout(1.0)
+            raise KeyError("boom")
+
+        env = Environment()
+        enable_sanitizer(env)
+        env.process(boom(env), name="boom")
+        env.process(tick(env), name="tick")
+        with pytest.raises(SimulationError):
+            env.run()
+        assert hooks.ACTIVE is None
 
     def test_watched_dict_is_plain_dict_when_inactive(self):
         d = WatchedDict(label="x")

@@ -7,6 +7,7 @@ from repro.simkernel import (
     Environment,
     Event,
     Interrupt,
+    NaiveEnvironment,
     SimulationError,
 )
 
@@ -257,7 +258,9 @@ class TestRunSemantics:
             env.run(until=p)
 
     def test_step_empty_queue_raises(self):
-        env = Environment()
+        # Only the reference model steps; Environment dispatches whole
+        # batches from run().
+        env = NaiveEnvironment()
         with pytest.raises(IndexError):
             env.step()
 
