@@ -166,12 +166,12 @@ class FreeNodePool:
         count: int,
         exclude=(),
     ) -> Optional[list[Node]]:
-        """First ``count`` matching free nodes in insertion order, or
-        ``None`` if fewer are free (same contract as the scan-based
-        ``_free_nodes_for`` this replaces)."""
+        """First ``count`` matching free nodes in insertion order whose
+        ids are not in ``exclude``, or ``None`` if fewer are free (same
+        contract as the scan-based ``_free_nodes_for`` this replaces)."""
         found = []
         for node in self.iter_matching(cores, gpus, memory_gb):
-            if node in exclude:
+            if exclude and node.id in exclude:
                 continue
             found.append(node)
             if len(found) == count:

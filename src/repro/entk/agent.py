@@ -98,7 +98,7 @@ class PilotAgent:
             else None
         )
         if self.health is not None:
-            self.health.watch_release(self._on_quarantine_release)
+            self.health.watch_release(self._pulse_freed)
 
         self._free: list[Node] = list(self.nodes)
         self._blacklist: set = set()
@@ -327,7 +327,6 @@ class PilotAgent:
         period = 1.0 / self.config.launch_rate
         env = self.env
         queue = self._launch_q
-        free = self._free
         try:
             while True:
                 while not queue:
@@ -335,14 +334,10 @@ class PilotAgent:
                     self._launch_wake = env.event()
                 task = queue.popleft()
                 yield env.timeout(period)
-                count = task.nodes
-                # Inline the no-avoid/no-wait acquire fast path (the
-                # steady state): no generator delegation per task.
-                if not self._avoid_set() and len(free) >= count:
-                    nodes = free[-count:]
-                    del free[-count:]
-                else:
-                    nodes = yield from self._acquire(count)
+                nodes = self._take(task.nodes)
+                while nodes is None:
+                    yield self._node_freed
+                    nodes = self._take(task.nodes)
                 now = env.now
                 self.pending_launch.increment(now, -1)
                 self.launched_cum.increment(now, +1)
@@ -361,46 +356,42 @@ class PilotAgent:
         """Blacklisted plus health-quarantined node ids."""
         if self.health is None:
             return self._blacklist
-        quarantined = self.health.quarantined_ids()
-        if not quarantined:
-            return self._blacklist
-        return self._blacklist | quarantined
+        return self._blacklist | self.health.quarantined_ids()
 
-    def _acquire(self, count: int):
-        """Take ``count`` non-avoided nodes from the free pool, waiting
-        as needed.  The avoid-set is the permanent blacklist plus any
-        health quarantine.  Down-but-not-yet-avoided nodes are handed
-        out like healthy ones (failure-detection lag)."""
-        while True:
-            avoid = self._avoid_set()
-            if not avoid:
-                # Fast path (the common case at Frontier scale): pop
-                # from the end, no per-node filtering.
-                if len(self._free) >= count:
-                    taken = self._free[-count:]
-                    del self._free[-count:]
-                    return taken
-            elif len(self._free) >= count:  # else: cannot fit, skip the filter
-                usable = [n for n in self._free if n.id not in avoid]
-                if len(usable) >= count:
-                    taken = usable[:count]
-                    for n in taken:
-                        self._free.remove(n)
-                    return taken
-            yield self._node_freed
-            # event is recreated by the releaser; loop re-checks
+    def _take(self, count: int) -> Optional[list]:
+        """Take ``count`` non-avoided nodes from the free list, or
+        ``None`` if too few are free (the launcher then waits for
+        ``_node_freed``).  The avoid-set is the permanent blacklist plus
+        any health quarantine.  Down-but-not-yet-avoided nodes are
+        handed out like healthy ones (failure-detection lag)."""
+        free = self._free
+        if len(free) < count:
+            return None
+        avoid = self._avoid_set()
+        if not avoid:
+            # Fast path (the common case at Frontier scale): pop from
+            # the end, no per-node filtering.
+            taken = free[-count:]
+            del free[-count:]
+            return taken
+        usable = [n for n in free if n.id not in avoid]
+        if len(usable) < count:
+            return None
+        taken = usable[:count]
+        for n in taken:
+            free.remove(n)
+        return taken
 
     def _release(self, nodes: list) -> None:
         for n in nodes:
             if n.id not in self._blacklist:
                 self._free.append(n)
-        if not self._node_freed.triggered:
-            self._node_freed.succeed()
-        self._node_freed = self.env.event()
+        self._pulse_freed()
 
-    def _on_quarantine_release(self, node_id: str) -> None:
-        """Probation ended: wake any launcher blocked on the free pool
-        (the released node may already be sitting in it)."""
+    def _pulse_freed(self, node_id: Optional[str] = None) -> None:
+        """Nodes were released, or a probation ended (the released node
+        may already be sitting in the free list): a launcher blocked in
+        ``_take`` re-checks."""
         if not self._node_freed.triggered:
             self._node_freed.succeed()
         self._node_freed = self.env.event()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Set
+from typing import Any, Optional, Set
 
 from repro.simkernel import Environment, register_ckpt_probe
 
@@ -191,17 +191,6 @@ class NodeHealth:
     def quarantined_ids(self) -> Set[str]:
         """Node ids currently on the avoid-set."""
         return set(self._quarantined)
-
-    def quarantined_nodes(self, cluster) -> set:
-        """The avoid-set as Node objects of ``cluster`` (ids the cluster
-        does not know are ignored — health may outlive a node set)."""
-        out = set()
-        for node_id in self._quarantined:
-            try:
-                out.add(cluster.node(node_id))
-            except KeyError:
-                continue
-        return out
 
     def strikes_for(self, node_id: str) -> int:
         return self._strikes.get(node_id, 0)

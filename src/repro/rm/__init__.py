@@ -13,7 +13,10 @@ implements the resource-manager side:
   a pluggable prioritization/placement strategy — the extension point
   where :mod:`repro.cws` installs workflow-aware scheduling.
 
-Both managers are workflow-*blind* by default: they see opaque jobs and
+Both are policies over one placement core,
+:class:`~repro.rm.base.SchedulerCore`: the coalesced wake, the
+negative-fit memo, the quarantine avoid-set and the submit/retire
+bookkeeping.  Both managers are workflow-*blind* by default: they see opaque jobs and
 pods.  Everything the CWSI adds (DAG edges, input sizes, predictions)
 arrives through the strategy hooks.
 """

@@ -1,4 +1,4 @@
-"""Shared job abstractions for resource managers."""
+"""Shared job abstractions and the placement core for resource managers."""
 
 from __future__ import annotations
 
@@ -6,6 +6,9 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
+
+from repro.rm.util import OrderedSet
+from repro.simkernel import register_ckpt_probe
 
 
 class JobState(enum.Enum):
@@ -80,11 +83,38 @@ class ResourceRequest:
         return self.nodes * self.cores_per_node
 
 
+@dataclass(eq=False, kw_only=True)
+class Lifecycle:
+    """Lifecycle fields of a scheduled unit (``Job``, ``Pod``), filled
+    in by its scheduler, and the timings derived from them."""
+
+    state: JobState = JobState.PENDING
+    submit_time: Optional[float] = None
+    start_time: Optional[float] = None
+    end_time: Optional[float] = None
+    #: Kernel event that triggers when the unit reaches a terminal state.
+    completion: Any = None
+    #: Why the unit failed (exception, "walltime", or a NodeFailureCause).
+    failure_cause: Any = None
+
+    @property
+    def queue_wait(self) -> Optional[float]:
+        if self.submit_time is None or self.start_time is None:
+            return None
+        return self.start_time - self.submit_time
+
+    @property
+    def runtime(self) -> Optional[float]:
+        if self.start_time is None or self.end_time is None:
+            return None
+        return self.end_time - self.start_time
+
+
 _job_counter = itertools.count()
 
 
 @dataclass(eq=False)  # identity semantics: jobs are mutable lifecycle objects
-class Job:
+class Job(Lifecycle):
     """A batch job: a resource request plus a payload.
 
     The payload is either a fixed nominal ``duration`` (scaled by the
@@ -110,17 +140,8 @@ class Job:
     #: the engine that exploits it.
     depends_on: list = field(default_factory=list)
     job_id: str = field(default_factory=lambda: f"job-{next(_job_counter):06d}")
-
-    # Lifecycle fields filled in by the scheduler.
-    state: JobState = JobState.PENDING
-    submit_time: Optional[float] = None
-    start_time: Optional[float] = None
-    end_time: Optional[float] = None
+    #: The granted nodes, filled in by the scheduler.
     nodes: list = field(default_factory=list)
-    #: Kernel event that triggers when the job reaches a terminal state.
-    completion: Any = None
-    #: Why the job failed (exception, "walltime", or a NodeFailureCause).
-    failure_cause: Any = None
 
     def __post_init__(self):
         if (self.duration is None) == (self.work is None):
@@ -130,17 +151,176 @@ class Job:
         if not self.name:
             self.name = self.job_id
 
-    @property
-    def queue_wait(self) -> Optional[float]:
-        if self.submit_time is None or self.start_time is None:
-            return None
-        return self.start_time - self.submit_time
-
-    @property
-    def runtime(self) -> Optional[float]:
-        if self.start_time is None or self.end_time is None:
-            return None
-        return self.end_time - self.start_time
-
     def __repr__(self) -> str:
         return f"<Job {self.job_id} {self.name!r} {self.state.value}>"
+
+
+class SchedulerCore:
+    """The placement core the batch and pod schedulers share.
+
+    A policy subclass (:class:`~repro.rm.batch.BatchScheduler`,
+    :class:`~repro.rm.kube.KubeScheduler`) decides *which* queued unit
+    goes *where*; the core owns the machinery every decision runs on:
+
+    - **One coalesced wake.**  Submits, completions, quarantine releases
+      and policy events ``_kick`` a single ``_wake`` event, so N
+      triggers landing on one simulated instant run exactly one
+      scheduling pass.
+    - **One negative-fit memo.**  A resource class that found no fit is
+      recorded in ``_blocked`` against the capacity version
+      (``cluster.free_pool.version + _gain_version``), and later passes
+      skip it until that version moves.  Exactness: every gain channel
+      bumps the version — a node turning idle, recovering or
+      registering bumps the free pool's; a quarantine release, and the
+      pod scheduler's fractional release, bump the local
+      ``_gain_version`` — and between bumps capacity only shrinks,
+      which cannot create a fit.  So a miss under the avoid-set is
+      memoized (the avoid-set only shrinks through a release), while a
+      miss under an extra caller-supplied ``exclude`` (the EASY
+      reservation) says nothing about the class and is not.  A memoized
+      class also answers any narrower query: it cannot fit there either.
+    - **One avoid-set.**  Node ids from the optional
+      :class:`~repro.resilience.NodeHealth`; quarantined nodes are
+      excluded from every placement.  Assigning ``node_health`` — at
+      construction or later, as the engines do — subscribes the
+      scheduler to that object's quarantine releases exactly once.
+    - **Submit and retire bookkeeping**, including the submit instant,
+      the queue gauge and the span of each unit.
+    """
+
+    #: Differential-test knob: the reference subclasses disable the
+    #: blocked-class memo to recover full-scan-per-pass behaviour.
+    _memoize = True
+    #: Trace names, set by each policy: component (also naming the
+    #: scheduling process and checkpoint probe), span category, and the
+    #: gauge tracking the queue length.  Each policy also defines its
+    #: own ``_scheduler_loop`` generator, which the core starts.
+    _component: str
+    _category: str
+    _queue_gauge: str
+
+    def __init__(self, env, cluster, node_health=None):
+        self.env = env
+        self.cluster = cluster
+        self.running: OrderedSet = OrderedSet()
+        self.finished: list = []
+        self._wake = env.event()
+        #: Resource classes with no current fit, memoized against the
+        #: capacity version they were observed at.
+        self._blocked: dict[tuple, int] = {}
+        #: Local capacity gains the free pool cannot see.
+        self._gain_version = 0
+        self._watched: set = set()
+        self._node_health = None
+        self.node_health = node_health
+        env.process(self._scheduler_loop(), name=f"{self._component}-scheduler")
+        register_ckpt_probe(env, f"rm.{self._component}", self.ckpt_fingerprint)
+
+    def ckpt_fingerprint(self) -> dict:
+        """Scheduler state for checkpoint verification.
+
+        Identity-free on purpose: unit ids come from a *process-global*
+        counter, so they differ between a fresh recording process and
+        an in-process resume that ran other scenarios first.  Counts
+        are per-run deterministic either way; the negative-fit memo
+        (``_blocked``) is a rebuildable cache and stays out.
+        """
+        return {
+            "running": len(self.running),
+            "finished": len(self.finished),
+            "gain_version": self._gain_version,
+        }
+
+    @property
+    def node_health(self):
+        """Optional :class:`~repro.resilience.NodeHealth` whose
+        quarantined nodes every placement avoids."""
+        return self._node_health
+
+    @node_health.setter
+    def node_health(self, health) -> None:
+        self._node_health = health
+        if health is not None and health not in self._watched:
+            # Event-driven: probation ending wakes the scheduler exactly
+            # then, and bumps the version the memo is keyed on.
+            self._watched.add(health)
+            health.watch_release(self._on_quarantine_release)
+
+    def _avoid_ids(self):
+        """Node ids no placement may use (the quarantine avoid-set)."""
+        health = self._node_health
+        return frozenset() if health is None else health.quarantined_ids()
+
+    # -- wake ------------------------------------------------------------------
+
+    def _kick(self) -> None:
+        if not self._wake.triggered:
+            self._wake.succeed()
+
+    def _on_quarantine_release(self, node_id: str) -> None:
+        """Probation ended: the avoid-set shrank, so blocked classes
+        may fit again — bump the gain version and re-run the pass."""
+        self._gain_version += 1
+        self._kick()
+
+    # -- negative-fit memo -----------------------------------------------------
+
+    def _capacity_version(self) -> int:
+        return self.cluster.free_pool.version + self._gain_version
+
+    def _known_blocked(self, key) -> bool:
+        """True if ``key`` missed and no capacity was gained since."""
+        return self._memoize and self._blocked.get(key) == self._capacity_version()
+
+    def _record_blocked(self, key) -> None:
+        """Memoize a miss of ``key`` under the avoid-set alone."""
+        if self._memoize:
+            self._blocked[key] = self._capacity_version()
+
+    # -- bookkeeping -----------------------------------------------------------
+
+    def _set_queue_gauge(self, length: int) -> None:
+        self.env.tracer.metrics.gauge(
+            self._queue_gauge, component=self._component
+        ).set(self.env.now, length)
+
+    def _admit(self, unit, queue, tags: dict) -> None:
+        """Submit bookkeeping: enqueue a pending ``unit`` and wake."""
+        if unit.state != JobState.PENDING:
+            raise ValueError(f"{unit} is not pending")
+        unit.submit_time = self.env.now
+        unit.completion = self.env.event()
+        queue.append(unit)
+        tracer = self.env.tracer
+        if tracer.enabled:
+            tracer.instant(
+                "submit", category=self._category, component=self._component, tags=tags
+            )
+            self._set_queue_gauge(len(queue))
+        self._kick()
+
+    def _launch(self, unit, queue, tags: dict) -> None:
+        """Start bookkeeping: a queued ``unit`` begins running now."""
+        queue.remove(unit)
+        unit.state = JobState.RUNNING
+        unit.start_time = self.env.now
+        self.running.append(unit)
+        tracer = self.env.tracer
+        if tracer.enabled:
+            self._set_queue_gauge(len(queue))
+            unit._obs_span = tracer.start(
+                unit.name, category=self._category, component=self._component, tags=tags
+            )
+
+    def _retire(self, unit, wake: bool = True) -> None:
+        """Retire bookkeeping: a unit reached its terminal state."""
+        unit.end_time = self.env.now
+        if unit in self.running:
+            self.running.remove(unit)
+        self.finished.append(unit)
+        span = getattr(unit, "_obs_span", None)
+        if span is not None:
+            span.tag(state=unit.state.value).finish()
+        unit.completion.succeed(unit)
+        if wake:
+            self._kick()

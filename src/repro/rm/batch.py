@@ -11,13 +11,13 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Optional
 
-from repro.simkernel import Environment, Interrupt, register_ckpt_probe
+from repro.simkernel import Environment, Interrupt
 from repro.cluster import Cluster, Node
-from repro.rm.base import Job, JobState, ResourceRequest
+from repro.rm.base import Job, JobState, ResourceRequest, SchedulerCore
 from repro.rm.util import OrderedSet
 
 
-class BatchScheduler:
+class BatchScheduler(SchedulerCore):
     """FIFO batch scheduler with optional EASY backfill and fair share.
 
     Parameters
@@ -31,22 +31,14 @@ class BatchScheduler:
     fair_share:
         Order the queue by accumulated per-user core-seconds (ascending)
         before submit order — the policy §6.2 notes Cromwell lacks.
+    node_health:
+        Optional :class:`~repro.resilience.NodeHealth`; quarantined
+        nodes are excluded from every placement decision.
 
-    Hot-path notes (the "scheduler fast path"):
+    Wakeups, the negative-fit memo keyed on a job's
+    :attr:`~repro.rm.base.ResourceRequest.placement_class`, and the
+    avoid-set are the :class:`~repro.rm.base.SchedulerCore`'s.  On top:
 
-    - Wakeups are event-driven and coalesced: completions, submits and
-      quarantine releases ``_kick`` a single ``_wake`` event, so N
-      triggers landing on one simulated instant run exactly one
-      scheduling pass.
-    - Placement is incremental: a resource class that found no fit is
-      memoized against the free pool's capacity-gain version
-      (:attr:`FreeNodePool.version` plus a local counter bumped on
-      quarantine release), so the saturated steady state re-scans only
-      classes whose verdict could have changed.  Exactness: capacity
-      only shrinks while the version stands still, and shrinking cannot
-      create a fit; every gain channel (release → pool version, node
-      recover → pool version, quarantine release → local counter) bumps
-      the key.
     - Duration-only jobs complete off a single kernel timer instead of
       a payload process racing a walltime timeout (``_direct_timers``);
       the walltime verdict is decided arithmetically up front, which
@@ -62,11 +54,12 @@ class BatchScheduler:
       are byte-identical with the fast path on).
     """
 
-    #: Internal knobs for differential tests: the reference subclass
-    #: turns these off to recover the pre-fast-path pass-per-wakeup
-    #: behaviour (full re-scan every pass, payload-process execution).
+    #: Differential-test knob: the reference subclass turns this off to
+    #: recover payload-process execution for every job.
     _direct_timers = True
-    _memoize = True
+    _component = "batch"
+    _category = "rm.job"
+    _queue_gauge = "queue_length"
 
     def __init__(
         self,
@@ -76,16 +69,10 @@ class BatchScheduler:
         fair_share: bool = False,
         node_health=None,
     ):
-        self.env = env
-        self.cluster = cluster
+        super().__init__(env, cluster, node_health)
         self.backfill = backfill
         self.fair_share = fair_share
-        #: Optional :class:`~repro.resilience.NodeHealth`; quarantined
-        #: nodes are excluded from every placement decision.
-        self.node_health = node_health
         self.queue: OrderedSet = OrderedSet()
-        self.running: OrderedSet = OrderedSet()
-        self.finished: list[Job] = []
         #: Per-user consumed core-seconds (fair-share input).
         self.usage: dict[str, float] = defaultdict(float)
         #: Queued jobs with afterok dependencies — the only ones the
@@ -93,85 +80,46 @@ class BatchScheduler:
         self._dep_queued: OrderedSet = OrderedSet()
         self._submit_seq: dict[str, int] = {}
         self._seq = 0
-        self._wake = env.event()
-        #: Resource classes with no current fit, memoized against the
-        #: capacity-gain version they were observed at.
-        self._blocked: dict[tuple, int] = {}
-        #: Local capacity-gain counter (quarantine releases — gains the
-        #: free pool cannot see because the node never left it).
-        self._gain_version = 0
-        if node_health is not None:
-            # Event-driven replacement for the old 5 s health recheck
-            # poll: probation ending wakes the scheduler exactly then.
-            node_health.watch_release(self._on_quarantine_release)
-        env.process(self._scheduler_loop(), name="batch-scheduler")
-        register_ckpt_probe(env, "rm.batch", self.ckpt_fingerprint)
 
     def ckpt_fingerprint(self) -> dict:
-        """Queue/usage state for checkpoint verification.
-
-        Identity-free on purpose: job ids come from a *process-global*
-        counter, so they differ between a fresh recording process and
-        an in-process resume that ran other scenarios first.  Counts
-        and per-user usage are per-run deterministic either way; the
-        negative-fit memo (``_blocked``) is a rebuildable cache and
-        stays out.
-        """
         return {
+            **super().ckpt_fingerprint(),
             "queued": len(self.queue),
-            "running": len(self.running),
-            "finished": len(self.finished),
             "usage": sorted(self.usage.items()),
-            "gain_version": self._gain_version,
         }
 
     # -- client API ------------------------------------------------------------
 
     def submit(self, job: Job) -> Job:
         """Enqueue a job; ``job.completion`` triggers at terminal state."""
-        if job.state != JobState.PENDING:
-            raise ValueError(f"{job} is not pending")
-        job.submit_time = self.env.now
-        job.completion = self.env.event()
+        self._admit(
+            job,
+            self.queue,
+            {"job": job.name, "user": job.user, "nodes": job.request.nodes},
+        )
         self._seq += 1
         self._submit_seq[job.job_id] = self._seq
-        self.queue.append(job)
         if job.depends_on:
             self._dep_queued.append(job)
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "submit",
-                category="rm.job",
-                component="batch",
-                tags={"job": job.name, "user": job.user, "nodes": job.request.nodes},
-            )
-            tracer.metrics.gauge("queue_length", component="batch").set(
-                self.env.now, len(self.queue)
-            )
-        self._kick()
         return job
 
     def cancel(self, job: Job) -> None:
-        """Remove a still-queued job (running jobs are not preempted)."""
+        """Remove a still-queued job (running jobs are not preempted);
+        the freed queue position is offered to the jobs behind it."""
         if job in self.queue:
-            self.queue.remove(job)
-            self._dep_queued.discard(job)
-            self._submit_seq.pop(job.job_id, None)
-            job.state = JobState.CANCELLED
-            job.end_time = self.env.now
-            self.finished.append(job)
-            tracer = self.env.tracer
-            tracer.instant(
-                "cancel",
-                category="rm.job",
-                component="batch",
-                tags={"job": job.name},
-            )
-            tracer.metrics.gauge("queue_length", component="batch").set(
-                self.env.now, len(self.queue)
-            )
-            job.completion.succeed(job)
+            self._cancel(job, wake=True)
+
+    def _cancel(self, job: Job, wake: bool = False) -> None:
+        self.queue.remove(job)
+        self._dep_queued.discard(job)
+        self._submit_seq.pop(job.job_id, None)
+        job.state = JobState.CANCELLED
+        self.env.tracer.instant(
+            "cancel", category=self._category, component=self._component,
+            tags={"job": job.name},
+        )
+        self._set_queue_gauge(len(self.queue))
+        self._retire(job, wake)
 
     @property
     def queue_length(self) -> int:
@@ -179,22 +127,12 @@ class BatchScheduler:
 
     # -- scheduling loop ------------------------------------------------------------
 
-    def _kick(self) -> None:
-        if not self._wake.triggered:
-            self._wake.succeed()
-
     def _scheduler_loop(self):
         while True:
             self._cancel_doomed()
             self._try_schedule()
             yield self._wake
             self._wake = self.env.event()
-
-    def _on_quarantine_release(self, node_id: str) -> None:
-        """Probation ended: the avoid-set shrank, so blocked classes
-        may fit again — bump the gain version and re-run the pass."""
-        self._gain_version += 1
-        self._kick()
 
     def _dependency_state(self, job: Job) -> str:
         """'ready' | 'waiting' | 'doomed' for afterok dependencies."""
@@ -208,12 +146,13 @@ class BatchScheduler:
         return state
 
     def _cancel_doomed(self) -> None:
-        """Cancel queued jobs whose afterok dependencies failed."""
+        """Cancel queued jobs whose afterok dependencies failed (inside
+        a pass, so no extra wake)."""
         if not self._dep_queued:
             return
         for job in list(self._dep_queued):
             if self._dependency_state(job) == "doomed":
-                self.cancel(job)
+                self._cancel(job)
 
     def _ordered_queue(self) -> list[Job]:
         eligible = [
@@ -233,33 +172,21 @@ class BatchScheduler:
         return None
 
     def _free_nodes_for(self, request: ResourceRequest, exclude=()) -> Optional[list[Node]]:
+        """First-fit free nodes for ``request`` outside the avoid-set
+        and the node ids in ``exclude``, or ``None``."""
         key = request.placement_class
-        if (
-            self._memoize
-            and self._blocked.get(key)
-            == self.cluster.free_pool.version + self._gain_version
-        ):
-            # Still blocked: no capacity gain since the miss, and a
-            # narrower (exclude-restricted) query cannot succeed where
-            # the unrestricted one failed.
+        if self._known_blocked(key):
             return None
-        if self.node_health is not None:
-            avoid = self.node_health.quarantined_nodes(self.cluster)
-            if avoid:
-                exclude = avoid | set(exclude)
+        avoid = self._avoid_ids()
         nodes = self.cluster.free_pool.first_fit(
             request.cores_per_node,
             request.gpus_per_node,
             request.memory_gb_per_node,
             request.nodes,
-            exclude,
+            avoid | exclude if exclude else avoid,
         )
-        if nodes is None and self._memoize and not exclude:
-            # Only the unrestricted miss is a class-wide verdict; an
-            # exclude-narrowed miss says nothing about the class.
-            self._blocked[key] = (
-                self.cluster.free_pool.version + self._gain_version
-            )
+        if nodes is None and not exclude:
+            self._record_blocked(key)
         return nodes
 
     def _try_schedule(self) -> None:
@@ -325,36 +252,37 @@ class BatchScheduler:
             self._start(job, nodes)
 
     def _head_reservation(self, head: Job) -> tuple[float, set]:
-        """(shadow start time, nodes reserved for the head job).
+        """(shadow start time, node ids reserved for the head job).
 
-        Walks running jobs in projected-end order, freeing their nodes
-        until the head's request fits; the fit time is the shadow.
+        Counts the non-quarantined free nodes, then walks running jobs
+        in projected-end order, freeing their nodes until the head's
+        request fits; the fit time is the shadow.
         """
-        free = set(
-            self.cluster.free_pool.iter_matching(
+        avoid = self._avoid_ids()
+        pool = {
+            n.id
+            for n in self.cluster.free_pool.iter_matching(
                 head.request.cores_per_node,
                 head.request.gpus_per_node,
                 head.request.memory_gb_per_node,
             )
-        )
-        if len(free) >= head.request.nodes:
+            if n.id not in avoid
+        }
+        if len(pool) >= head.request.nodes:
             # Head fits now in principle (race with in-flight starts);
             # reserve the first-fit set immediately.
-            reserved = set(sorted(free, key=lambda n: n.id)[: head.request.nodes])
-            return self.env.now, reserved
+            return self.env.now, set(sorted(pool)[: head.request.nodes])
         ending = sorted(
             (j for j in self.running if j.start_time is not None),
             key=lambda j: j.start_time + j.request.walltime_s,
         )
-        pool = set(free)
         for j in ending:
             for n in j.nodes:
                 if self._node_satisfies(n, head.request):
-                    pool.add(n)
+                    pool.add(n.id)
             if len(pool) >= head.request.nodes:
                 shadow = j.start_time + j.request.walltime_s
-                reserved = set(sorted(pool, key=lambda n: n.id)[: head.request.nodes])
-                return shadow, reserved
+                return shadow, set(sorted(pool)[: head.request.nodes])
         # Not satisfiable from running jobs either; reserve nothing and
         # disallow delay-free backfill beyond current free nodes.
         return float("inf"), set()
@@ -371,23 +299,10 @@ class BatchScheduler:
     # -- job execution ---------------------------------------------------------------
 
     def _start(self, job: Job, nodes: list[Node]) -> None:
-        self.queue.remove(job)
+        self._launch(job, self.queue, {"user": job.user, "nodes": len(nodes)})
         self._dep_queued.discard(job)
         self._submit_seq.pop(job.job_id, None)
-        job.state = JobState.RUNNING
-        job.start_time = self.env.now
         job.nodes = list(nodes)
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.metrics.gauge("queue_length", component="batch").set(
-                self.env.now, len(self.queue)
-            )
-            job._obs_span = tracer.start(
-                job.name,
-                category="rm.job",
-                component="batch",
-                tags={"user": job.user, "nodes": len(nodes)},
-            )
         # Allocate synchronously so the scheduling pass that picked these
         # nodes cannot hand them to another job before the run process
         # gets a turn.
@@ -400,7 +315,6 @@ class BatchScheduler:
             )
             for node in nodes
         ]
-        self.running.append(job)
         self.env.process(self._run_job(job, allocs), name=f"run:{job.job_id}")
 
     def _run_job(self, job: Job, allocs):
@@ -467,17 +381,9 @@ class BatchScheduler:
             for alloc in allocs:
                 alloc.release()
             self.cluster.track_release(cores=tracked_cores, gpus=tracked_gpus)
-            job.end_time = self.env.now
             job.failure_cause = failure_cause
-            if job in self.running:
-                self.running.remove(job)
-            self.finished.append(job)
-            self.usage[job.user] += (job.end_time - job.start_time) * request.total_cores
-            span = getattr(job, "_obs_span", None)
-            if span is not None:
-                span.tag(state=job.state.value).finish()
-            job.completion.succeed(job)
-            self._kick()
+            self.usage[job.user] += (self.env.now - job.start_time) * request.total_cores
+            self._retire(job)
 
     def _run_payload_race(self, job: Job, request: ResourceRequest):
         """Legacy execution shape: a payload process raced against a

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.simkernel import Environment, Interrupt, register_ckpt_probe
+from repro.simkernel import Environment, Interrupt
 from repro.cluster import Cluster, Node
-from repro.rm.base import JobState
+from repro.rm.base import JobState, Lifecycle, SchedulerCore
 from repro.rm.util import OrderedSet
 
 
@@ -33,7 +33,7 @@ _pod_counter = itertools.count()
 
 
 @dataclass(eq=False)  # identity semantics: pods are mutable lifecycle objects
-class Pod:
+class Pod(Lifecycle):
     """A schedulable unit of work at container granularity.
 
     ``duration`` is the *nominal* runtime on a speed-1.0 node; the
@@ -49,14 +49,7 @@ class Pod:
     work: Optional[Callable] = None
     name: str = field(default_factory=lambda: f"pod-{next(_pod_counter):06d}")
     labels: dict = field(default_factory=dict)
-
-    state: JobState = JobState.PENDING
     node: Optional[Node] = None
-    submit_time: Optional[float] = None
-    start_time: Optional[float] = None
-    end_time: Optional[float] = None
-    completion: Any = None
-    failure_cause: Any = None
 
     def __post_init__(self):
         if (self.duration is None) == (self.work is None):
@@ -65,18 +58,6 @@ class Pod:
             raise ValueError("cores must be positive")
         if self.gpus < 0 or self.memory_gb < 0:
             raise ValueError("gpus/memory must be non-negative")
-
-    @property
-    def queue_wait(self) -> Optional[float]:
-        if self.submit_time is None or self.start_time is None:
-            return None
-        return self.start_time - self.submit_time
-
-    @property
-    def runtime(self) -> Optional[float]:
-        if self.start_time is None or self.end_time is None:
-            return None
-        return self.end_time - self.start_time
 
     def __repr__(self) -> str:
         return f"<Pod {self.name} {self.state.value} {self.cores}c/{self.memory_gb:g}GiB>"
@@ -134,30 +115,26 @@ class FifoStrategy(SchedulingStrategy):
     name = "fifo"
 
 
-class KubeScheduler:
+class KubeScheduler(SchedulerCore):
     """Bin-packing pod scheduler over a heterogeneous cluster.
 
-    Fully event-driven: the scheduling loop sleeps on a single
-    ``_wake`` event that submits, pod completions (capacity release),
-    quarantine releases and strategy swaps trigger — there is no fixed
-    ``recheck_s`` polling tick.  Strategy declines with a time-bounded
-    patience are honoured through the
-    :meth:`SchedulingStrategy.wake_deadline_s` hook: the scheduler arms
-    one exact one-shot timer for the earliest requested deadline.
+    Fully event-driven on the :class:`~repro.rm.base.SchedulerCore`
+    wake: submits, pod completions, quarantine releases and strategy
+    swaps kick it — there is no fixed ``recheck_s`` polling tick.
+    Strategy declines with a time-bounded patience are honoured through
+    the :meth:`SchedulingStrategy.wake_deadline_s` hook: the scheduler
+    arms one exact one-shot timer for the earliest requested deadline.
 
-    Placement is incremental: a pod class (cores, gpus, memory) that
-    found zero fitting nodes is memoized against a capacity-gain
-    version, and later passes skip the O(nodes) candidate scan for
-    that class until capacity is gained.  Exactness: every gain
-    channel bumps the version — pod release (local counter), whole-node
-    idle/recover/new-node (the cluster free pool's version), quarantine
-    release (local counter) — and between bumps capacity only shrinks,
-    which cannot create a fit.
+    A pod class (cores, gpus, memory) with zero fitting nodes outside
+    the avoid-set is memoized by the core, so later passes skip its
+    O(nodes) candidate scan until capacity is gained.  Pods take
+    fractions of a node, which the free pool's whole-node version
+    cannot see, so every pod release bumps the core's gain version.
     """
 
-    #: Differential-test knob: the reference subclass disables the
-    #: blocked-class memo to recover full-scan-per-pass behaviour.
-    _memoize = True
+    _component = "kube"
+    _category = "rm.pod"
+    _queue_gauge = "pending_pods"
 
     def __init__(
         self,
@@ -166,42 +143,16 @@ class KubeScheduler:
         strategy: Optional[SchedulingStrategy] = None,
         node_health=None,
     ):
-        self.env = env
-        self.cluster = cluster
+        super().__init__(env, cluster, node_health)
         self.strategy = strategy or FifoStrategy()
-        #: Optional :class:`~repro.resilience.NodeHealth`; quarantined
-        #: nodes are dropped from every pod's candidate list.  Engines
-        #: that carry a health object install it here at construction.
-        self.node_health = node_health
         self.pending: OrderedSet = OrderedSet()
-        self.running: OrderedSet = OrderedSet()
-        self.finished: list[Pod] = []
-        self._wake = env.event()
-        #: Pod classes with zero fitting nodes, memoized against the
-        #: capacity-gain version they were observed at.
-        self._blocked: dict[tuple, int] = {}
-        #: Local capacity gains the free pool cannot see: fractional
-        #: pod releases and quarantine releases.
-        self._gain_version = 0
         #: Earliest armed strategy wake deadline (inf = none armed).
         self._deadline_armed_at = float("inf")
-        if node_health is not None:
-            node_health.watch_release(self._on_quarantine_release)
-        env.process(self._scheduler_loop(), name="kube-scheduler")
-        register_ckpt_probe(env, "rm.kube", self.ckpt_fingerprint)
 
     def ckpt_fingerprint(self) -> dict:
-        """Queue state for checkpoint verification.
-
-        Identity-free (pod names come from a process-global counter —
-        see ``BatchScheduler.ckpt_fingerprint``); the negative-fit memo
-        (``_blocked``) is a rebuildable cache and stays out.
-        """
         return {
+            **super().ckpt_fingerprint(),
             "pending": len(self.pending),
-            "running": len(self.running),
-            "finished": len(self.finished),
-            "gain_version": self._gain_version,
             # inf = no deadline armed; keep the JSON strict-parseable.
             "deadline_armed_at": (
                 None
@@ -214,23 +165,7 @@ class KubeScheduler:
 
     def submit(self, pod: Pod) -> Pod:
         """Enqueue a pod; ``pod.completion`` triggers at terminal state."""
-        if pod.state != JobState.PENDING:
-            raise ValueError(f"{pod} is not pending")
-        pod.submit_time = self.env.now
-        pod.completion = self.env.event()
-        self.pending.append(pod)
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "submit",
-                category="rm.pod",
-                component="kube",
-                tags={"pod": pod.name, "cores": pod.cores},
-            )
-            tracer.metrics.gauge("pending_pods", component="kube").set(
-                self.env.now, len(self.pending)
-            )
-        self._kick()
+        self._admit(pod, self.pending, {"pod": pod.name, "cores": pod.cores})
         return pod
 
     def set_strategy(self, strategy: SchedulingStrategy) -> None:
@@ -248,47 +183,24 @@ class KubeScheduler:
 
     # -- scheduling loop ------------------------------------------------------------
 
-    def _kick(self) -> None:
-        if not self._wake.triggered:
-            self._wake.succeed()
-
     def _scheduler_loop(self):
         while True:
             self._try_schedule()
             yield self._wake
             self._wake = self.env.event()
 
-    def _capacity_version(self) -> int:
-        return self.cluster.free_pool.version + self._gain_version
-
-    def _on_quarantine_release(self, node_id: str) -> None:
-        """Probation ended: eligibility grew, so blocked classes may
-        fit again — bump the gain version and re-run the pass."""
-        self._gain_version += 1
-        self._kick()
-
     def _try_schedule(self) -> None:
         deadline = float("inf")  # earliest strategy-requested re-look
-        version = self._capacity_version()
-        memoize = self._memoize
         progressed = True
         while progressed:
             progressed = False
             if not self.pending:
                 break
             ordered = self.strategy.prioritize(list(self.pending), self)
-            avoid = (
-                self.node_health.quarantined_ids()
-                if self.node_health is not None
-                else ()
-            )
+            avoid = self._avoid_ids()
             for pod in ordered:
                 key = (pod.cores, pod.gpus, pod.memory_gb)
-                if memoize and self._blocked.get(key) == version:
-                    # No capacity gained since this class last found
-                    # zero candidates; the scan would find zero again.
-                    # (Binds within this pass only shrink capacity, so
-                    # the memo stays exact mid-pass.)
+                if self._known_blocked(key):
                     continue
                 candidates = [
                     n
@@ -297,8 +209,7 @@ class KubeScheduler:
                     and n.fits(pod.cores, pod.gpus, pod.memory_gb)
                 ]
                 if not candidates:
-                    if memoize:
-                        self._blocked[key] = version
+                    self._record_blocked(key)
                     continue
                 node = self.strategy.select_node(pod, candidates, self)
                 if node is None:  # delay scheduling: pod waits
@@ -323,32 +234,22 @@ class KubeScheduler:
     # -- pod execution ---------------------------------------------------------------
 
     def _bind(self, pod: Pod, node: Node) -> None:
-        self.pending.remove(pod)
-        pod.state = JobState.RUNNING
-        pod.start_time = self.env.now
         pod.node = node
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.metrics.gauge("pending_pods", component="kube").set(
-                self.env.now, len(self.pending)
-            )
-            pod._obs_span = tracer.start(
-                pod.name,
-                category="rm.pod",
-                component="kube",
-                tags={
-                    "node": node.id,
-                    "cores": pod.cores,
-                    "gpus": pod.gpus,
-                    "strategy": self.strategy.name,
-                },
-            )
+        self._launch(
+            pod,
+            self.pending,
+            {
+                "node": node.id,
+                "cores": pod.cores,
+                "gpus": pod.gpus,
+                "strategy": self.strategy.name,
+            },
+        )
         # Allocate synchronously so this scheduling pass sees the node's
         # reduced capacity before placing the next pod.
         alloc = node.allocate(
             cores=pod.cores, gpus=pod.gpus, memory_gb=pod.memory_gb, owner=pod.name
         )
-        self.running.append(pod)
         self.env.process(self._run_pod(pod, node, alloc), name=f"pod:{pod.name}")
 
     def _run_pod(self, pod: Pod, node: Node, alloc):
@@ -389,15 +290,7 @@ class KubeScheduler:
             node.unregister_occupant(pod.name)
             alloc.release()
             self.cluster.track_release(cores=pod.cores, gpus=pod.gpus)
-            pod.end_time = self.env.now
-            if pod in self.running:
-                self.running.remove(pod)
-            self.finished.append(pod)
-            span = getattr(pod, "_obs_span", None)
-            if span is not None:
-                span.tag(state=pod.state.value).finish()
-            pod.completion.succeed(pod)
             # Fractional capacity gain the free pool's whole-node
             # version cannot see; invalidates blocked-class memos.
             self._gain_version += 1
-            self._kick()
+            self._retire(pod)

@@ -113,7 +113,7 @@ class TestBatchedRelease:
 
     def test_first_fit_exclude(self):
         cluster = hetero_cluster()
-        skip = {cluster.nodes[0]}
+        skip = {cluster.nodes[0].id}
         got = cluster.free_pool.first_fit(4, 0, 0.0, count=2, exclude=skip)
         assert cluster.nodes[0] not in got
         assert [n.id for n in got] == [

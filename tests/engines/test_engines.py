@@ -6,6 +6,7 @@ from repro.cluster import Cluster, FaultInjector, NodeSpec
 from repro.core import TaskSpec, Workflow
 from repro.data import File
 from repro.engines import AirflowLikeEngine, ArgoLikeEngine, NextflowLikeEngine
+from repro.resilience import NodeHealth
 from repro.rm import KubeScheduler
 from repro.simkernel import Environment
 
@@ -106,6 +107,39 @@ class TestNextflowLikeEngine:
         _, sched = world(env)
         with pytest.raises(ValueError):
             NextflowLikeEngine(env, sched, max_retries=-1)
+
+
+class TestEngineInstalledHealth:
+    """A health object handed to the engine, not the scheduler, must
+    still wake the scheduler when a quarantine ends."""
+
+    @staticmethod
+    def lone_task_on_dying_node(install_on_scheduler):
+        env = Environment()
+        cluster = Cluster(env, pools=[(NodeSpec("n", cores=4, memory_gb=32), 1)])
+        health = NodeHealth(env, strikes=1, probation_s=50)
+        sched = KubeScheduler(
+            env, cluster, node_health=health if install_on_scheduler else None
+        )
+        engine = NextflowLikeEngine(env, sched, node_health=health)
+        wf = Workflow("lone")
+        wf.add_task(t("only", runtime=20))
+        run = engine.run(wf)
+        FaultInjector(env, cluster, schedule=[(5.0, "n-00000")], downtime=10.0)
+        env.run()
+        return run, health
+
+    @pytest.mark.parametrize("install_on_scheduler", [False, True])
+    def test_retry_starts_when_probation_ends(self, install_on_scheduler):
+        run, _ = self.lone_task_on_dying_node(install_on_scheduler)
+        # Killed at 5 -> quarantined for 50 s -> retry at 55 for 20 s.
+        assert run.succeeded is True
+        assert run.records["only"].start_time == pytest.approx(55)
+        assert run.t_done == pytest.approx(75)
+
+    def test_same_health_subscribes_once(self):
+        _, health = self.lone_task_on_dying_node(install_on_scheduler=True)
+        assert len(health._release_watchers) == 1
 
 
 class TestArgoLikeEngine:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, FaultInjector, NodeSpec
+from repro.resilience import NodeHealth
 from repro.rm import BatchScheduler, Job, JobState, ResourceRequest
 from repro.simkernel import Environment
 
@@ -105,6 +106,43 @@ class TestBasicScheduling:
         env.run()
         assert j2.state == JobState.CANCELLED
         assert j1.state == JobState.COMPLETED
+
+    def test_cancel_wakes_the_jobs_behind(self):
+        """Cancelling a blocked head lets the next job start at once,
+        not at the next completion."""
+        env = Environment()
+        sched = BatchScheduler(env, small_cluster(env, nodes=2), backfill=False)
+        x = Job(request=ResourceRequest(nodes=1, walltime_s=200), duration=100)
+        head = Job(request=ResourceRequest(nodes=2, walltime_s=200), duration=10)
+        j = Job(request=ResourceRequest(nodes=1, walltime_s=200), duration=10)
+        for job in (x, head, j):
+            sched.submit(job)
+
+        def canceller(env):
+            yield env.timeout(10)
+            sched.cancel(head)
+
+        env.process(canceller(env))
+        env.run()
+        assert head.state == JobState.CANCELLED
+        assert j.start_time == pytest.approx(10)
+
+
+class TestQuarantine:
+    def test_reservation_ignores_quarantined_free_nodes(self):
+        """EASY backfill: a quarantined free node cannot serve the head,
+        so it must not make the head look startable now and block a
+        job that fits on the healthy node."""
+        env = Environment()
+        health = NodeHealth(env, strikes=1, probation_s=100)
+        health.record_failure("n-00000")
+        sched = BatchScheduler(env, small_cluster(env, nodes=2), node_health=health)
+        head = Job(request=ResourceRequest(nodes=2, walltime_s=200), duration=10)
+        small = Job(request=ResourceRequest(nodes=1, walltime_s=20), duration=5)
+        run_all(env, sched, [head, small])
+        assert small.start_time == 0
+        assert [n.id for n in small.nodes] == ["n-00001"]
+        assert head.start_time == pytest.approx(100)
 
 
 class TestWalltime:

@@ -35,7 +35,7 @@ import pytest
 from repro.cluster import Cluster, FaultInjector, NodeSpec
 from repro.resilience import NodeHealth
 from repro.rm import BatchScheduler, Job, JobState, KubeScheduler, ResourceRequest
-from repro.rm.kube import Pod
+from repro.rm.kube import Pod, SchedulingStrategy
 from repro.simkernel import Environment
 
 
@@ -58,6 +58,51 @@ class ReferenceKube(KubeScheduler):
     """Pre-fast-path kube scheduler: every pass scans every pod."""
 
     _memoize = False
+
+
+class BiggestFirstStrategy(SchedulingStrategy):
+    """Reprioritizes every cycle: largest pods get first pick."""
+
+    name = "biggest-first"
+
+    def prioritize(self, pending, scheduler):
+        return sorted(pending, key=lambda p: (-p.cores, -p.memory_gb))
+
+
+class PatientStrategy(SchedulingStrategy):
+    """Delay scheduling: a pod declines every node but ``k-00000`` for
+    up to ``PATIENCE_S`` after submission, then takes the best fit."""
+
+    name = "patient"
+    PATIENCE_S = 6.0
+
+    def select_node(self, pod, candidates, scheduler):
+        for node in candidates:
+            if node.id == "k-00000":
+                return node
+        if scheduler.env.now < pod.submit_time + self.PATIENCE_S:
+            return None
+        return super().select_node(pod, candidates, scheduler)
+
+    def wake_deadline_s(self, pod, scheduler):
+        return pod.submit_time + self.PATIENCE_S
+
+
+def quarantines(*node_ids, first_at=15.0, every=20.0):
+    """Env setup that quarantines ``node_ids`` one by one, so the
+    avoid-set grows mid-run and shrinks again on probation release."""
+
+    def setup(env, cluster, health):
+        def strikes():
+            yield env.timeout(first_at)
+            for node_id in node_ids:
+                for _ in range(health.strikes):
+                    health.record_failure(node_id)
+                yield env.timeout(every)
+
+        env.process(strikes(), name="strikes")
+
+    return setup
 
 
 # -- workload generation ----------------------------------------------------------
@@ -107,13 +152,20 @@ def batch_workload_continuous(seed, n_jobs=60):
     return specs
 
 
-def run_batch(sched_cls, specs, env_setup=None):
+def run_batch(sched_cls, specs, env_setup=None, late_health=False, **policy):
+    """Run ``specs`` through ``sched_cls(**policy)``; with
+    ``late_health`` the health object is assigned after construction,
+    the way the engines install theirs."""
     env = Environment()
     cluster = Cluster(env, pools=[(NodeSpec("n", cores=8, memory_gb=64), 6)])
     health = NodeHealth(env, strikes=2, probation_s=50.0)
-    sched = sched_cls(env, cluster, node_health=health)
+    sched = sched_cls(
+        env, cluster, node_health=None if late_health else health, **policy
+    )
+    if late_health:
+        sched.node_health = health
     if env_setup is not None:
-        env_setup(env, cluster)
+        env_setup(env, cluster, health)
     jobs = [
         Job(
             request=ResourceRequest(
@@ -164,12 +216,21 @@ def kube_workload(seed, n_pods=80):
     return specs
 
 
-def run_kube(sched_cls, specs, env_setup=None):
+def run_kube(sched_cls, specs, env_setup=None, strategy=None, late_health=False):
+    """Like :func:`run_batch`; ``strategy`` is a strategy class."""
     env = Environment()
     cluster = Cluster(env, pools=[(NodeSpec("k", cores=4, memory_gb=16), 4)])
-    sched = sched_cls(env, cluster)
+    health = NodeHealth(env, strikes=2, probation_s=30.0)
+    sched = sched_cls(
+        env,
+        cluster,
+        strategy=strategy() if strategy is not None else None,
+        node_health=None if late_health else health,
+    )
+    if late_health:
+        sched.node_health = health
     if env_setup is not None:
-        env_setup(env, cluster)
+        env_setup(env, cluster, health)
     pods = [
         Pod(
             cores=s["cores"],
@@ -213,7 +274,7 @@ class TestBatchCoalescingDifferential:
         invalidation on recovery / quarantine release."""
         specs = batch_workload(seed, n_jobs=40)
 
-        def inject(env, cluster):
+        def inject(env, cluster, health):
             FaultInjector(
                 env,
                 cluster,
@@ -241,7 +302,7 @@ class TestBatchDirectTimerDifferential:
     def test_identical_decisions_under_faults(self, seed):
         specs = batch_workload_continuous(seed, n_jobs=40)
 
-        def inject(env, cluster):
+        def inject(env, cluster, health):
             FaultInjector(
                 env,
                 cluster,
@@ -268,13 +329,65 @@ class TestKubeDifferential:
     def test_identical_decisions_under_faults(self, seed):
         specs = kube_workload(seed, n_pods=50)
 
-        def inject(env, cluster):
+        def inject(env, cluster, health):
             FaultInjector(
                 env, cluster, schedule=[(20.0, "k-00000")], downtime=30.0
             )
 
         fast = run_kube(KubeScheduler, specs, env_setup=inject)
         ref = run_kube(ReferenceKube, specs, env_setup=inject)
+        assert fast == ref
+
+
+@pytest.mark.parametrize("seed", range(6))
+class TestBatchPolicyDifferential:
+    """Every batch policy on the shared core: fair share, plain FIFO,
+    health installed after construction, and a growing and shrinking
+    avoid-set (a miss under it is memoized)."""
+
+    @pytest.mark.parametrize(
+        "policy", [dict(fair_share=True), dict(backfill=False)], ids=["fair", "fifo"]
+    )
+    def test_identical_decisions(self, seed, policy):
+        specs = batch_workload(seed)
+        coalesced = run_batch(CoalescedOnlyBatch, specs, **policy)
+        ref = run_batch(ReferenceBatch, specs, **policy)
+        assert coalesced == ref
+
+    @pytest.mark.parametrize("late_health", [False, True], ids=["ctor", "late"])
+    def test_identical_decisions_under_quarantine(self, seed, late_health):
+        specs = batch_workload(seed)
+        setup = quarantines("n-00002", "n-00004", "n-00000")
+        coalesced = run_batch(
+            CoalescedOnlyBatch, specs, env_setup=setup, late_health=late_health
+        )
+        ref = run_batch(
+            ReferenceBatch, specs, env_setup=setup, late_health=late_health
+        )
+        assert coalesced == ref
+
+
+@pytest.mark.parametrize("seed", range(6))
+class TestKubePolicyDifferential:
+    """Kube strategies on the shared core: one that reorders the queue
+    every cycle, one that declines and asks for a deadline wake, and a
+    quarantine avoid-set installed before or after construction."""
+
+    @pytest.mark.parametrize(
+        "strategy", [BiggestFirstStrategy, PatientStrategy], ids=["reorder", "patient"]
+    )
+    def test_identical_decisions(self, seed, strategy):
+        specs = kube_workload(seed)
+        fast = run_kube(KubeScheduler, specs, strategy=strategy)
+        ref = run_kube(ReferenceKube, specs, strategy=strategy)
+        assert fast == ref
+
+    @pytest.mark.parametrize("late_health", [False, True], ids=["ctor", "late"])
+    def test_identical_decisions_under_quarantine(self, seed, late_health):
+        specs = kube_workload(seed)
+        setup = quarantines("k-00001", "k-00003", first_at=5.0, every=10.0)
+        fast = run_kube(KubeScheduler, specs, env_setup=setup, late_health=late_health)
+        ref = run_kube(ReferenceKube, specs, env_setup=setup, late_health=late_health)
         assert fast == ref
 
 
