@@ -6,7 +6,9 @@ constant-memory pipeline — a :class:`~repro.obs.stream.TeeSink` of a
 rotating :class:`~repro.obs.stream.JsonlSpillSink` and a
 :class:`~repro.obs.stream.StreamingAnalytics` sink — under
 ``tracemalloc``, and fails (exit 1) if the traced-allocation peak
-exceeds ``--gate-mb``.
+exceeds ``--gate-mb``, or if the analytics lost spans: every span must
+reach ``StreamingAnalytics`` and its ``count(entk.exec) >= 1`` rule
+must not fire.
 
 This is the enforcement half of the streaming-observability contract:
 span count must not appear in the memory complexity of a streaming
@@ -68,6 +70,7 @@ def run_smoke(
 
         peak_mb = peak / 1e6
         summary = analytics.summary()
+        rules_firing = len(analytics.finalize_alerts().active())
         return {
             "schema": OBS_SMOKE_SCHEMA,
             "python": platform.python_version(),
@@ -77,9 +80,14 @@ def run_smoke(
             "spans_per_s": round(n_spans / wall) if wall > 0 else None,
             "peak_mb": round(peak_mb, 3),
             "gate_mb": gate_mb,
-            "ok": peak_mb <= gate_mb,
+            "ok": (
+                peak_mb <= gate_mb
+                and summary["spans_finished"] == n_spans
+                and rules_firing == 0
+            ),
             "segments_on_disk": len(spill.segments()),
             "spans_finished": summary["spans_finished"],
+            "rules_firing": rules_firing,
             "makespan": summary["makespan"],
         }
     finally:
@@ -123,11 +131,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
     if not doc["ok"]:
-        print(
-            f"OBS MEMORY GATE FAILED: peak {doc['peak_mb']} MB > "
-            f"gate {doc['gate_mb']} MB — the streaming pipeline is "
-            "retaining per-span state",
-        )
+        if doc["peak_mb"] > doc["gate_mb"]:
+            print(
+                f"OBS MEMORY GATE FAILED: peak {doc['peak_mb']} MB > "
+                f"gate {doc['gate_mb']} MB — the streaming pipeline is "
+                "retaining per-span state",
+            )
+        else:
+            print(
+                f"OBS ANALYTICS GATE FAILED: {doc['spans_finished']} of "
+                f"{doc['spans']} spans finished, {doc['rules_firing']} "
+                "rule(s) firing — the streaming analytics dropped spans",
+            )
         return 1
     print("obs memory gate ok")
     return 0

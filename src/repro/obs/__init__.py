@@ -21,10 +21,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     P2Quantile,
     RunningStats,
-    StreamingHistogram,
     UtilizationTracker,
-    WindowedCounter,
-    WindowedGauge,
 )
 from repro.obs.tracer import (
     NULL_METRIC,
@@ -65,7 +62,6 @@ from repro.obs.analyze import (
 from repro.obs.alerts import (
     Alert,
     AlertReport,
-    OnlineRuleEvaluator,
     OnlineViolations,
     Rule,
     RuleError,
@@ -75,13 +71,10 @@ from repro.obs.stream import (
     JsonlSpillSink,
     OnlineConcurrency,
     OnlineDurationStats,
-    OnlineStragglers,
     SpanStub,
     StreamingAnalytics,
-    StubSink,
     StubTrace,
     TeeSink,
-    replay_jsonl,
     tracer_from_segments,
 )
 
@@ -91,10 +84,7 @@ __all__ = [
     "MetricsRegistry",
     "P2Quantile",
     "RunningStats",
-    "StreamingHistogram",
     "UtilizationTracker",
-    "WindowedCounter",
-    "WindowedGauge",
     "Instant",
     "Span",
     "SpanSink",
@@ -127,20 +117,16 @@ __all__ = [
     "OnlineIdleGaps",
     "Alert",
     "AlertReport",
-    "OnlineRuleEvaluator",
     "OnlineViolations",
     "Rule",
     "RuleError",
     "evaluate_rules",
     "SpanStub",
     "StubTrace",
-    "StubSink",
     "JsonlSpillSink",
     "TeeSink",
     "OnlineConcurrency",
     "OnlineDurationStats",
-    "OnlineStragglers",
     "StreamingAnalytics",
-    "replay_jsonl",
     "tracer_from_segments",
 ]

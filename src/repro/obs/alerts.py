@@ -21,6 +21,13 @@ Every alert is recorded back into the trace as a span (category
 verdicts, the WfBench "benchmarks must emit machine-readable
 performance verdicts" requirement.
 
+There is one judge.  :func:`evaluate_rules` resolves quantities from a
+retained trace (exact: nearest-rank percentiles and sums over the
+sorted sample); :meth:`repro.obs.stream.StreamingAnalytics.finalize_alerts`
+resolves them from its constant-memory state (P² percentiles, sums and
+means in finish order).  Both hand the quantities to the same grammar
+dispatch and the same outcome builder.
+
 Left-hand-side grammar::
 
     utilization >= 0.85          # scalar from the evaluation context
@@ -199,7 +206,93 @@ class AlertReport:
         return rows
 
 
-def _resolve_lhs(lhs: str, query: TraceQuery, context: dict):
+def is_failed(span) -> bool:
+    """True when a span's terminal ``state`` tag is FAILED (any case)."""
+    return str(span.tags.get("state", "")).upper() == "FAILED"
+
+
+def rule_percentiles(rules) -> set:
+    """The quantiles (``p99`` → 0.99) the rules' aggregates name."""
+    out = set()
+    for rule in rules:
+        agg = _AGG_RE.match(rule.parts[0])
+        if agg and agg.group("fn").startswith("p"):
+            out.add(float(agg.group("fn")[1:]) / 100.0)
+    return out
+
+
+class _SortedSample:
+    """Exact aggregates over one category's sorted span durations."""
+
+    __slots__ = ("values", "n", "total")
+
+    def __init__(self, durations):
+        self.values = sorted(durations)
+        self.n = len(self.values)
+        self.total = sum(self.values)
+
+    @property
+    def min(self) -> float:
+        return self.values[0]
+
+    @property
+    def max(self) -> float:
+        return self.values[-1]
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.n
+
+
+class _TraceQuantities:
+    """Rule quantities over a retained trace, computed exactly.
+
+    The batch side of the quantity protocol :func:`_judge` reads
+    (``stats``/``quantile``/``metrics``/``makespan``/``failed_tasks``/
+    ``window``); :class:`repro.obs.stream.StreamingAnalytics` is the
+    online side.  Sums add the sorted sample and percentiles are
+    nearest-rank on it, so verdicts depend only on the span set.
+    """
+
+    def __init__(self, query: TraceQuery):
+        self.query = query
+        self.metrics = query.tracer.metrics
+        self._samples: dict[str, _SortedSample] = {}
+
+    def stats(self, category: str) -> _SortedSample:
+        sample = self._samples.get(category)
+        if sample is None:
+            sample = self._samples[category] = _SortedSample(
+                self.query.durations(category=category)
+            )
+        return sample
+
+    def quantile(self, category: str, p: float) -> float:
+        values = self.stats(category).values
+        # Nearest-rank on the sorted sample: deterministic, no interp.
+        return values[min(len(values) - 1, max(0, round(p * len(values)) - 1))]
+
+    @property
+    def makespan(self) -> float:
+        spans = [s for s in self.query.tracer.spans if s.end is not None]
+        if not spans:
+            return 0.0
+        return max(s.end for s in spans) - min(s.start for s in spans)
+
+    @property
+    def failed_tasks(self) -> int:
+        return sum(1 for s in self.query.tracer.spans if is_failed(s))
+
+    @property
+    def window(self) -> tuple:
+        spans = self.query.tracer.spans
+        if not spans:
+            return (0.0, 0.0)
+        t0 = min(s.start for s in spans)
+        return (t0, max((s.end for s in spans if s.end is not None), default=t0))
+
+
+def _resolve(lhs: str, context: dict, source):
     """Resolve a rule's quantity: context first, then trace builtins."""
     if lhs in context:
         return context[lhs]
@@ -207,47 +300,30 @@ def _resolve_lhs(lhs: str, query: TraceQuery, context: dict):
     agg = _AGG_RE.match(lhs)
     if agg:
         fn, arg = agg.group("fn"), agg.group("arg").strip()
-        durations = sorted(query.durations(category=arg))
+        stats = source.stats(arg)
+        n = stats.n if stats is not None else 0
         if fn == "count":
-            return float(len(durations))
-        if not durations:
+            return float(n)
+        if not n:
             raise RuleError(f"no finished spans in category {arg!r}")
         if fn == "sum":
-            return float(sum(durations))
-        if fn == "min":
-            return durations[0]
-        if fn == "max":
-            return durations[-1]
-        if fn == "mean":
-            return sum(durations) / len(durations)
-        pct = float(fn[1:]) / 100.0
-        # Nearest-rank on the sorted sample: deterministic, no interp.
-        idx = min(len(durations) - 1, max(0, round(pct * len(durations)) - 1))
-        return durations[idx]
+            return float(stats.total)
+        if fn in ("min", "max", "mean"):
+            return getattr(stats, fn)
+        return source.quantile(arg, float(fn[1:]) / 100.0)
 
     series = _SERIES_RE.match(lhs)
     if series:
         arg = series.group("arg").strip()
         comp, _, name = arg.rpartition("/")
-        try:
-            metric = query.tracer.metrics.get(name, component=comp)
-        except KeyError:
+        if source.metrics is None or (comp, name) not in source.metrics:
             raise RuleError(f"no metric {arg!r} in the trace registry")
-        return metric.busy if isinstance(metric, UtilizationTracker) else metric
+        return source.metrics.get(name, component=comp)
 
     if lhs == "makespan":
-        spans = [s for s in query.tracer.spans if s.end is not None]
-        if not spans:
-            return 0.0
-        return max(s.end for s in spans) - min(s.start for s in spans)
+        return source.makespan
     if lhs == "failed_tasks":
-        return float(
-            sum(
-                1
-                for s in query.tracer.spans
-                if str(s.tags.get("state", "")).upper() == "FAILED"
-            )
-        )
+        return float(source.failed_tasks)
     raise RuleError(
         f"cannot resolve quantity {lhs!r}: not in context and not a "
         "trace builtin (makespan, failed_tasks, p*/min/max/mean/count/"
@@ -320,6 +396,61 @@ def _violations(
     return walker.result()
 
 
+def _outcome(rule: Rule, quantity, t_end: float) -> RuleOutcome:
+    """Judge one resolved quantity: walk a series, or test a scalar once.
+
+    A :class:`~repro.obs.metrics.Gauge` (or a
+    :class:`~repro.obs.metrics.UtilizationTracker`'s busy gauge) yields
+    one alert per sustained violation interval; a scalar that violates
+    its threshold yields one alert firing at ``t_end``.
+    """
+    _, op, threshold = rule.parts
+    ok_fn = _OPS[op]
+    if isinstance(quantity, UtilizationTracker):
+        quantity = quantity.busy
+    if isinstance(quantity, Gauge):
+        value = quantity.current
+        violations = _violations(
+            quantity, lambda v: ok_fn(v, threshold), threshold, t_end, rule.for_s
+        )
+    else:
+        value = float(quantity)
+        violations = [] if ok_fn(value, threshold) else [(t_end, None, value)]
+    alerts = [
+        Alert(
+            rule=rule.name,
+            expr=rule.expr,
+            severity=rule.severity,
+            fired_at=fired,
+            resolved_at=resolved,
+            value=worst,
+        )
+        for fired, resolved, worst in violations
+    ]
+    ok = not any(a.firing for a in alerts)
+    return RuleOutcome(rule=rule, ok=ok, value=value, alerts=alerts)
+
+
+def _judge(rules: list, context: dict, source) -> AlertReport:
+    """Evaluate rules against a quantity source (or context alone).
+
+    The one verdict path: :func:`evaluate_rules` passes a
+    :class:`_TraceQuantities`,
+    :meth:`repro.obs.stream.StreamingAnalytics.finalize_alerts` passes
+    itself.
+    """
+    window = source.window if source is not None else (0.0, 0.0)
+    outcomes = []
+    for rule in rules:
+        lhs = rule.parts[0]
+        if source is None and lhs not in context:
+            raise RuleError(
+                f"rule {rule.expr!r} needs a trace or a context value"
+            )
+        outcomes.append(_outcome(rule, _resolve(lhs, context, source), window[1]))
+    return AlertReport(outcomes=outcomes, window=window)
+
+
 def evaluate_rules(
     rules: list,
     trace: Union[Tracer, TraceQuery, None] = None,
@@ -333,75 +464,13 @@ def evaluate_rules(
     ``record=True`` (default) writes each alert back into the tracer as
     an ``obs.alert`` span with firing/resolution times and tags.
     """
-    context = dict(context or {})
-    query: Optional[TraceQuery] = None
-    tracer: Optional[Tracer] = None
+    source = None
     if trace is not None:
         query = trace if isinstance(trace, TraceQuery) else TraceQuery(trace)
-        tracer = query.tracer
-
-    if query is not None and query.tracer.spans:
-        finished = [s for s in query.tracer.spans if s.end is not None]
-        t0 = min((s.start for s in query.tracer.spans), default=0.0)
-        t_end = max((s.end for s in finished), default=t0)
-    else:
-        t0 = 0.0
-        t_end = 0.0
-
-    outcomes = []
-    for rule in rules:
-        lhs, op, threshold = rule.parts
-        ok_fn = _OPS[op]
-        if query is None and lhs not in context:
-            raise RuleError(
-                f"rule {rule.expr!r} needs a trace or a context value"
-            )
-        quantity = _resolve_lhs(lhs, query, context) if query is not None else context[lhs]
-
-        alerts: list[Alert] = []
-        if isinstance(quantity, UtilizationTracker):
-            quantity = quantity.busy
-        if isinstance(quantity, Gauge):
-            final_value = quantity.current
-            for fired, resolved, worst in _violations(
-                quantity,
-                lambda v: ok_fn(v, threshold),
-                threshold,
-                t_end,
-                rule.for_s,
-            ):
-                alerts.append(
-                    Alert(
-                        rule=rule.name,
-                        expr=rule.expr,
-                        severity=rule.severity,
-                        fired_at=fired,
-                        resolved_at=resolved,
-                        value=worst,
-                    )
-                )
-            ok = not any(a.firing for a in alerts)
-        else:
-            final_value = float(quantity)
-            ok = bool(ok_fn(final_value, threshold))
-            if not ok:
-                alerts.append(
-                    Alert(
-                        rule=rule.name,
-                        expr=rule.expr,
-                        severity=rule.severity,
-                        fired_at=t_end,
-                        resolved_at=None,
-                        value=final_value,
-                    )
-                )
-        outcomes.append(
-            RuleOutcome(rule=rule, ok=ok, value=final_value, alerts=alerts)
-        )
-
-    report = AlertReport(outcomes=outcomes, window=(t0, t_end))
-    if record and tracer is not None and tracer.enabled:
-        _record_alert_spans(tracer, report, t_end)
+        source = _TraceQuantities(query)
+    report = _judge(rules, dict(context or {}), source)
+    if record and source is not None and source.query.tracer.enabled:
+        _record_alert_spans(source.query.tracer, report, report.window[1])
     return report
 
 
@@ -429,233 +498,3 @@ def _record_alert_spans(tracer: Tracer, report: AlertReport, t_end: float) -> No
                 if alert.resolved_at is not None
                 else max(t_end, alert.fired_at)
             )
-
-
-# -- online evaluation ------------------------------------------------------------
-
-
-class _OnlineCategory:
-    """Constant-memory duration aggregates for one span category."""
-
-    __slots__ = ("stats", "quantiles")
-
-    def __init__(self, pcts=()):
-        from repro.obs.metrics import P2Quantile, RunningStats
-
-        self.stats = RunningStats()
-        self.quantiles = {p: P2Quantile(p) for p in sorted(pcts)}
-
-    def add(self, duration: float) -> None:
-        self.stats.add(duration)
-        for q in self.quantiles.values():
-            q.add(duration)
-
-
-class OnlineRuleEvaluator:
-    """Evaluate SLO rules incrementally as spans close.
-
-    The streaming counterpart of :func:`evaluate_rules`: feed it span
-    lifecycle events (:meth:`observe_start` / :meth:`observe_finish`,
-    or attach it to a tracer via
-    :class:`repro.obs.stream.StreamingAnalytics`), then call
-    :meth:`finalize` for an :class:`AlertReport` of the same shape —
-    without ever holding the span list in memory.
-
-    Equivalence contract (``tests/obs/test_stream.py``): ``count``,
-    ``sum``, ``min``, ``max``, ``mean``, ``makespan``, ``failed_tasks``
-    and context scalars are **exact**; ``p50``–``p99`` use the
-    :class:`~repro.obs.metrics.P2Quantile` estimator (exact below five
-    samples, a few percent of the distribution span beyond);
-    ``series(...)`` rules are walked over the metric registry at
-    finalize (metric change-point series are bounded by design, unlike
-    span lists).
-
-    ``on_alert`` (optional) is called as ``on_alert(rule, value, t)``
-    the moment a scalar rule first transitions into violation — the
-    live-paging hook that post-hoc evaluation cannot provide.
-    ``failed_tasks`` counts the terminal ``state`` tag at finish time,
-    so tasks that fail *and finish* page immediately.
-    """
-
-    def __init__(self, rules: list, context: Optional[dict] = None, on_alert=None):
-        self.rules = list(rules)
-        self.context = dict(context or {})
-        self.on_alert = on_alert
-        self._cats: dict[str, _OnlineCategory] = {}
-        pcts_by_cat: dict[str, set] = {}
-        for rule in self.rules:
-            lhs, _, _ = rule.parts
-            agg = _AGG_RE.match(lhs)
-            if agg and agg.group("fn").startswith("p"):
-                arg = agg.group("arg").strip()
-                pct = float(agg.group("fn")[1:]) / 100.0
-                pcts_by_cat.setdefault(arg, set()).add(pct)
-        self._pcts_by_cat = pcts_by_cat
-        self._failed = 0
-        self._t_first: Optional[float] = None  # min span start seen
-        self._t_last: Optional[float] = None  # max finished span end
-        self._live_firing = [False] * len(self.rules)
-
-    # -- ingestion ---------------------------------------------------------
-
-    def observe_start(self, span) -> None:
-        t = span.start
-        if self._t_first is None or t < self._t_first:
-            self._t_first = t
-
-    def observe_finish(self, span) -> None:
-        if self._t_first is None or span.start < self._t_first:
-            self._t_first = span.start
-        if self._t_last is None or span.end > self._t_last:
-            self._t_last = span.end
-        cat = self._cats.get(span.category)
-        if cat is None:
-            cat = self._cats[span.category] = _OnlineCategory(
-                self._pcts_by_cat.get(span.category, ())
-            )
-        cat.add(span.end - span.start)
-        if str(span.tags.get("state", "")).upper() == "FAILED":
-            self._failed += 1
-        if self.on_alert is not None:
-            self._live_check(span.end)
-
-    def _live_check(self, t: float) -> None:
-        for idx, rule in enumerate(self.rules):
-            if self._live_firing[idx]:
-                continue
-            lhs, op, threshold = rule.parts
-            try:
-                value = self._scalar_value(lhs, self.context)
-            except RuleError:
-                continue
-            if value is None:
-                continue
-            if not _OPS[op](value, threshold):
-                self._live_firing[idx] = True
-                self.on_alert(rule, value, t)
-
-    # -- resolution --------------------------------------------------------
-
-    def _scalar_value(self, lhs: str, context: dict) -> Optional[float]:
-        """Current scalar value of ``lhs``, or None for series rules."""
-        if lhs in context:
-            quantity = context[lhs]
-            if isinstance(quantity, (UtilizationTracker, Gauge)):
-                return None
-            return float(quantity)
-        agg = _AGG_RE.match(lhs)
-        if agg:
-            fn, arg = agg.group("fn"), agg.group("arg").strip()
-            cat = self._cats.get(arg)
-            if fn == "count":
-                return float(cat.stats.n if cat else 0)
-            if cat is None or cat.stats.n == 0:
-                raise RuleError(f"no finished spans in category {arg!r}")
-            if fn == "sum":
-                return float(cat.stats.total)
-            if fn == "min":
-                return cat.stats.min
-            if fn == "max":
-                return cat.stats.max
-            if fn == "mean":
-                return cat.stats.mean
-            pct = float(fn[1:]) / 100.0
-            est = cat.quantiles.get(pct)
-            if est is None:  # rule set changed after construction
-                raise RuleError(
-                    f"no quantile estimator registered for {lhs!r}"
-                )
-            return est.value
-        if _SERIES_RE.match(lhs):
-            return None
-        if lhs == "makespan":
-            if self._t_last is None or self._t_first is None:
-                return 0.0
-            return self._t_last - self._t_first
-        if lhs == "failed_tasks":
-            return float(self._failed)
-        raise RuleError(
-            f"cannot resolve quantity {lhs!r}: not in context and not a "
-            "trace builtin (makespan, failed_tasks, p*/min/max/mean/count/"
-            "sum(category), series(component/name))"
-        )
-
-    def finalize(
-        self,
-        context: Optional[dict] = None,
-        registry=None,
-    ) -> AlertReport:
-        """The end-of-run :class:`AlertReport`.
-
-        ``context`` merges over the constructor's; ``registry`` (a
-        :class:`~repro.obs.metrics.MetricsRegistry`) resolves
-        ``series(...)`` rules.
-        """
-        context = {**self.context, **(context or {})}
-        t0 = self._t_first if self._t_first is not None else 0.0
-        t_end = self._t_last if self._t_last is not None else t0
-
-        outcomes = []
-        for rule in self.rules:
-            lhs, op, threshold = rule.parts
-            ok_fn = _OPS[op]
-            quantity = context.get(lhs)
-            if quantity is None:
-                series = _SERIES_RE.match(lhs)
-                if series:
-                    arg = series.group("arg").strip()
-                    comp, _, name = arg.rpartition("/")
-                    if registry is None:
-                        raise RuleError(
-                            f"rule {rule.expr!r} needs a metrics registry"
-                        )
-                    try:
-                        quantity = registry.get(name, component=comp)
-                    except KeyError:
-                        raise RuleError(
-                            f"no metric {arg!r} in the trace registry"
-                        )
-                else:
-                    quantity = self._scalar_value(lhs, context)
-
-            alerts: list[Alert] = []
-            if isinstance(quantity, UtilizationTracker):
-                quantity = quantity.busy
-            if isinstance(quantity, Gauge):
-                final_value = quantity.current
-                for fired, resolved, worst in _violations(
-                    quantity,
-                    lambda v: ok_fn(v, threshold),
-                    threshold,
-                    t_end,
-                    rule.for_s,
-                ):
-                    alerts.append(
-                        Alert(
-                            rule=rule.name,
-                            expr=rule.expr,
-                            severity=rule.severity,
-                            fired_at=fired,
-                            resolved_at=resolved,
-                            value=worst,
-                        )
-                    )
-                ok = not any(a.firing for a in alerts)
-            else:
-                final_value = float(quantity)
-                ok = bool(ok_fn(final_value, threshold))
-                if not ok:
-                    alerts.append(
-                        Alert(
-                            rule=rule.name,
-                            expr=rule.expr,
-                            severity=rule.severity,
-                            fired_at=t_end,
-                            resolved_at=None,
-                            value=final_value,
-                        )
-                    )
-            outcomes.append(
-                RuleOutcome(rule=rule, ok=ok, value=final_value, alerts=alerts)
-            )
-        return AlertReport(outcomes=outcomes, window=(t0, t_end))

@@ -14,7 +14,7 @@ sequence, and gauges/counters become ``C`` counter tracks.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.obs.tracer import Span, Tracer
 
@@ -293,6 +293,31 @@ def write_jsonl(tracer: Tracer, path, include_metrics: bool = True) -> None:
 # -- loading ---------------------------------------------------------------------
 
 
+_RECORD_TYPES = ("span", "instant", "metric")
+
+
+def iter_records(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
+    """``(type, record)`` for each non-blank line of a JSONL trace.
+
+    The one record reader behind :func:`tracer_from_jsonl` and
+    :meth:`repro.obs.stream.StubTrace.from_jsonl`: a line that is not
+    JSON, or whose ``type`` is not span/instant/metric, raises
+    :class:`ValueError` naming its line number.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno} is not valid JSON: {exc}") from exc
+        kind = record.get("type")
+        if kind not in _RECORD_TYPES:
+            raise ValueError(f"line {lineno}: unknown record type {kind!r}")
+        yield kind, record
+
+
 def tracer_from_jsonl(text: str) -> Tracer:
     """Reconstruct a :class:`Tracer` from :func:`to_jsonl` output.
 
@@ -304,15 +329,7 @@ def tracer_from_jsonl(text: str) -> Tracer:
     latest = [0.0]
     tracer = Tracer(clock=lambda: latest[0])
     span_records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno} is not valid JSON: {exc}") from exc
-        kind = record.get("type")
+    for kind, record in iter_records(text.splitlines()):
         if kind == "span":
             span_records.append(record)
         elif kind == "instant":
@@ -324,12 +341,10 @@ def tracer_from_jsonl(text: str) -> Tracer:
                 t=record["t"],
             )
             latest[0] = max(latest[0], record["t"])
-        elif kind == "metric":
+        else:
             tracer.metrics.register(
                 metric_from_record(record), component=record.get("comp", "")
             )
-        else:
-            raise ValueError(f"line {lineno}: unknown record type {kind!r}")
 
     # Spans are exported in id order; rebuild them directly so ids,
     # parents and open/closed state survive the round trip.

@@ -17,22 +17,19 @@ record into one family of metric objects that a
 - :class:`MetricsRegistry` — per-component, get-or-create store of the
   above, exportable as plain dicts.
 
-Alongside the retained time-series above, this module provides the
+Alongside the retained time-series above, this module provides the two
 **online** (constant-memory) statistics primitives that
-:mod:`repro.obs.stream` builds on: :class:`RunningStats` (Welford
-count/mean/variance/min/max), :class:`P2Quantile` (the Jain & Chlamtac
-P² estimator — any quantile in O(1) memory), :class:`StreamingHistogram`
-(fixed-bin counts), and :class:`WindowedCounter` /
-:class:`WindowedGauge` (sliding-window rates and extrema over simulated
-time).  None of them retain samples; all are deterministic functions of
-the observation sequence.
+:class:`repro.obs.stream.OnlineDurationStats` builds on:
+:class:`RunningStats` (Welford count/mean/variance/min/max plus a
+running sum) and :class:`P2Quantile` (the Jain & Chlamtac P² estimator
+— any quantile in O(1) memory).  Neither retains samples; both are
+deterministic functions of the observation sequence.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -471,176 +468,3 @@ class P2Quantile:
 
     def __repr__(self) -> str:
         return f"<P2Quantile p={self.p} n={self._count} value={self.value:.4g}>"
-
-
-class StreamingHistogram:
-    """Fixed-bin histogram over a known value range, O(bins) memory.
-
-    Values outside ``[lo, hi]`` land in saturating edge bins, so the
-    total count always equals the number of observations.
-    """
-
-    __slots__ = ("lo", "hi", "counts", "_width", "n")
-
-    def __init__(self, lo: float, hi: float, bins: int = 64):
-        if not hi > lo:
-            raise ValueError(f"empty histogram range [{lo}, {hi}]")
-        if bins < 1:
-            raise ValueError("need at least one bin")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.counts = [0] * bins
-        self._width = (self.hi - self.lo) / bins
-        self.n = 0
-
-    def add(self, x: float) -> None:
-        idx = int((float(x) - self.lo) / self._width)
-        if idx < 0:
-            idx = 0
-        elif idx >= len(self.counts):
-            idx = len(self.counts) - 1
-        self.counts[idx] += 1
-        self.n += 1
-
-    def quantile(self, p: float) -> float:
-        """Linear-interpolated quantile from the bin counts."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {p}")
-        if self.n == 0:
-            return self.lo
-        target = p * self.n
-        seen = 0
-        for idx, count in enumerate(self.counts):
-            if seen + count >= target:
-                frac = (target - seen) / count if count else 0.0
-                return self.lo + (idx + frac) * self._width
-            seen += count
-        return self.hi
-
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "n": self.n,
-            "counts": list(self.counts),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<StreamingHistogram [{self.lo}, {self.hi}] "
-            f"bins={len(self.counts)} n={self.n}>"
-        )
-
-
-class WindowedCounter:
-    """Event counts over a sliding window of simulated time.
-
-    Records ``(t, n)`` increments and evicts entries older than
-    ``window`` seconds behind the latest observation, so memory is
-    bounded by the number of distinct event times inside one window.
-    """
-
-    __slots__ = ("window", "_events", "_sum", "total")
-
-    def __init__(self, window: float):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = float(window)
-        self._events: deque = deque()  # (t, n) pairs inside the window
-        self._sum = 0.0
-        self.total = 0.0
-
-    def inc(self, t: float, n: float = 1.0) -> None:
-        t = float(t)
-        if self._events and t < self._events[-1][0]:
-            raise ValueError(
-                f"Non-monotonic record: t={t} < last t={self._events[-1][0]}"
-            )
-        self._events.append((t, float(n)))
-        self._sum += n
-        self.total += n
-        self._evict(t)
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        while self._events and self._events[0][0] <= cutoff:
-            _, n = self._events.popleft()
-            self._sum -= n
-
-    def count(self, now: Optional[float] = None) -> float:
-        """Events inside ``(now - window, now]``."""
-        if now is not None and self._events:
-            self._evict(float(now))
-        return self._sum
-
-    def rate(self, now: Optional[float] = None) -> float:
-        """Mean events/second over the trailing window."""
-        return self.count(now) / self.window
-
-    def __repr__(self) -> str:
-        return f"<WindowedCounter window={self.window}s count={self._sum}>"
-
-
-class WindowedGauge:
-    """Sliding-window min/max/mean of a sampled signal.
-
-    Monotonic deques give O(1) amortized updates; memory is bounded by
-    the samples inside one window.
-    """
-
-    __slots__ = ("window", "_samples", "_mins", "_maxs", "_sum")
-
-    def __init__(self, window: float):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = float(window)
-        self._samples: deque = deque()  # (t, v)
-        self._mins: deque = deque()  # increasing values
-        self._maxs: deque = deque()  # decreasing values
-        self._sum = 0.0
-
-    def record(self, t: float, value: float) -> None:
-        t, value = float(t), float(value)
-        if self._samples and t < self._samples[-1][0]:
-            raise ValueError(
-                f"Non-monotonic record: t={t} < last t={self._samples[-1][0]}"
-            )
-        self._samples.append((t, value))
-        self._sum += value
-        while self._mins and self._mins[-1][1] > value:
-            self._mins.pop()
-        self._mins.append((t, value))
-        while self._maxs and self._maxs[-1][1] < value:
-            self._maxs.pop()
-        self._maxs.append((t, value))
-        self._evict(t)
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        while self._samples and self._samples[0][0] <= cutoff:
-            _, v = self._samples.popleft()
-            self._sum -= v
-        while self._mins and self._mins[0][0] <= cutoff:
-            self._mins.popleft()
-        while self._maxs and self._maxs[0][0] <= cutoff:
-            self._maxs.popleft()
-
-    @property
-    def min(self) -> float:
-        return self._mins[0][1] if self._mins else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._maxs[0][1] if self._maxs else 0.0
-
-    @property
-    def mean(self) -> float:
-        return self._sum / len(self._samples) if self._samples else 0.0
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __repr__(self) -> str:
-        return (
-            f"<WindowedGauge window={self.window}s samples={len(self._samples)}>"
-        )

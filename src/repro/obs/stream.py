@@ -10,20 +10,23 @@ state.
 
 Two modes, two guarantees:
 
-- **Exact replay** (:class:`StubSink` / :class:`StubTrace`): finished
-  spans are compacted to :class:`SpanStub` records — the eight fields
-  the report analyses read, tags reduced to the terminal ``state`` —
-  and the unchanged batch analytics run over the stub store.  Verdicts
-  are **byte-identical** to the batch path (it *is* the batch code on
-  the same values); memory is one compact slot-record per span instead
-  of spans + tags + events + instants.
-- **Online analytics** (:class:`StreamingAnalytics` over the
-  primitives in :mod:`repro.obs.metrics` /
-  :class:`~repro.obs.alerts.OnlineRuleEvaluator`): truly O(1) state per
-  category — Welford stats, P² quantiles, running straggler flagging,
-  peak-concurrency tracking — with documented tolerances
-  (``tests/obs/test_online_stats.py``).  This is what the ≥1M-span
-  memory gate in CI runs.
+- **Exact replay** (:class:`StubTrace`): spans are compacted to
+  :class:`SpanStub` records — the eight fields the report analyses
+  read, tags reduced to the terminal ``state`` — and the unchanged
+  batch analytics run over the stub store.  Verdicts are
+  **byte-identical** to the batch path (it *is* the batch code on the
+  same values); memory is one compact slot-record per span instead of
+  spans + tags + events + instants.  A live run gets a stub store by
+  spilling and reloading with :meth:`StubTrace.from_jsonl`, or from a
+  retained trace with :meth:`StubTrace.from_tracer`.
+- **Online analytics** (:class:`StreamingAnalytics`): one O(1) state
+  per category — Welford stats and P² quantiles
+  (:class:`OnlineDurationStats`), peak-concurrency tracking, the run
+  window — from which SLO rules are judged by the same code as batch,
+  with documented tolerances (``tests/obs/test_stream.py``).  This is
+  what the ≥1M-span memory gate in CI runs.  Stragglers (median+MAD)
+  and the critical path have no exact online port and exist only in
+  :mod:`repro.obs.analyze`.
 
 :class:`JsonlSpillSink` spills every finished span to segmented JSONL
 files (rotation + retention), byte-compatible with
@@ -36,7 +39,6 @@ sinks (spill to disk *and* analyze online, in one pass).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
 import re
@@ -44,23 +46,29 @@ import sys
 import warnings
 from typing import Iterable, Optional
 
-from repro.obs.export import _dumps, instant_record, metric_record, span_record
+from repro.obs.alerts import _judge, is_failed, rule_percentiles
+from repro.obs.export import (
+    _dumps,
+    instant_record,
+    iter_records,
+    metric_from_record,
+    metric_record,
+    span_record,
+    tracer_from_jsonl,
+)
 from repro.obs.metrics import MetricsRegistry, P2Quantile, RunningStats
 from repro.obs.tracer import SpanSink, Tracer
 
 __all__ = [
     "SpanStub",
     "StubTrace",
-    "StubSink",
     "JsonlSpillSink",
     "SpillCorruptionError",
     "SpillResumeMismatch",
     "TeeSink",
     "OnlineConcurrency",
     "OnlineDurationStats",
-    "OnlineStragglers",
     "StreamingAnalytics",
-    "replay_jsonl",
     "scan_spill",
     "tracer_from_segments",
 ]
@@ -196,20 +204,8 @@ class StubTrace:
         records land in the registry, instants are skipped (no report
         analysis reads them).
         """
-        from repro.obs.export import metric_from_record
-
         trace = cls()
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"line {lineno} is not valid JSON: {exc}"
-                ) from exc
-            kind = record.get("type")
+        for kind, record in iter_records(lines):
             if kind == "span":
                 trace.spans.append(SpanStub.from_record(record))
             elif kind == "metric":
@@ -217,8 +213,6 @@ class StubTrace:
                     metric_from_record(record),
                     component=record.get("comp", ""),
                 )
-            elif kind != "instant":
-                raise ValueError(f"line {lineno}: unknown record type {kind!r}")
         trace.spans.sort(key=lambda s: s.span_id)
         return trace
 
@@ -237,39 +231,6 @@ class StubTrace:
 
     def __repr__(self) -> str:
         return f"<StubTrace spans={len(self.spans)} metrics={len(self.metrics)}>"
-
-
-class StubSink(SpanSink):
-    """Collect :class:`SpanStub` records as spans finish.
-
-    The live-run counterpart of :meth:`StubTrace.from_tracer`: full
-    :class:`~repro.obs.tracer.Span` objects (tags, events) become
-    garbage as soon as the engine drops them, and only the compact stub
-    survives.  ``close()`` drains still-open spans so end-of-run
-    analyses see the same population the in-memory sink would.
-    """
-
-    def __init__(self):
-        self.stubs: list[SpanStub] = []
-        self._drained = False
-
-    def on_finish(self, span) -> None:
-        self.stubs.append(SpanStub.from_span(span))
-
-    def close(self) -> None:
-        if self._drained or self.tracer is None:
-            return
-        self._drained = True
-        for span in self.tracer.open_spans():
-            self.stubs.append(SpanStub.from_span(span))
-
-    def trace(self) -> StubTrace:
-        """An id-ordered :class:`StubTrace` over the collected stubs."""
-        metrics = self.tracer.metrics if self.tracer is not None else None
-        return StubTrace(
-            spans=sorted(self.stubs, key=lambda s: s.span_id),
-            metrics=metrics,
-        )
 
 
 # -- spill-to-disk sink ----------------------------------------------------------
@@ -627,8 +588,6 @@ def tracer_from_segments(directory, on_truncated=None) -> Tracer:
     "dropped_bytes"})`` when given, else a :class:`UserWarning`.
     Damage anywhere else still raises.
     """
-    from repro.obs.export import tracer_from_jsonl
-
     directory = str(directory)
     names = _scan_segment_names(directory)
     parts = []
@@ -824,102 +783,6 @@ class OnlineDurationStats:
         return f"<OnlineDurationStats categories={len(self._cats)}>"
 
 
-class _StragglerGroup:
-    __slots__ = ("n", "median", "absdev")
-
-    def __init__(self):
-        self.n = 0
-        self.median = P2Quantile(0.5)
-        self.absdev = P2Quantile(0.5)  # running estimate of the MAD
-
-
-class OnlineStragglers:
-    """Running median+MAD straggler flagging as spans close.
-
-    The streaming analogue of
-    :func:`repro.obs.analyze.find_stragglers`: group by ``(category,
-    component)``, estimate the group median and the median absolute
-    deviation with P² quantile trackers, and flag a closing span whose
-    modified z-score ``excess / (1.4826 · MAD)`` exceeds ``threshold``
-    (relative test when the MAD estimate is ~0, exactly like batch).
-    Flags are *online decisions* — made against the estimates at close
-    time, the way a live pager would — so early spans judge against
-    less history than the batch pass uses; the equivalence tests bound
-    the disagreement on controlled outlier injections.
-    """
-
-    def __init__(
-        self,
-        threshold: float = 3.5,
-        rel_threshold: float = 0.5,
-        min_group: int = 4,
-        min_excess_s: float = 0.0,
-        max_flagged: int = 1000,
-    ):
-        self.threshold = float(threshold)
-        self.rel_threshold = float(rel_threshold)
-        self.min_group = int(min_group)
-        self.min_excess_s = float(min_excess_s)
-        self.max_flagged = int(max_flagged)
-        self._groups: dict[tuple, _StragglerGroup] = {}
-        self._flagged: list = []
-
-    def add(self, span) -> Optional[object]:
-        """Observe one finished span; returns a Straggler when flagged."""
-        from repro.obs.analyze import Straggler
-
-        duration = span.end - span.start
-        key = (span.category, span.component)
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = _StragglerGroup()
-        group.median.add(duration)
-        group.n += 1
-        med = group.median.value
-        group.absdev.add(abs(duration - med))
-        if group.n < self.min_group:
-            return None
-        excess = duration - med
-        if excess <= max(self.min_excess_s, 0.0):
-            return None
-        mad = group.absdev.value
-        scale = 1.4826 * mad
-        if scale > 1e-12:
-            score = excess / scale
-            if score <= self.threshold:
-                return None
-        else:
-            if med <= 0 or excess / med <= self.rel_threshold:
-                return None
-            score = float("inf")
-        straggler = Straggler(
-            span_id=span.span_id,
-            name=span.name,
-            category=span.category,
-            component=span.component,
-            duration=duration,
-            median=med,
-            mad=mad,
-            score=score,
-        )
-        self._flagged.append(straggler)
-        if len(self._flagged) > 4 * self.max_flagged:
-            self._flagged.sort(key=lambda s: (-s.excess, s.span_id))
-            del self._flagged[self.max_flagged :]
-        return straggler
-
-    def result(self) -> list:
-        """Flagged stragglers, worst excess first (batch sort order)."""
-        out = sorted(self._flagged, key=lambda s: (-s.excess, s.span_id))
-        return out[: self.max_flagged]
-
-    def __repr__(self) -> str:
-        return (
-            f"<OnlineStragglers groups={len(self._groups)} "
-            f"flagged={len(self._flagged)}>"
-        )
-
-
 class StreamingAnalytics(SpanSink):
     """One-pass run analytics as a span sink.
 
@@ -927,14 +790,20 @@ class StreamingAnalytics(SpanSink):
     maintained incrementally, in memory bounded by the number of
     distinct categories — never by the number of spans:
 
-    - per-category duration statistics (count/mean/min/max + P²
-      quantiles) via :class:`OnlineDurationStats`;
-    - straggler flags via :class:`OnlineStragglers`;
+    - per-category duration statistics (count/sum/mean/min/max + P²
+      quantiles) via :class:`OnlineDurationStats`, tracking the
+      constructor's ``quantiles`` plus every percentile a rule names;
     - open-span concurrency (optionally restricted to one
       category/component) via :class:`OnlineConcurrency`;
-    - SLO rules via :class:`~repro.obs.alerts.OnlineRuleEvaluator`,
-      with the ``on_alert`` live-paging hook;
-    - the run window and span/failure totals.
+    - the run window, makespan and span/failure totals.
+
+    :meth:`finalize_alerts` judges ``rules`` on that state through the
+    judge :func:`~repro.obs.alerts.evaluate_rules` uses, with the same
+    conventions: makespan over finished spans, FAILED counted on every
+    span (``close()`` adds the still-open ones).  ``count``/``min``/
+    ``max``/``makespan``/``failed_tasks``/``series(...)`` equal batch
+    exactly; ``sum``/``mean`` add in finish order (within float rounding
+    of the batch sorted sum); percentiles carry the P² tolerance.
 
     ``summary()`` returns the whole state as a JSON-ready dict — the
     payload the CI memory-smoke artifact uploads.
@@ -944,27 +813,24 @@ class StreamingAnalytics(SpanSink):
         self,
         rules: Iterable = (),
         context: Optional[dict] = None,
-        on_alert=None,
         concurrency_category: Optional[str] = None,
         concurrency_component: Optional[str] = None,
         quantiles: Iterable[float] = (0.5, 0.9, 0.99),
-        straggler_kwargs: Optional[dict] = None,
     ):
-        from repro.obs.alerts import OnlineRuleEvaluator
-
-        self.durations = OnlineDurationStats(quantiles=quantiles)
-        self.stragglers = OnlineStragglers(**(straggler_kwargs or {}))
-        self.concurrency = OnlineConcurrency()
-        self.evaluator = OnlineRuleEvaluator(
-            list(rules), context=context, on_alert=on_alert
+        self.rules = list(rules)
+        self.context = dict(context or {})
+        self.durations = OnlineDurationStats(
+            quantiles=(*quantiles, *rule_percentiles(self.rules))
         )
+        self.concurrency = OnlineConcurrency()
         self._conc_cat = concurrency_category
         self._conc_comp = concurrency_component
         self.n_started = 0
         self.n_finished = 0
         self.n_failed = 0
-        self.t_first: Optional[float] = None
-        self.t_last: Optional[float] = None
+        self.t_first: Optional[float] = None  # min start, every span
+        self.t_first_finished: Optional[float] = None  # min start, finished
+        self.t_last: Optional[float] = None  # max end
 
     def _tracks(self, span) -> bool:
         if self._conc_cat is not None and span.category != self._conc_cat:
@@ -979,30 +845,57 @@ class StreamingAnalytics(SpanSink):
             self.t_first = span.start
         if self._tracks(span):
             self.concurrency.step(span.start, +1.0)
-        self.evaluator.observe_start(span)
 
     def on_finish(self, span) -> None:
         self.n_finished += 1
         if self.t_last is None or span.end > self.t_last:
             self.t_last = span.end
-        if str(span.tags.get("state", "")).upper() == "FAILED":
+        if self.t_first_finished is None or span.start < self.t_first_finished:
+            self.t_first_finished = span.start
+        if is_failed(span):
             self.n_failed += 1
         self.durations.add(span.category, span.end - span.start)
-        self.stragglers.add(span)
         if self._tracks(span):
             self.concurrency.step(span.end, -1.0)
-        self.evaluator.observe_finish(span)
 
-    def finalize_alerts(self, context: Optional[dict] = None):
-        """End-of-run :class:`~repro.obs.alerts.AlertReport`."""
-        registry = self.tracer.metrics if self.tracer is not None else None
-        return self.evaluator.finalize(context=context, registry=registry)
+    def close(self) -> None:
+        # Batch failed_tasks reads the state tag of still-open spans too.
+        if self.tracer is not None:
+            self.n_failed += sum(1 for s in self.tracer.open_spans() if is_failed(s))
+
+    # -- rule quantities (the protocol the alerts judge reads) -------------
+
+    def stats(self, category: str):
+        return self.durations.stats(category)
+
+    def quantile(self, category: str, p: float) -> Optional[float]:
+        return self.durations.quantile(category, p)
+
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        return self.tracer.metrics if self.tracer is not None else None
+
+    @property
+    def failed_tasks(self) -> int:
+        return self.n_failed
 
     @property
     def makespan(self) -> float:
-        if self.t_first is None or self.t_last is None:
+        if self.t_first_finished is None:
             return 0.0
-        return self.t_last - self.t_first
+        return self.t_last - self.t_first_finished
+
+    @property
+    def window(self) -> tuple:
+        t0 = self.t_first if self.t_first is not None else 0.0
+        return (t0, self.t_last if self.t_last is not None else t0)
+
+    def finalize_alerts(self, context: Optional[dict] = None):
+        """End-of-run :class:`~repro.obs.alerts.AlertReport`.
+
+        ``context`` merges over the constructor's.
+        """
+        return _judge(self.rules, {**self.context, **(context or {})}, self)
 
     def summary(self) -> dict:
         self.concurrency.flush()
@@ -1010,7 +903,7 @@ class StreamingAnalytics(SpanSink):
             "spans_started": self.n_started,
             "spans_finished": self.n_finished,
             "failed": self.n_failed,
-            "window": [self.t_first or 0.0, self.t_last or 0.0],
+            "window": list(self.window),
             "makespan": self.makespan,
             "concurrency": {
                 "peak": self.concurrency.peak,
@@ -1019,9 +912,8 @@ class StreamingAnalytics(SpanSink):
                 "time_average": self.concurrency.time_average(self.t_last),
             },
             "categories": self.durations.to_dict(),
-            "stragglers": [s.to_dict() for s in self.stragglers.result()[:10]],
         }
-        if self.evaluator.rules:
+        if self.rules:
             try:
                 doc["alerts"] = self.finalize_alerts().to_dict()
             except Exception as exc:  # unresolvable rule: report, don't die
@@ -1033,76 +925,3 @@ class StreamingAnalytics(SpanSink):
             f"<StreamingAnalytics started={self.n_started} "
             f"finished={self.n_finished}>"
         )
-
-
-# -- trace replay ----------------------------------------------------------------
-
-
-def replay_jsonl(lines: Iterable[str], *sinks: SpanSink, on_truncated=None) -> int:
-    """Replay a JSONL trace through sinks as a live event stream.
-
-    Span records (id order = start order in an exported trace) are
-    re-interleaved into lifecycle order: each span's ``on_start`` fires
-    in start order, and its ``on_finish`` fires when simulated time
-    passes its end — exactly the callback sequence a live run would
-    have produced.  A heap of open spans keyed by end time does the
-    interleaving; memory is O(max concurrently open), not O(trace).
-
-    A torn *final* line (the tail a crashed writer left behind) is
-    skipped and reported — through ``on_truncated({"lineno",
-    "dropped_bytes"})`` when given, else a :class:`UserWarning`; a
-    malformed line anywhere *before* the end still raises
-    ``json.JSONDecodeError`` (that is corruption, not a crash).
-
-    Returns the number of spans replayed.  Instants and metric records
-    are skipped (replay targets span analytics); ``close()`` is called
-    on every sink at the end.
-    """
-    open_heap: list[tuple] = []  # (end, span_id, stub)
-    n = 0
-
-    def drain(up_to: float) -> None:
-        while open_heap and open_heap[0][0] <= up_to:
-            _, _, stub = heapq.heappop(open_heap)
-            for sink in sinks:
-                sink.on_finish(stub)
-
-    pending_error = None  # (lineno, raw line, exception)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if pending_error is not None:
-            # A later line exists, so the bad line was not a torn tail.
-            raise pending_error[2]
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            pending_error = (lineno, line, exc)
-            continue
-        if record.get("type") != "span":
-            continue
-        stub = SpanStub.from_record(record)
-        n += 1
-        drain(stub.start)
-        for sink in sinks:
-            sink.on_start(stub)
-        if stub.end is not None:
-            heapq.heappush(open_heap, (stub.end, stub.span_id, stub))
-    if pending_error is not None:
-        info = {
-            "lineno": pending_error[0],
-            "dropped_bytes": len(pending_error[1]),
-        }
-        if on_truncated is not None:
-            on_truncated(info)
-        else:
-            warnings.warn(
-                f"dropped torn final line {info['lineno']} "
-                f"({info['dropped_bytes']} bytes) during replay",
-                stacklevel=2,
-            )
-    drain(float("inf"))
-    for sink in sinks:
-        sink.close()
-    return n

@@ -17,14 +17,7 @@ import pytest
 
 from repro.obs.alerts import OnlineViolations
 from repro.obs.analyze import OnlineIdleGaps, find_idle_gaps
-from repro.obs.metrics import (
-    Gauge,
-    P2Quantile,
-    RunningStats,
-    StreamingHistogram,
-    WindowedCounter,
-    WindowedGauge,
-)
+from repro.obs.metrics import Gauge, P2Quantile, RunningStats
 
 
 class TestRunningStats:
@@ -74,60 +67,6 @@ class TestP2Quantile:
         for i in range(200):
             est.add(float((-1) ** i * i))  # alternating sign ramp
         assert math.isfinite(est.value)
-
-
-class TestStreamingHistogram:
-    def test_uniform_quantiles(self):
-        hist = StreamingHistogram(0.0, 100.0, bins=200)
-        rng = np.random.default_rng(3)
-        xs = rng.uniform(0.0, 100.0, size=20000)
-        for x in xs:
-            hist.add(float(x))
-        for p in (0.1, 0.5, 0.9):
-            assert hist.quantile(p) == pytest.approx(
-                float(np.quantile(xs, p)), abs=2.0
-            )
-
-    def test_out_of_range_saturates_edge_bins(self):
-        hist = StreamingHistogram(0.0, 10.0, bins=10)
-        hist.add(-5.0)
-        hist.add(25.0)
-        assert hist.n == 2
-
-
-class TestWindowedCounter:
-    def test_matches_naive_window(self):
-        window = 10.0
-        counter = WindowedCounter(window)
-        events = [(float(t), 1 + t % 3) for t in range(0, 60, 2)]
-        for t, n in events:
-            counter.inc(t, n)
-        now = 60.0
-        naive = sum(n for t, n in events if t > now - window)
-        assert counter.count(now) == naive
-        assert counter.rate(now) == pytest.approx(naive / window)
-        assert counter.total == sum(n for _, n in events)
-
-    def test_rejects_time_travel(self):
-        counter = WindowedCounter(5.0)
-        counter.inc(10.0)
-        with pytest.raises(ValueError):
-            counter.inc(9.0)
-
-
-class TestWindowedGauge:
-    def test_matches_naive_min_max_mean(self):
-        rng = np.random.default_rng(11)
-        gauge = WindowedGauge(20.0)
-        points = [(float(t), float(v)) for t, v in
-                  zip(range(100), rng.normal(50, 10, size=100))]
-        for t, v in points:
-            gauge.record(t, v)
-        now = points[-1][0]
-        live = [v for t, v in points if t > now - 20.0]
-        assert gauge.min == min(live)
-        assert gauge.max == max(live)
-        assert gauge.mean == pytest.approx(sum(live) / len(live))
 
 
 class TestOnlineIdleGaps:

@@ -5,12 +5,14 @@ Equivalence contract:
 - **byte-identical**: a spill-sink run concatenated and reloaded
   produces exactly the bytes :func:`repro.obs.export.to_jsonl` writes
   for the same-seed in-memory run (segments are the trace);
-- **exact**: stub-store analytics (counts, failed spans, makespan,
-  peak concurrency) equal the batch numbers, because the collapse and
+- **exact**: stub-store analytics equal the batch numbers (they are
+  the batch code), and so do the online counts, min/max, failed spans,
+  makespan, window and peak concurrency, because the collapse and
   window conventions are ports of the batch code;
-- **approximate**: P²-backed quantities (quantiles, MAD-based
-  straggler scores) carry the tolerance documented in
-  ``tests/obs/test_online_stats.py``.
+- **rounding**: online sums and means add in finish order, the batch
+  ones over the sorted sample (``rel=1e-12``);
+- **approximate**: P²-backed quantiles carry the tolerance documented
+  in ``tests/obs/test_online_stats.py``.
 """
 
 import json
@@ -18,17 +20,16 @@ import tracemalloc
 
 import pytest
 
-from repro.obs import enable_tracing
+from repro.obs import InMemorySink, Tracer, enable_tracing
+from repro.obs.alerts import Rule, evaluate_rules
 from repro.obs.export import to_jsonl, tracer_from_jsonl
 from repro.obs.stream import (
     JsonlSpillSink,
     OnlineConcurrency,
     SpanStub,
     StreamingAnalytics,
-    StubSink,
     StubTrace,
     TeeSink,
-    replay_jsonl,
     tracer_from_segments,
 )
 from repro.simkernel import Environment
@@ -118,15 +119,6 @@ class TestStubStore:
                 b.span_id, b.parent_id, b.name, b.category, b.component,
                 b.start, b.end, b.tags)
 
-    def test_stub_sink_collects_the_same_population(self, batch_run):
-        tracer, text = batch_run
-        sink = StubSink()
-        replay_jsonl(text.splitlines(), sink)
-        trace = sink.trace()
-        assert [s.span_id for s in trace.spans] == [
-            s.span_id for s in tracer.spans
-        ]
-
     def test_query_api_works_over_stubs(self, batch_run):
         tracer, _ = batch_run
         stub = StubTrace.from_tracer(tracer)
@@ -138,37 +130,145 @@ class TestStubStore:
         assert batch_peak == stream_peak
 
 
+class TestRecordReader:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("{not json", "line 3 is not valid JSON"),
+            ('{"type": "bogus"}', "line 3: unknown record type 'bogus'"),
+        ],
+    )
+    def test_both_loaders_raise_the_same_error(self, bad, message):
+        lines = [json.dumps({"type": "instant", "name": "i", "t": 0.0}), "", bad]
+        errors = []
+        for load in (
+            lambda: tracer_from_jsonl("\n".join(lines)),
+            lambda: StubTrace.from_jsonl(lines),
+        ):
+            with pytest.raises(ValueError, match=message) as info:
+                load()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+#: Rules whose streaming value must equal the batch one exactly.
+EXACT_RULES = [
+    "count(entk.exec) >= 1",
+    "min(entk.exec) >= 700",
+    "max(entk.task) <= 9000",
+    "makespan <= 9000",
+    "failed_tasks <= 0",
+    "utilization >= 0.8",
+    "series(entk-pilot-0/executing) <= 20",
+    "series(entk-pilot-0/cores) <= 8000",
+]
+#: Sums and means: equal up to the order the durations are added in.
+SUM_RULES = [
+    "sum(entk.exec) <= 1e5",
+    "sum(entk.task) >= 1",
+    "mean(entk.exec) <= 1000",
+    "mean(entk.task) >= 1",
+]
+#: P² estimates: within the quantile tolerance below.
+QUANTILE_RULES = [
+    "p50(entk.exec) <= 1000",
+    "p99(entk.exec) <= 1400",
+    "p95(entk.task) <= 8000",
+]
+CONTEXT = {"utilization": 0.75}
+
+
 class TestStreamingAnalytics:
     @pytest.fixture(scope="class")
-    def analytics(self, batch_run):
-        _, text = batch_run
-        sink = StreamingAnalytics(concurrency_category="entk.exec")
-        replay_jsonl(text.splitlines(), sink)
-        return sink
+    def tee_run(self):
+        """A live run teed into a retained store and online analytics."""
+        analytics = StreamingAnalytics(
+            rules=[Rule(e) for e in EXACT_RULES + SUM_RULES + QUANTILE_RULES],
+            context=CONTEXT,
+            concurrency_category="entk.exec",
+        )
+        _, tracer = mini_entk_run(
+            n_tasks=200, nodes=200, seed=5,
+            sink=TeeSink(InMemorySink(), analytics),
+        )
+        tracer.close()
+        return tracer, analytics
 
-    def test_counts_and_window_are_exact(self, batch_run, analytics):
-        tracer, _ = batch_run
+    def test_counts_and_window_are_exact(self, tee_run):
+        tracer, analytics = tee_run
         assert analytics.n_started == len(tracer.spans)
         assert analytics.n_failed == len(
             tracer.query().spans(tags={"state": "FAILED"})
         )
 
-    def test_peak_concurrency_matches_batch(self, batch_run, analytics):
-        tracer, _ = batch_run
+    def test_peak_concurrency_matches_batch(self, tee_run):
+        tracer, analytics = tee_run
         series = tracer.query().concurrency(category="entk.exec")
         analytics.concurrency.flush()
         assert analytics.concurrency.peak == max(series.values)
 
-    def test_quantiles_within_tolerance(self, batch_run, analytics):
-        tracer, _ = batch_run
+    def test_quantiles_within_tolerance(self, tee_run):
+        tracer, analytics = tee_run
         durations = sorted(tracer.query().durations(category="entk.exec"))
         exact_p50 = durations[max(0, min(len(durations) - 1,
                                          round(0.5 * len(durations)) - 1))]
         est = analytics.durations.quantile("entk.exec", 0.5)
         assert est == pytest.approx(exact_p50, rel=0.10)
 
-    def test_summary_is_json_ready(self, analytics):
-        json.dumps(analytics.summary())
+    def test_rules_match_batch(self, tee_run):
+        tracer, analytics = tee_run
+        online = analytics.finalize_alerts()
+        batch = evaluate_rules(
+            analytics.rules, tracer, context=CONTEXT, record=False
+        )
+        assert online.window == batch.window
+        pairs = {o.rule.expr: (o, b)
+                 for o, b in zip(online.outcomes, batch.outcomes)}
+        for expr in EXACT_RULES:
+            o, b = pairs[expr]
+            assert o.to_dict() == b.to_dict(), expr
+        # The series rules really walk violations, not just a scalar.
+        assert pairs["series(entk-pilot-0/executing) <= 20"][0].alerts
+        for expr in SUM_RULES:
+            o, b = pairs[expr]
+            assert o.value == pytest.approx(b.value, rel=1e-12), expr
+            assert o.ok == b.ok, expr
+        for expr in QUANTILE_RULES:
+            o, b = pairs[expr]
+            assert o.value == pytest.approx(b.value, rel=0.10), expr
+
+    def test_rule_percentiles_are_tracked(self, tee_run):
+        _, analytics = tee_run
+        # p95 is not a default quantile: the rule adds it to every category.
+        assert analytics.durations.quantile("entk.task", 0.95) is not None
+
+    def test_summary_is_json_ready(self, tee_run):
+        _, analytics = tee_run
+        doc = analytics.summary()
+        json.dumps(doc)
+        assert "stragglers" not in doc
+        assert doc["alerts"]["window"] == list(analytics.window)
+
+
+class TestOpenSpansAtClose:
+    """Streaming makespan/failed_tasks follow the batch conventions
+    when spans are still open at close: makespan over finished spans,
+    FAILED counted on every span."""
+
+    def test_matches_batch(self):
+        rules = [Rule("makespan <= 1"), Rule("failed_tasks <= 0")]
+        analytics = StreamingAnalytics(rules=rules)
+        tracer = Tracer(sink=TeeSink(InMemorySink(), analytics))
+        tracer.span("pilot", t=0.0)
+        a = tracer.span("a", t=5.0)
+        tracer.span("b", t=6.0).tag(state="FAILED")
+        a.finish(t=10.0)
+        tracer.close()
+        online = analytics.finalize_alerts()
+        batch = evaluate_rules(rules, tracer, record=False)
+        assert [o.value for o in online.outcomes] == [5.0, 1.0]
+        assert online.to_dict() == batch.to_dict()
+        assert online.window == (0.0, 10.0)
 
 
 class TestOnlineConcurrency:
@@ -189,36 +289,6 @@ class TestOnlineConcurrency:
         conc.step(5.0, +1)
         with pytest.raises(ValueError):
             conc.step(4.0, +1)
-
-
-class TestReplay:
-    def test_replay_interleaves_lifecycle_order(self):
-        # Two overlapping spans: replay must fire 0.start, 1.start,
-        # 1.finish (t=2), 0.finish (t=3) — not record order.
-        lines = [
-            json.dumps({"type": "span", "id": 0, "name": "a", "t0": 0.0,
-                        "t1": 3.0}),
-            json.dumps({"type": "span", "id": 1, "name": "b", "t0": 1.0,
-                        "t1": 2.0}),
-            json.dumps({"type": "span", "id": 2, "name": "c", "t0": 4.0,
-                        "t1": 5.0}),
-        ]
-        events = []
-
-        class Recorder(StubSink):
-            def on_start(self, span):
-                events.append(("start", span.span_id))
-
-            def on_finish(self, span):
-                events.append(("finish", span.span_id))
-                super().on_finish(span)
-
-        n = replay_jsonl(lines, Recorder())
-        assert n == 3
-        assert events == [
-            ("start", 0), ("start", 1), ("finish", 1),
-            ("finish", 0), ("start", 2), ("finish", 2),
-        ]
 
 
 class TestTeeAndMemory:
@@ -263,4 +333,16 @@ class TestBenchHarness:
         doc = run_smoke(n_spans=3000, gate_mb=16.0, workdir=tmp_path)
         assert doc["ok"] is True
         assert doc["spans_finished"] == 3000
+        assert doc["rules_firing"] == 0
         assert doc["peak_mb"] < 16.0
+
+    def test_memory_smoke_fails_a_sink_that_drops_spans(
+        self, tmp_path, monkeypatch
+    ):
+        from benchmarks.perf.obs_memory_smoke import run_smoke
+
+        monkeypatch.setattr(StreamingAnalytics, "on_finish", lambda self, span: None)
+        doc = run_smoke(n_spans=300, gate_mb=16.0, workdir=tmp_path)
+        assert doc["spans_finished"] == 0
+        assert doc["rules_firing"] == 1
+        assert doc["ok"] is False
