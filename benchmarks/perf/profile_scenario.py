@@ -21,6 +21,11 @@ seed loop (NaiveEnvironment) — the quickest way to see *where* the
 calendar queue's win comes from.  ``--out`` dumps raw stats for
 snakeviz/pstats tooling.
 
+Beside the table, a ``gc.callbacks`` timer reports the cyclic
+collections and their seconds per generation: cProfile charges that
+time to whichever function happened to allocate when a collection
+started.
+
 Note cProfile's per-call hook overhead flattens measured ratios — use
 ``benchmarks/test_kernel_speedup.py`` / ``benchmarks/test_e2e_speedup.py``
 for honest wall-clock numbers; use this for *where the time goes*.
@@ -28,13 +33,54 @@ for honest wall-clock numbers; use this for *where the time goes*.
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 from pathlib import Path
+from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 from benchmarks.perf.scenarios import SCENARIOS, kernel_events  # noqa: E402
+
+
+class GcTimer:
+    """Cyclic-GC collections and seconds per generation, timed by a
+    ``gc.callbacks`` hook while the ``with`` block runs."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._t0 = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._t0 = perf_counter()
+        else:
+            gen = info["generation"]
+            self.collections[gen] += 1
+            self.seconds[gen] += perf_counter() - self._t0
+
+    def __enter__(self) -> "GcTimer":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+    def summary(self) -> dict:
+        return {
+            "collections": list(self.collections),
+            "seconds": [round(s, 6) for s in self.seconds],
+            "total_s": round(sum(self.seconds), 6),
+        }
+
+    def render(self) -> str:
+        rows = ", ".join(
+            f"gen{g} {n} in {s:.4f}s"
+            for g, (n, s) in enumerate(zip(self.collections, self.seconds))
+        )
+        return f"cyclic GC: {rows}; total {sum(self.seconds):.4f}s"
 
 
 def profile_scenario(
@@ -45,16 +91,20 @@ def profile_scenario(
     limit: int = 25,
     out: str | None = None,
     stream=sys.stderr,
-) -> pstats.Stats:
+) -> dict:
     """Run scenario ``name`` at ``mode`` scale under cProfile.
 
-    Prints the stats table to stdout and a summary line to ``stream``;
-    returns the :class:`pstats.Stats` so callers (the CI artifact hook)
-    can dump or post-process it.
+    Prints the stats table to stdout and summary lines, the cyclic-GC
+    one included, to ``stream``.  Returns a summary: ``stats`` (the
+    :class:`pstats.Stats`, for callers that dump or post-process it),
+    the scenario's ``metrics`` and ``gc`` (collections and seconds per
+    generation, and their total).
     """
     scenario = SCENARIOS[name]
     params = getattr(scenario, mode)
     profiler = cProfile.Profile()
+    gc_timer = GcTimer()
+    gc.collect()  # import-time garbage is not the scenario's
 
     if naive:
         if name != "kernel_events":
@@ -65,25 +115,26 @@ def profile_scenario(
             f"profiling kernel_events[{mode}] on NaiveEnvironment ({params})",
             file=stream,
         )
-        profiler.enable()
-        metrics = kernel_events(env_cls=NaiveEnvironment, **params)
-        profiler.disable()
+        fn, kwargs = kernel_events, dict(params, env_cls=NaiveEnvironment)
     else:
         print(f"profiling {name}[{mode}] ({params})", file=stream)
+        fn, kwargs = scenario.fn, params
+    with gc_timer:
         profiler.enable()
-        metrics = scenario.fn(**params)
+        metrics = fn(**kwargs)
         profiler.disable()
 
     print(
         f"{metrics['events']} events in {metrics['wall_s']}s under the "
         f"profiler ({metrics['events_per_s']} events/s)", file=stream,
     )
+    print(gc_timer.render(), file=stream)
     stats = pstats.Stats(profiler)
     stats.sort_stats(sort).print_stats(limit)
     if out:
         stats.dump_stats(out)
         print(f"wrote {out}", file=stream)
-    return stats
+    return {"stats": stats, "metrics": metrics, "gc": gc_timer.summary()}
 
 
 def main(argv=None) -> int:

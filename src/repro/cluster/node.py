@@ -108,8 +108,10 @@ class Node:
         self.free_memory_gb = spec.memory_gb
         #: Live allocations on this node.
         self.allocations: list[Allocation] = []
-        #: Processes to interrupt if this node fails — registered by
+        #: Occupants to interrupt if this node fails — registered by
         #: whatever runtime placed work here (pilot agent, kubelet, ...).
+        #: Any object with ``is_alive`` and ``interrupt(cause)``: a
+        #: kernel process, or the pilot agent's timer-driven executor.
         self.occupants: dict[Any, "object"] = {}
         #: Cumulative counters for provenance / tracing.
         self.total_allocations = 0
@@ -190,7 +192,14 @@ class Node:
     # -- occupant registration (for fault injection) ----------------------------
 
     def register_occupant(self, key: Any, process) -> None:
-        """Register a kernel process to interrupt if this node fails."""
+        """Register an occupant to interrupt if this node fails.
+
+        ``process`` is any object with an ``is_alive`` flag and an
+        ``interrupt(cause)`` method — a kernel :class:`Process`, or an
+        executor handle that delivers the interrupt itself.  On
+        :meth:`fail`, every live occupant gets ``interrupt(cause=
+        NodeFailureCause(node_id))`` in registration order.
+        """
         self.occupants[key] = process
 
     def unregister_occupant(self, key: Any) -> None:
@@ -199,7 +208,7 @@ class Node:
     # -- failure handling ---------------------------------------------------------
 
     def fail(self) -> list:
-        """Mark the node DOWN; return the interrupted occupant processes.
+        """Mark the node DOWN; return the interrupted occupants.
 
         All live allocations are force-released (the hardware is gone)
         and every registered occupant is interrupted with this node as

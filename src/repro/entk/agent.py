@@ -9,8 +9,11 @@ Models the RADICAL-Pilot agent measured in §4.3:
   line).
 - **Launcher** — serially places pending tasks onto free nodes at a
   slower throughput (the 51 tasks/s slope of the orange line).
-- **Executors** — one process per running task; register with their
-  nodes so injected node failures interrupt them.
+- **Executors** — a task with a fixed ``duration`` runs off one kernel
+  timer held by a small :class:`_TimedExec` handle; a ``work=`` task
+  runs its generator under an ``exec:`` process
+  (:meth:`PilotAgent._execute`).  Both register with their nodes as
+  occupants, so injected node failures interrupt them.
 - **Failure handling** — a task touching a dead node fails after a
   detection delay; dead nodes are blacklisted after ``node_strikes``
   task failures (modelling delayed failure propagation — with a lag,
@@ -34,6 +37,7 @@ from repro.simkernel import (
     TimeSeriesMonitor,
     UtilizationTracker,
 )
+from repro.simkernel.events import URGENT
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,42 @@ class AgentConfig:
 
 
 class PilotAgent:
-    """Task execution runtime over a set of allocated nodes."""
+    """Task execution runtime over a set of allocated nodes.
+
+    **Direct executor timers.**  A task with a fixed ``duration`` needs
+    no generator of its own: the launcher hands it to a
+    :class:`_TimedExec`, which reproduces the event sequence of the
+    ``exec:`` process it replaces minus one event.  Exactness, event by
+    event:
+
+    - *Start.*  The handle schedules one URGENT event at the launch
+      instant, exactly where ``env.process`` put the process's
+      ``Initialize``.  Its callback runs the shared prologue
+      (:meth:`_begin`) at the same position within the instant and
+      schedules the ``fail_detect_s`` or ``duration / min(speed)``
+      timer with the same sequence number relative to the launcher's
+      own ``timeout(period)``.
+    - *Finish.*  The timer's single callback runs the shared epilogue
+      (:meth:`_finish`) in the dispatch where the process used to be
+      resumed, so the node-freed pulse and the task's terminal event are
+      scheduled at the same instant in the same order.
+    - *Interrupts.*  ``interrupt(cause)`` schedules an URGENT event at
+      ``now``, as ``Process.interrupt`` does.  Its delivery is a no-op
+      once the task has finished; otherwise it tombstones the timer's
+      callback slot — the orphaned timer still fires as a no-op, like
+      the abandoned timeout of an interrupted process — and runs the
+      epilogue with the cause.  An interrupt issued at the timer's
+      instant, before the timer is dispatched, is URGENT and so wins,
+      as it did against the process.
+    - *Removed.*  Only the process-end event, which had no waiter and no
+      callbacks.  Every other event keeps its instant, priority and
+      relative order, so traces and outcomes are unchanged.  With
+      ``trace_kernel=True`` the per-task ``exec:`` ``kernel.process``
+      spans disappear as well.
+
+    ``work=`` tasks keep the process (:meth:`_execute`): their generator
+    yields arbitrary events.
+    """
 
     def __init__(
         self,
@@ -121,7 +160,9 @@ class PilotAgent:
         self._shutdown = False
         self._bootstrapped_at: Optional[float] = None
         self._loops: list = []
-        self._live_execs: set = set()
+        #: In-flight executors in launch order (a dict, not a set, so
+        #: ``shutdown`` interrupts them in that order).
+        self._live_execs: dict = {}
 
         t0 = env.now
         total_cores = sum(n.spec.cores for n in self.nodes)
@@ -288,9 +329,9 @@ class PilotAgent:
         for proc in self._loops:
             if proc.is_alive:
                 proc.interrupt(cause=cause)
-        for proc in list(self._live_execs):
-            if proc.is_alive:
-                proc.interrupt(cause=cause)
+        for executor in list(self._live_execs):
+            if executor.is_alive:
+                executor.interrupt(cause=cause)
 
     def _scheduler_loop(self):
         period = 1.0 / self.config.schedule_rate
@@ -344,11 +385,14 @@ class PilotAgent:
                 pending_span = getattr(task, "_obs_pending", None)
                 if pending_span is not None:
                     pending_span.finish()
-                proc = env.process(
-                    self._execute(task, nodes),
-                    name=f"exec:{task.name}#{task.attempts}",
-                )
-                self._live_execs.add(proc)
+                if task.duration is not None:
+                    executor = _TimedExec(self, task, nodes)
+                else:
+                    executor = env.process(
+                        self._execute(task, nodes),
+                        name=f"exec:{task.name}#{task.attempts}",
+                    )
+                self._live_execs[executor] = None
         except Interrupt:
             return
 
@@ -396,16 +440,25 @@ class PilotAgent:
             self._node_freed.succeed()
         self._node_freed = self.env.event()
 
-    def _execute(self, task: EnTask, nodes: list):
+    def _begin(self, task: EnTask, nodes: list, executor):
+        """Executor prologue: count the attempt, mark the task
+        EXECUTING, update the monitors, open the exec span and, when
+        every node is up, register ``executor`` as their occupant.
+
+        Returns ``(exec_span, dead)``: ``dead`` is the failure cause of a
+        launch onto a dead node, which errors out after ``fail_detect_s``
+        with nothing registered, else ``None``.
+        """
+        now = self.env.now
         task.attempts += 1
         task.state = TaskState.EXECUTING
-        task.start_time = self.env.now
+        task.start_time = now
         task.executed_on = [n.id for n in nodes]
-        self.executing.increment(self.env.now, +1)
+        self.executing.increment(now, +1)
         cores, gpus = task.total_cores, task.total_gpus
-        self.core_util.acquire(self.env.now, cores)
+        self.core_util.acquire(now, cores)
         if self.gpu_util and gpus:
-            self.gpu_util.acquire(self.env.now, gpus)
+            self.gpu_util.acquire(now, gpus)
         tracer = self.env.tracer
         exec_span = (
             tracer.start(
@@ -419,62 +472,68 @@ class PilotAgent:
             if tracer.enabled
             else None
         )
+        for n in nodes:
+            if not n.is_up:
+                return exec_span, f"dead-node:{n.id}"
+        for n in nodes:
+            n.register_occupant(executor, executor)
+        return exec_span, None
 
-        me = self.env.active_process
-        key = f"{self.name}:{task.name}:{task.attempts}"
-        cause = None
-        try:
-            dead = [n for n in nodes if not n.is_up]
-            if dead:
-                yield self.env.timeout(self.config.fail_detect_s)
-                cause = f"dead-node:{dead[0].id}"
-            else:
+    def _finish(self, task: EnTask, nodes: list, executor, exec_span, cause) -> None:
+        """Executor epilogue: release the nodes and monitors, record the
+        outcome (``cause is None`` means DONE), strike dead nodes and
+        fire the task's terminal event."""
+        now = self.env.now
+        for n in nodes:
+            n.unregister_occupant(executor)
+        self.executing.increment(now, -1)
+        self.core_util.release(now, task.total_cores)
+        if self.gpu_util and task.total_gpus:
+            self.gpu_util.release(now, task.total_gpus)
+        task.end_time = now
+        if cause is None:
+            task.state = TaskState.DONE
+            self.done_count.increment(now, +1)
+            if self.health is not None:
                 for n in nodes:
-                    n.register_occupant(key, me)
-                if task.duration is not None:
-                    speed = min(n.effective_speed for n in nodes)
-                    yield self.env.timeout(task.duration / speed)
-                else:
-                    yield self.env.process(
-                        task.work(self.env, task, nodes), name=f"work:{task.name}"
-                    )
+                    self.health.record_success(n.id)
+        else:
+            task.state = TaskState.FAILED
+            task.failure_causes.append(cause)
+            self.failures.append((task.name, now, cause))
+            for n in nodes:
+                if not n.is_up:
+                    self._strikes[n.id] += 1
+                    if self._strikes[n.id] >= self.config.node_strikes:
+                        self._blacklist.add(n.id)
+                    if self.health is not None:
+                        self.health.record_failure(n.id, cause=cause)
+        if exec_span is not None:
+            exec_span.tag(state=task.state.value).finish()
+        task_span = getattr(task, "_obs_span", None)
+        if task_span is not None:
+            task_span.tag(state=task.state.value).finish()
+        self._release(nodes)
+        self._live_execs.pop(executor, None)
+        task._terminal.succeed(task)
+
+    def _execute(self, task: EnTask, nodes: list):
+        """The ``exec:`` process of a ``work=`` task."""
+        me = self.env.active_process
+        exec_span, cause = self._begin(task, nodes, me)
+        try:
+            if cause is not None:
+                yield self.env.timeout(self.config.fail_detect_s)
+            else:
+                yield self.env.process(
+                    task.work(self.env, task, nodes), name=f"work:{task.name}"
+                )
         except Interrupt as intr:
             cause = intr.cause
         except BaseException as exc:
             cause = exc
         finally:
-            for n in nodes:
-                n.unregister_occupant(key)
-            self.executing.increment(self.env.now, -1)
-            self.core_util.release(self.env.now, cores)
-            if self.gpu_util and gpus:
-                self.gpu_util.release(self.env.now, gpus)
-            task.end_time = self.env.now
-            if cause is None:
-                task.state = TaskState.DONE
-                self.done_count.increment(self.env.now, +1)
-                if self.health is not None:
-                    for n in nodes:
-                        self.health.record_success(n.id)
-            else:
-                task.state = TaskState.FAILED
-                task.failure_causes.append(cause)
-                self.failures.append((task.name, self.env.now, cause))
-                for n in nodes:
-                    if not n.is_up:
-                        self._strikes[n.id] += 1
-                        if self._strikes[n.id] >= self.config.node_strikes:
-                            self._blacklist.add(n.id)
-                        if self.health is not None:
-                            self.health.record_failure(n.id, cause=cause)
-            if exec_span is not None:
-                exec_span.tag(state=task.state.value).finish()
-            task_span = getattr(task, "_obs_span", None)
-            if task_span is not None:
-                task_span.tag(state=task.state.value).finish()
-            self._release(nodes)
-            self._live_execs.discard(self.env.active_process)
-            task._terminal.succeed(task)
+            self._finish(task, nodes, me, exec_span, cause)
 
     # -- profiling helpers -----------------------------------------------------------
 
@@ -490,3 +549,58 @@ class PilotAgent:
 
     def utilization(self, t_start=None, t_end=None) -> float:
         return self.core_util.utilization(t_start, t_end)
+
+
+class _TimedExec:
+    """Executor of a fixed-``duration`` task: one kernel timer, no process.
+
+    Implements the :meth:`Node.register_occupant
+    <repro.cluster.node.Node.register_occupant>` contract (``is_alive``
+    and ``interrupt(cause)``) and is its own occupant key.  See
+    :class:`PilotAgent` for why the event sequence matches the process
+    it replaces.
+    """
+
+    __slots__ = ("agent", "task", "nodes", "span", "timer", "is_alive")
+
+    def __init__(self, agent: PilotAgent, task: EnTask, nodes: list):
+        self.agent = agent
+        self.task = task
+        self.nodes = nodes
+        self.span = None
+        self.timer = None
+        self.is_alive = True
+        start = agent.env.event()
+        start.callbacks.append(self._start)
+        start.succeed(priority=URGENT)
+
+    @property
+    def name(self) -> str:
+        """Label of this executor's dispatch units in sanitizer reports."""
+        return f"exec:{self.task.name}#{self.task.attempts}"
+
+    def _start(self, _event) -> None:
+        agent, task, nodes = self.agent, self.task, self.nodes
+        self.span, dead = agent._begin(task, nodes, self)
+        if dead is None:
+            delay = task.duration / min(n.effective_speed for n in nodes)
+        else:
+            delay = agent.config.fail_detect_s
+        # The timer's value is the outcome: None (DONE) or the dead-node cause.
+        self.timer = agent.env.timeout(delay, dead)
+        self.timer.callbacks.append(self._end)
+
+    def interrupt(self, cause=None) -> None:
+        """Fail the task with ``cause`` at the current instant."""
+        event = self.agent.env.event()
+        event.callbacks.append(self._interrupted)
+        event.succeed(cause, priority=URGENT)
+
+    def _interrupted(self, event) -> None:
+        if self.is_alive:
+            self.timer.callbacks[0] = None  # tombstone: the timer fires as a no-op
+            self._end(event)
+
+    def _end(self, event) -> None:
+        self.is_alive = False
+        self.agent._finish(self.task, self.nodes, self, self.span, event.value)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.cluster import Cluster, FaultInjector, NodeSpec
+from repro.cluster.node import NodeFailureCause
 from repro.entk import AgentConfig, EnTask, PilotAgent, TaskState
 from repro.simkernel import Environment
+from tests.entk.test_executor_differential import _as_work
 
 
 def make_agent(env, n_nodes=8, cores=4, gpus=0, **cfg):
@@ -225,3 +227,178 @@ class TestShutdown:
         env.run()
         assert all(t.state == TaskState.FAILED for t in tasks)
         assert all("walltime" in str(c) for t in tasks for c in t.failure_causes)
+
+    def test_shutdown_interrupts_in_launch_order(self):
+        """In-flight tasks fail in the order they were launched, not in
+        the hash order of their executors."""
+        env = Environment()
+        _, agent = make_agent(
+            env,
+            n_nodes=64,
+            bootstrap_s=0.0,
+            schedule_rate=1e6,
+            launch_rate=1e5,
+        )
+        tasks = [EnTask(duration=1000, name=f"t{i:02d}") for i in range(60)]
+
+        def driver(env):
+            yield from agent.run_stage(tasks)
+
+        def killer(env):
+            yield env.timeout(50)
+            agent.shutdown(cause="walltime")
+
+        env.process(driver(env))
+        env.process(killer(env))
+        env.run()
+        assert [name for name, _, _ in agent.failures] == [t.name for t in tasks]
+        assert all(when == 50 for _, when, _ in agent.failures)
+
+    def test_shutdown_during_dead_node_detection(self):
+        """A launch onto a dead node waits ``fail_detect_s``; a shutdown
+        inside that wait fails the task at once with the shutdown cause,
+        and the abandoned detection timer fires as a no-op."""
+        env = Environment()
+        cluster, agent = make_agent(
+            env,
+            n_nodes=2,
+            bootstrap_s=0.0,
+            schedule_rate=4.0,
+            launch_rate=2.0,
+            fail_detect_s=10.0,
+        )
+        # The launcher hands out the last free node first.
+        FaultInjector(env, cluster, schedule=[(0.1, "n-00001")], downtime=None)
+        task = EnTask(duration=100, name="t")
+
+        def driver(env):
+            yield from agent.run_stage([task])
+
+        def killer(env):
+            yield env.timeout(5.0)
+            agent.shutdown(cause="walltime")
+
+        env.process(driver(env))
+        env.process(killer(env))
+        env.run()
+        assert task.executed_on == ["n-00001"]
+        assert task.state == TaskState.FAILED
+        assert agent.failures == [("t", 5.0, "walltime")]
+        assert task.attempts == 1
+        assert "n-00001" in agent._blacklist
+        assert not agent._live_execs
+
+
+def _counting_processes(env):
+    """Record the name of every process started through ``env.process``."""
+    names = []
+    real = env.process
+
+    def process(generator, name=None):
+        proc = real(generator, name=name)
+        names.append(proc.name)
+        return proc
+
+    env.process = process
+    return names
+
+
+class TestTimedExecutor:
+    """Fixed-duration tasks run off one kernel timer, not a process."""
+
+    @pytest.mark.parametrize("timed", [True, False], ids=["timer", "process"])
+    def test_interrupt_beats_timer_on_same_instant(self, timed):
+        env = Environment()
+        cluster, agent = make_agent(
+            env,
+            n_nodes=2,
+            bootstrap_s=0.0,
+            schedule_rate=4.0,
+            launch_rate=2.0,
+            max_task_retries=0,
+        )
+        # Launched at 0.25 + 0.5 = 0.75 onto n-00001; due to end at 10.75,
+        # the very instant the node fails.
+        FaultInjector(env, cluster, schedule=[(10.75, "n-00001")], downtime=None)
+        task = EnTask(
+            duration=10.0 if timed else None,
+            work=None if timed else _as_work(10.0),
+            name="t",
+        )
+        done, failed = run_stage(env, agent, [task])
+        assert failed == [task] and not done
+        assert task.start_time == 0.75 and task.end_time == 10.75
+        assert agent.failures == [("t", 10.75, NodeFailureCause("n-00001"))]
+        assert agent.done_count.current == 0
+
+    @pytest.mark.parametrize("timed", [True, False], ids=["timer", "process"])
+    def test_node_failure_right_after_launch_interrupts(self, timed):
+        """The executor starts at the launch instant ahead of the rest of
+        that instant's batch, as a process's ``Initialize`` does: a node
+        failing later in the same instant finds it registered."""
+        env = Environment()
+        cluster, agent = make_agent(
+            env,
+            n_nodes=2,
+            bootstrap_s=0.0,
+            schedule_rate=4.0,
+            launch_rate=2.0,
+            max_task_retries=0,
+        )
+        node = cluster.nodes[1]
+
+        def killer(env):
+            # Scheduled after the launcher's 0.5 s period timer (set at
+            # 0.25), so it fires after the launch at 0.75.
+            yield env.timeout(0.5)
+            yield env.timeout(0.25)
+            node.fail()
+
+        env.process(killer(env))
+        task = EnTask(
+            duration=10.0 if timed else None,
+            work=None if timed else _as_work(10.0),
+            name="t",
+        )
+        run_stage(env, agent, [task])
+        assert task.executed_on == [node.id]
+        assert agent.failures == [("t", 0.75, NodeFailureCause(node.id))]
+
+    def test_occupants_cleared_after_completion_and_failure(self):
+        env = Environment()
+        cluster, agent = make_agent(env, n_nodes=4, bootstrap_s=0.0)
+        tasks = [EnTask(duration=30 + i, name=f"t{i}") for i in range(6)]
+        seen = []
+
+        def probe(env):
+            yield env.timeout(10)
+            seen.append(sum(len(n.occupants) for n in cluster.nodes))
+
+        env.process(probe(env))
+        FaultInjector(env, cluster, schedule=[(20.0, "n-00003")], downtime=None)
+        done, failed = run_stage(env, agent, tasks)
+        assert len(done) == 6 and not failed
+        assert len(agent.failures) == 1
+        assert seen == [4]  # registered while running
+        assert all(not n.occupants for n in cluster.nodes)
+        assert not agent._live_execs
+
+    def test_duration_stage_starts_no_task_processes(self):
+        env = Environment()
+        _, agent = make_agent(env, bootstrap_s=0.0)
+        names = _counting_processes(env)
+        tasks = [EnTask(duration=5 + i, name=f"t{i}") for i in range(20)]
+        done, failed = run_stage(env, agent, tasks)
+        assert len(done) == 20 and not failed
+        assert names == ["driver", "pilot-sched", "pilot-launch"]
+
+    def test_work_task_keeps_exec_process(self):
+        env = Environment()
+        _, agent = make_agent(env, bootstrap_s=0.0)
+        names = _counting_processes(env)
+        task = EnTask(work=_as_work(5.0), name="w")
+        done, failed = run_stage(env, agent, [task])
+        assert done == [task] and not failed
+        assert names == [
+            "driver", "pilot-sched", "pilot-launch", "exec:w#0", "work:w"
+        ]

@@ -5,6 +5,7 @@ harness runs its scenarios, emits schema-conformant reports, computes
 speedups, and that the regression gate trips when it should.
 """
 
+import io
 import json
 import sys
 from pathlib import Path
@@ -48,6 +49,19 @@ def test_smoke_scenario_produces_metrics(tmp_path):
     assert doc["modes"]["smoke"]["total_wall_s"] == metrics["wall_s"]
     # Round-trips through the schema-checked loader.
     assert load_report(tmp_path / "BENCH_PERF.json") == doc
+
+
+def test_profile_reports_gc_per_generation():
+    from benchmarks.perf.profile_scenario import profile_scenario
+
+    log = io.StringIO()
+    summary = profile_scenario("entk_frontier", mode="smoke", limit=1, stream=log)
+    gc_row = summary["gc"]
+    assert len(gc_row["collections"]) == len(gc_row["seconds"]) == 3
+    assert sum(gc_row["collections"]) > 0  # the campaign allocates enough
+    assert gc_row["total_s"] == pytest.approx(sum(gc_row["seconds"]), abs=1e-5)
+    assert summary["metrics"]["events"] > 0
+    assert "cyclic GC: gen0" in log.getvalue()
 
 
 def test_unknown_scenario_rejected():
