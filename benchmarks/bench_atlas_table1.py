@@ -11,7 +11,7 @@ import pytest
 
 from repro.atlas import run_experiment, table1
 from repro.atlas.steps import PIPELINE_STEPS
-from repro.report.scenarios import e5_rules
+from repro.report.scenarios import SCENARIOS, e5_rules
 from repro.viz import render_table
 
 PAPER_TABLE1 = {
@@ -24,7 +24,7 @@ PAPER_TABLE1 = {
 
 
 def run_cloud():
-    return run_experiment("cloud", n_files=99, seed=0, max_instances=12)
+    return run_experiment("cloud", seed=0, **SCENARIOS["E5"].scales["full"])
 
 
 @pytest.mark.slow

@@ -9,7 +9,7 @@ efficiency ≈ 72%.
 import pytest
 
 from repro.atlas import compare_cloud_hpc, run_experiment
-from repro.report.scenarios import e6_rules
+from repro.report.scenarios import SCENARIOS, e6_rules
 from repro.viz import render_table
 
 PAPER_VERDICTS = {
@@ -21,8 +21,9 @@ PAPER_VERDICTS = {
 
 
 def run_both():
-    cloud = run_experiment("cloud", n_files=99, seed=0, max_instances=12)
-    hpc = run_experiment("hpc", n_files=99, seed=0, slots=12)
+    e6 = SCENARIOS["E6"]
+    cloud = e6.extra("full")
+    hpc = run_experiment("hpc", seed=0, **e6.scales["full"])
     return cloud, hpc
 
 

@@ -4,23 +4,22 @@ Paper claim: "the CWSI can reduce makespan up to 25% with simple
 workflow-aware strategies"; "rank and file size [...] achieve an
 average runtime reduction of 10.8%".
 
-This bench runs the five-class workflow mix over three seeds on the
+This bench runs the five-class workflow mix over the registry's
+``full`` seeds (0, 1, 2; ``repro.report.scenarios``) on the
 heterogeneous testbed, under FIFO / rank / filesize / predictive-HEFT,
 and reports per-strategy mean and max makespan reductions.
 """
 
-from repro.cws.experiment import STRATEGIES, makespan_experiment, summarize
-from repro.report.scenarios import e1_rules
+from repro.cws.experiment import STRATEGIES, summarize
+from repro.report.scenarios import SCENARIOS, e1_rules
 from repro.viz import render_table
 
 
-def run_experiment():
-    rows = makespan_experiment(seeds=(0, 1, 2))
-    return rows, summarize(rows)
-
-
 def test_cws_makespan_reduction(benchmark, report, verdict):
-    rows, summary = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        SCENARIOS["E1"].extra, args=("full",), rounds=1, iterations=1
+    )
+    summary = summarize(rows)
 
     table_rows = []
     for strategy, stats in summary["per_strategy"].items():

@@ -7,47 +7,24 @@ tasks pending launch and orange is tasks executing concurrently.
 
 Shape targets: scheduling slope ≈ 269/s ≫ launch slope ≈ 51/s; the
 executing curve plateaus at pilot capacity (8000/8 = 1000 concurrent
-tasks) and drains at the end.
+tasks) and drains at the end.  The run is the registry's E3 traced run
+at ``full`` scale (``repro.report.scenarios``).
 """
 
 import numpy as np
 import pytest
 
-from repro.entk import AppManager, Pipeline, ResourceDescription, Stage
-from repro.entk.platforms import platform_cluster
-from repro.exaam import frontier_stage3_tasks
-from repro.obs import enable_tracing
-from repro.report.scenarios import e3_rules
-from repro.rm import BatchScheduler
-from repro.simkernel import Environment
+from repro.report.scenarios import SCENARIOS, e3_rules
 from repro.viz import render_series, render_table
-
-
-def run_and_profile(n_tasks=7875, nodes=8000, seed=42, trace=False):
-    env = Environment()
-    tracer = enable_tracing(env) if trace else None
-    cluster = platform_cluster(env, "frontier", nodes=nodes)
-    batch = BatchScheduler(env, cluster, backfill=False)
-    am = AppManager(
-        env, batch, ResourceDescription(nodes=nodes, walltime_s=12 * 3600)
-    )
-    pipeline = Pipeline(name="uq-stage3")
-    stage = Stage(name="exaconstit")
-    stage.add_tasks(frontier_stage3_tasks(n_tasks, rng=np.random.default_rng(seed)))
-    pipeline.add_stage(stage)
-    result = am.run([pipeline])
-    env.run(until=result.done)
-    assert result.succeeded
-    if trace:
-        return result.profiles[0], tracer
-    return result.profiles[0]
 
 
 @pytest.mark.slow
 def test_entk_concurrency_curves(benchmark, report, verdict):
-    prof, tracer = benchmark.pedantic(
-        lambda: run_and_profile(trace=True), rounds=1, iterations=1
+    result, tracer = benchmark.pedantic(
+        SCENARIOS["E3"].trace, args=("full",), rounds=1, iterations=1
     )
+    assert result.succeeded
+    prof = result.profiles[0]
 
     # Measure the initial slopes inside the ramp (before capacity or the
     # scheduler backlog saturates them).

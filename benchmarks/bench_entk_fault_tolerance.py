@@ -5,7 +5,8 @@ Two tasks failed on the very last simulation step due to too large of
 a time step [...] The other eight tasks failed due to a single node
 failure and ran successfully once automatically resubmitted."
 
-We inject exactly that scenario at 1/10 scale (800 nodes, 790 tasks):
+We inject exactly that scenario at 1/10 scale (800 nodes, 790 tasks;
+the registry's E4 ``full`` row, ``repro.report.scenarios``):
 one node failure with delayed propagation (the agent keeps handing the
 dead node out until it accumulates strikes — each strike is one failed
 task), plus two tasks with a deterministic numerical failure on their
@@ -14,91 +15,31 @@ task failures, every one of them reruns to success, and the ensemble
 completes with only the two numerical casualties.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster import FaultInjector
-from repro.entk import (
-    AgentConfig,
-    AppManager,
-    EnTask,
-    Pipeline,
-    ResourceDescription,
-    Stage,
-    TaskState,
-)
-from repro.entk.platforms import platform_cluster
-from repro.exaam import frontier_stage3_tasks
-from repro.obs import enable_tracing
-from repro.report.scenarios import e4_rules
-from repro.rm import BatchScheduler
+from repro.entk import AgentConfig, EnTask, TaskState
+from repro.report.scenarios import SCENARIOS, e4_rules
 from repro.simkernel import Environment
 from repro.viz import render_table
 
 
-def numerical_failure_task(name: str, duration: float) -> EnTask:
-    """A task whose last simulation step always diverges."""
-
-    def work(env, task, nodes):
-        yield env.timeout(duration * 0.95)
-        raise RuntimeError(
-            "time step too large for this loading condition and RVE"
-        )
-
-    return EnTask(work=work, nodes=8, cores_per_node=56, gpus_per_node=8, name=name)
-
-
-def run_fault_scenario(n_tasks=790, nodes=800, seed=42):
-    env = Environment()
-    tracer = enable_tracing(env)
-    cluster = platform_cluster(env, "frontier", nodes=nodes)
-    batch = BatchScheduler(env, cluster, backfill=False)
-    agent = AgentConfig(
-        node_strikes=8,       # delayed failure propagation: 8 casualties
-        fail_detect_s=15.0,
-        max_task_retries=2,
-    )
-    am = AppManager(
-        env,
-        batch,
-        ResourceDescription(nodes=nodes, walltime_s=24 * 3600, agent=agent,
-                            max_jobs=1),
-    )
-    tasks = frontier_stage3_tasks(
-        n_tasks - 2, rng=np.random.default_rng(seed)
-    )
-    tasks += [
-        numerical_failure_task("constit-diverge-0", 900.0),
-        numerical_failure_task("constit-diverge-1", 1100.0),
-    ]
-    pipeline = Pipeline(name="uq-stage3")
-    stage = Stage(name="exaconstit")
-    stage.add_tasks(tasks)
-    pipeline.add_stage(stage)
-    result = am.run([pipeline])
-    # Kill one node mid-run (index scales with the cluster size).
-    victim = cluster.nodes[nodes // 2].id
-    FaultInjector(env, cluster, schedule=[(2000.0, victim)], downtime=None)
-    env.run(until=result.done)
-    return result, tasks, tracer
-
-
 @pytest.mark.slow
 def test_entk_fault_tolerance(benchmark, report, verdict):
-    result, tasks, tracer = benchmark.pedantic(
-        run_fault_scenario, rounds=1, iterations=1
+    result, tracer = benchmark.pedantic(
+        SCENARIOS["E4"].trace, args=("full",), rounds=1, iterations=1
     )
     prof = result.profiles[0]
+    tasks = [t for pl in result.pipelines for t in pl.all_tasks()]
 
-    node_failures = [
-        (name, t) for name, t, cause in prof_failures(result)
+    node_failed_tasks = {
+        name for name, cause in prof_failures(result)
         if "dead-node" in str(cause) or "frontier-00400" in str(cause)
-    ]
-    numerical_failures = [
-        (name, t) for name, t, cause in prof_failures(result)
+    }
+    numerical_failures = {
+        name for name, cause in prof_failures(result)
         if "time step" in str(cause)
-    ]
-    node_failed_tasks = {name for name, _ in node_failures}
+    }
     recovered = [
         t for t in tasks
         if t.name in node_failed_tasks and t.state == TaskState.DONE
@@ -111,7 +52,7 @@ def test_entk_fault_tolerance(benchmark, report, verdict):
             ["total task-failure events", "10", str(prof.tasks_failed_events)],
             ["tasks killed by the node failure", "8", str(len(node_failed_tasks))],
             ["...recovered after resubmission", "8", str(len(recovered))],
-            ["numerical failures (accepted)", "2", str(len({n for n, _ in numerical_failures}))],
+            ["numerical failures (accepted)", "2", str(len(numerical_failures))],
             ["tasks completed", "7873/7875", f"{result.tasks_done()}/{len(tasks)}"],
         ],
     )
@@ -141,17 +82,17 @@ def test_entk_fault_tolerance(benchmark, report, verdict):
 
 
 def prof_failures(result):
-    """(task, time, cause) across all pilot jobs of the run."""
-    events = []
-    for _profile in result.profiles:
-        pass
-    # Failures live on the agent; RunProfile keeps the count, the
-    # AppManager keeps per-task causes on the tasks themselves.
-    for pl in result.pipelines:
-        for t in pl.all_tasks():
-            for cause in t.failure_causes:
-                events.append((t.name, None, cause))
-    return events
+    """(task, cause) for every failed attempt across the run's tasks.
+
+    RunProfile keeps only the count; the per-task causes live on the
+    tasks themselves.
+    """
+    return [
+        (t.name, cause)
+        for pl in result.pipelines
+        for t in pl.all_tasks()
+        for cause in t.failure_causes
+    ]
 
 
 def test_entk_resilience_layer_reduced_scale():

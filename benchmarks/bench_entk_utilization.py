@@ -5,8 +5,9 @@ the machine), 8 nodes per task, runtimes 10-25 min; total resource
 utilization 90%; EnTK bootstrap overhead (OVH) 85 s against a TTX of
 7989 s (job runtime 8074 s).
 
-We reproduce the run at full scale on the simulated Frontier and
-report the same decomposition.  Absolute TTX depends on the runtime
+We reproduce the run at full scale on the simulated Frontier (the
+registry's E2 traced run at ``full`` scale, ``repro.report.scenarios``)
+and report the same decomposition.  Absolute TTX depends on the runtime
 draw; the shape targets are utilization ≈ 90% and OVH ≈ 1% of runtime.
 """
 
@@ -15,42 +16,18 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.entk import AppManager, Pipeline, ResourceDescription, Stage
-from repro.entk.platforms import platform_cluster
-from repro.exaam import frontier_stage3_tasks
-from repro.obs import enable_tracing
 from repro.obs.export import write_chrome_trace
-from repro.report.scenarios import e2_rules
-from repro.rm import BatchScheduler
-from repro.simkernel import Environment
+from repro.report.scenarios import SCENARIOS, e2_rules
 from repro.viz import render_series, render_stacked_bar, render_table
-
-
-def run_frontier_stage3(n_tasks=7875, nodes=8000, seed=42, trace=False):
-    env = Environment()
-    tracer = enable_tracing(env) if trace else None
-    cluster = platform_cluster(env, "frontier", nodes=nodes)
-    batch = BatchScheduler(env, cluster, backfill=False)
-    am = AppManager(
-        env, batch, ResourceDescription(nodes=nodes, walltime_s=12 * 3600)
-    )
-    pipeline = Pipeline(name="uq-stage3")
-    stage = Stage(name="exaconstit")
-    stage.add_tasks(frontier_stage3_tasks(n_tasks, rng=np.random.default_rng(seed)))
-    pipeline.add_stage(stage)
-    result = am.run([pipeline])
-    env.run(until=result.done)
-    assert result.succeeded
-    if trace:
-        return result.profiles[0], tracer
-    return result.profiles[0]
 
 
 @pytest.mark.slow
 def test_entk_frontier_utilization(benchmark, report, verdict):
-    prof, tracer = benchmark.pedantic(
-        lambda: run_frontier_stage3(trace=True), rounds=1, iterations=1
+    result, tracer = benchmark.pedantic(
+        SCENARIOS["E2"].trace, args=("full",), rounds=1, iterations=1
     )
+    assert result.succeeded
+    prof = result.profiles[0]
 
     bar = render_stacked_bar(
         [("OVH", prof.ovh), ("TTX", prof.ttx)], total=prof.job_runtime

@@ -9,13 +9,7 @@ forwarding loop recovers from an injected failure, and the produced
 phylogeny is scientifically coherent (recovers the planted clones).
 """
 
-from repro.llm import (
-    ChatWorkflowDriver,
-    MockFunctionCallingLLM,
-    PhyloflowAdapters,
-    make_synthetic_vcf,
-)
-from repro.report.scenarios import e8_rules
+from repro.report.scenarios import SCENARIOS, e8_rules
 from repro.viz import render_table
 
 PIPELINE_ORDER = [
@@ -25,31 +19,13 @@ PIPELINE_ORDER = [
     "spruce_phylogeny_from_futures",
 ]
 
-INSTRUCTION = (
-    "Run the full phyloflow pipeline on tumor.vcf: transform the VCF, "
-    "cluster the mutations into 3 clusters, and build the phylogeny."
-)
-
-
-def run_pipeline():
-    vcf = make_synthetic_vcf(n_mutations=90, n_clones=3, depth=500, seed=11)
-    adapters = PhyloflowAdapters(files={"tumor.vcf": vcf})
-    driver = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters)
-    result = driver.run(INSTRUCTION)
-    tree = driver.final_value(result)
-
-    # Error-forwarding variant: one injected transient failure.
-    adapters2 = PhyloflowAdapters(files={"tumor.vcf": vcf})
-    adapters2.inject_failure("pyclone_vi_from_futures", times=1)
-    driver2 = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters2)
-    recovery = driver2.run(INSTRUCTION)
-    tree2 = driver2.final_value(recovery)
-    return result, tree, recovery, tree2
-
 
 def test_llm_phyloflow_pipeline(benchmark, report, verdict):
-    result, tree, recovery, tree2 = benchmark.pedantic(
-        run_pipeline, rounds=1, iterations=1
+    # The first driver run, then the error-forwarding run with one
+    # injected transient failure.
+    e8 = SCENARIOS["E8"]
+    ((result, tree), _), (recovery, tree2) = benchmark.pedantic(
+        lambda: (e8.trace("full"), e8.extra("full")), rounds=1, iterations=1
     )
 
     table = render_table(

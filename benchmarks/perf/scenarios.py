@@ -248,7 +248,8 @@ def entk_frontier(n_tasks: int = 7875, nodes: int = 8000, seed: int = 42) -> dic
     """The paper's Frontier UQ campaign (E2/E3) at the given scale.
 
     Runs untraced — this measures the substrate, not the observability
-    layer; the traced variants live in ``bench_entk_*.py``.
+    layer; the traced variant is the E2/E3 scenario in
+    ``repro.report.scenarios``.
     """
     from repro.entk import AppManager, Pipeline, ResourceDescription, Stage
     from repro.entk.platforms import platform_cluster

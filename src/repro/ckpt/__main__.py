@@ -11,8 +11,9 @@ kill/resume round trips are gated on) and exit non-zero when the
 scenario's SLO verdict fails.  ``--throttle-ms`` slows record emission
 in wall-clock terms so the crash-injection harness can land SIGKILLs
 mid-run; it does not affect simulated time or the trace bytes.
-``resume`` and ``digest`` print one ``error:`` line and exit 2 when the
-directory holds no run to act on.
+``run`` prints one ``error:`` line and exits 2, writing nothing, for a
+bench id the scenario registry does not know; ``resume`` and
+``digest`` do the same when the directory holds no run to act on.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import time
 
 from repro.obs.tracer import SpanSink
+from repro.report.scenarios import scenario_id
 
 from repro.ckpt.format import read_manifest
 from repro.ckpt.runner import (
@@ -102,6 +104,10 @@ def main(argv=None) -> int:
     extra = (ThrottleSink(throttle / 1000.0),) if throttle > 0 else ()
 
     if args.cmd == "run":
+        try:
+            scenario_id(args.bench)
+        except KeyError as exc:
+            return _error(exc.args[0])
         result = run_checkpointed(
             args.bench,
             args.dir,

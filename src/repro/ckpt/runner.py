@@ -137,8 +137,13 @@ def run_checkpointed(
     """Run scenario ``bench_id`` with periodic snapshots into ``directory``.
 
     The directory must be fresh (no manifest) — an interrupted run is
-    continued with :func:`resume`, never by re-running this.
+    continued with :func:`resume`, never by re-running this.  An id
+    the scenario registry does not know raises :class:`KeyError`
+    before anything is written.
     """
+    from repro.report.scenarios import scenario_id
+
+    bench = scenario_id(bench_id)
     directory = str(directory)
     os.makedirs(directory, exist_ok=True)
     if read_manifest(directory) is not None:
@@ -148,7 +153,7 @@ def run_checkpointed(
         )
     manifest = {
         "kind": "scenario",
-        "bench": bench_id.upper(),
+        "bench": bench,
         "cadence": float(cadence),
         "full": bool(full),
         "segment_records": int(segment_records),

@@ -1,22 +1,44 @@
-"""Named E1–E8 benchmark scenarios for ``python -m repro.report``.
+"""The E1–E8 scenario registry: every paper campaign is built here, once.
 
-Each scenario replays one paper experiment (the same code paths the
-``benchmarks/bench_*.py`` suite drives) with tracing enabled, at a
-reduced scale that finishes in seconds, and packages the outcome as a
-:class:`~repro.report.RunReport` with scenario-appropriate SLO rules.
-``full=True`` switches to the paper-scale parameters the slow
-benchmarks use.
+Each :class:`Scenario` splits its campaign into two parts:
 
-The rule sets are the benchmarks' shape assertions restated as SLOs:
-a ``critical`` rule firing at the end of the run fails the report (and
-the CI smoke job); ``warning`` rules flag paper-number drift without
-failing anything.
+* **the traced run** — the one simulated run a golden digest pins
+  (E1: the largest workflow of the mix under ``rank``; E2–E4: the
+  EnTK UQ Stage 3 pilot; E5: the ATLAS cloud run; E6: the ATLAS HPC
+  run; E7: the fused JGI QC chain; E8: the first Phyloflow driver
+  run, which has no discrete-event trace);
+* **the report's extras** — untraced runs only the report compares
+  against (E1's ``makespan_experiment`` over the mix, E6's cloud run,
+  E7's unfused baseline, E8's error-recovery run).
+
+Both read one parameter row from the scenario's ``scales`` table:
+
+``golden``
+    Sub-second traced runs whose exported text (:func:`golden_trace`)
+    is byte-pinned in ``trace_digests.json`` next to this module, by
+    ``tests/golden/``, ``python -m repro.sanitizer`` and
+    ``python -m repro.ckpt``-style determinism checks.
+``reduced``
+    The seconds-long default of ``python -m repro.report --bench EX``.
+``full``
+    The paper-scale parameters the ``benchmarks/bench_*.py`` suite
+    runs (``--full`` on the report CLI).
+
+:func:`run_scenario` packages a run as a :class:`~repro.report.RunReport`
+with the scenario's SLO rules.  The rule sets are the benchmarks' shape
+assertions restated as SLOs: a ``critical`` rule firing at the end of
+the run fails the report (and the CI smoke job); ``warning`` rules flag
+paper-number drift without failing anything.
+
+Domain packages are imported inside each builder, so importing a rule
+set (``e2_rules``) loads nothing beyond the report layer.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -25,19 +47,41 @@ from repro.obs.alerts import Rule
 from repro.report import RunReport, build_report
 from repro.simkernel import Environment
 
+#: The pinned SHA-256 digests of every scenario's :func:`golden_trace`.
+DIGESTS_FILE = os.path.join(os.path.dirname(__file__), "trace_digests.json")
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """One runnable benchmark scenario."""
+    """One paper campaign: its traced run, its extras and its scales."""
 
     bench_id: str
     title: str
-    build: Callable[[bool, bool], RunReport]
-    #: What the paper figure/table this regenerates says.
-    figure: str = ""
+    #: One keyword row per scale: ``golden``, ``reduced`` and ``full``.
+    scales: dict
+    #: ``traced(**row) -> (outcome, tracer)``; ``tracer`` is ``None``
+    #: for a run without a discrete-event trace.
+    traced: Callable[..., tuple]
+    #: ``report(row, full, outcome, tracer, extra, stream) -> RunReport``.
+    report: Callable[..., RunReport]
+    #: ``extras(**row)``: the untraced run only the report needs.
+    extras: Optional[Callable[..., Any]] = None
+    #: ``canonical(outcome) -> str``: the pinned text of an untraced run.
+    canonical: Optional[Callable[[Any], str]] = None
+
+    def trace(self, scale: str = "golden") -> tuple:
+        """The traced run at ``scale``: ``(outcome, tracer)``."""
+        return self.traced(**self.scales[scale])
+
+    def extra(self, scale: str) -> Any:
+        """The report's extra run at ``scale`` (``None`` if it has none)."""
+        return self.extras(**self.scales[scale]) if self.extras else None
 
     def run(self, full: bool = False, stream: bool = False) -> RunReport:
-        return self.build(full, stream)
+        scale = "full" if full else "reduced"
+        extra = self.extra(scale)
+        outcome, tracer = self.trace(scale)
+        return self.report(self.scales[scale], full, outcome, tracer, extra, stream)
 
 
 # -- SLO rule sets ---------------------------------------------------------------
@@ -168,7 +212,72 @@ def e8_rules() -> list:
     ]
 
 
+def _traced_env() -> tuple:
+    env = Environment()
+    return env, enable_tracing(env)
+
+
+# -- E1: CWS workflow-aware scheduling -------------------------------------------
+
+
+def _e1_traced(seeds):
+    from repro.cws.experiment import run_workflow_once
+    from repro.workloads import workflow_mix
+
+    env, tracer = _traced_env()
+    wf = max(workflow_mix(seed=seeds[0]), key=lambda w: len(w.graph))
+    return (wf, run_workflow_once(wf, "rank", env=env)), tracer
+
+
+def _e1_extras(seeds):
+    from repro.cws.experiment import makespan_experiment
+
+    return makespan_experiment(seeds=seeds)
+
+
+def _e1_report(row, full, outcome, tracer, rows, stream) -> RunReport:
+    from repro.cws.experiment import summarize
+
+    wf, makespan = outcome
+    summary = summarize(rows)
+    headline = {
+        f"{strategy}_mean_reduction": stats["mean_reduction"]
+        for strategy, stats in summary["per_strategy"].items()
+    }
+    headline.update(
+        {
+            f"{strategy}_max_reduction": stats["max_reduction"]
+            for strategy, stats in summary["per_strategy"].items()
+        }
+    )
+    headline["traced_workflow_makespan_s"] = makespan
+    return build_report(
+        "E1",
+        tracer,
+        title="CWS workflow-aware scheduling vs FIFO",
+        headline=headline,
+        rules=e1_rules(),
+        notes=[
+            f"mix x strategies over seeds {row['seeds']}; trace: "
+            f"{wf.name!r} under 'rank'",
+            "paper: avg 10.8% makespan reduction, up to 25%",
+        ],
+        stream=stream,
+    )
+
+
 # -- E2/E3/E4: EnTK UQ Stage 3 on the simulated Frontier -------------------------
+
+
+def numerical_failure_task(name: str, duration: float):
+    """An ExaConstit task whose last simulation step always diverges."""
+    from repro.entk import EnTask
+
+    def work(env, task, nodes):
+        yield env.timeout(duration * 0.95)
+        raise RuntimeError("time step too large for this loading condition and RVE")
+
+    return EnTask(work=work, nodes=8, cores_per_node=56, gpus_per_node=8, name=name)
 
 
 def _stage3_run(
@@ -189,8 +298,7 @@ def _stage3_run(
     from repro.exaam import frontier_stage3_tasks
     from repro.rm import BatchScheduler
 
-    env = Environment()
-    tracer = enable_tracing(env)
+    env, tracer = _traced_env()
     cluster = platform_cluster(env, "frontier", nodes=nodes)
     batch = BatchScheduler(env, cluster, backfill=False)
     rd_kwargs = {"nodes": nodes, "walltime_s": 24 * 3600}
@@ -215,9 +323,8 @@ def _stage3_run(
     return result, tracer
 
 
-def _e2(full: bool, stream: bool = False) -> RunReport:
-    n_tasks, nodes = (7875, 8000) if full else (400, 400)
-    result, tracer = _stage3_run(n_tasks, nodes)
+def _e2_report(row, full, result, tracer, _extra, stream) -> RunReport:
+    n_tasks, nodes = row["n_tasks"], row["nodes"]
     prof = result.profiles[0]
     headline = {
         "tasks_done": prof.tasks_done,
@@ -245,9 +352,8 @@ def _e2(full: bool, stream: bool = False) -> RunReport:
     )
 
 
-def _e3(full: bool, stream: bool = False) -> RunReport:
-    n_tasks, nodes = (7875, 8000) if full else (400, 400)
-    result, tracer = _stage3_run(n_tasks, nodes)
+def _e3_report(row, full, result, tracer, _extra, stream) -> RunReport:
+    nodes = row["nodes"]
     prof = result.profiles[0]
     headline = {
         "scheduling_throughput": prof.scheduling_throughput,
@@ -271,29 +377,21 @@ def _e3(full: bool, stream: bool = False) -> RunReport:
     )
 
 
-def _e4(full: bool, stream: bool = False) -> RunReport:
-    from repro.entk import AgentConfig, EnTask, TaskState
+def _e4_traced(n_tasks, nodes, diverging):
+    from repro.entk import AgentConfig
 
-    def numerical_failure_task(name: str, duration: float) -> EnTask:
-        def work(env, task, nodes):
-            yield env.timeout(duration * 0.95)
-            raise RuntimeError(
-                "time step too large for this loading condition and RVE"
-            )
-
-        return EnTask(
-            work=work, nodes=8, cores_per_node=56, gpus_per_node=8, name=name
-        )
-
-    n_tasks, nodes = (790, 800)  # the benchmark's 1/10-scale scenario
+    # Delayed failure propagation: the agent keeps handing the dead node
+    # out until it collects 8 strikes, one failed task each.
     agent = AgentConfig(node_strikes=8, fail_detect_s=15.0, max_task_retries=2)
-    extra = [
-        numerical_failure_task("constit-diverge-0", 900.0),
-        numerical_failure_task("constit-diverge-1", 1100.0),
-    ]
-    result, tracer = _stage3_run(
+    extra = [numerical_failure_task(name, at) for name, at in diverging]
+    return _stage3_run(
         n_tasks, nodes, agent=agent, extra_tasks=extra, fault_at=2000.0
     )
+
+
+def _e4_report(row, full, result, tracer, _extra, stream) -> RunReport:
+    from repro.entk import TaskState
+
     prof = result.profiles[0]
     permanently_failed = [
         t
@@ -311,7 +409,7 @@ def _e4(full: bool, stream: bool = False) -> RunReport:
         tracer,
         title="EnTK fault tolerance under a node failure",
         headline=headline,
-        rules=e4_rules(n_tasks),
+        rules=e4_rules(row["n_tasks"]),
         component="entk-pilot-0",
         straggler_category="entk.exec",
         notes=[
@@ -322,64 +420,24 @@ def _e4(full: bool, stream: bool = False) -> RunReport:
     )
 
 
-# -- E1: CWS workflow-aware scheduling -------------------------------------------
-
-
-def _e1(full: bool, stream: bool = False) -> RunReport:
-    from repro.cws.experiment import makespan_experiment, run_workflow_once, summarize
-    from repro.workloads import workflow_mix
-
-    seeds = (0, 1, 2) if full else (0,)
-    rows = makespan_experiment(seeds=seeds)
-    summary = summarize(rows)
-    headline = {
-        f"{strategy}_mean_reduction": stats["mean_reduction"]
-        for strategy, stats in summary["per_strategy"].items()
-    }
-    headline.update(
-        {
-            f"{strategy}_max_reduction": stats["max_reduction"]
-            for strategy, stats in summary["per_strategy"].items()
-        }
-    )
-
-    # One traced run (largest workflow of the mix under "rank") so the
-    # report can show where a scheduled workflow's makespan goes.
-    env = Environment()
-    tracer = enable_tracing(env)
-    mix = workflow_mix(seed=seeds[0])
-    wf = max(mix, key=lambda w: len(w.graph))
-    headline["traced_workflow_makespan_s"] = run_workflow_once(wf, "rank", env=env)
-
-    return build_report(
-        "E1",
-        tracer,
-        title="CWS workflow-aware scheduling vs FIFO",
-        headline=headline,
-        rules=e1_rules(),
-        notes=[
-            f"mix x strategies over seeds {seeds}; trace: "
-            f"{wf.name!r} under 'rank'",
-            "paper: avg 10.8% makespan reduction, up to 25%",
-        ],
-        stream=stream,
-    )
-
-
 # -- E5/E6: ATLAS sequencing pipeline, cloud vs HPC ------------------------------
 
 
-def _e5(full: bool, stream: bool = False) -> RunReport:
-    from repro.atlas import run_experiment, table1
+def _e5_traced(n_files, max_instances):
+    from repro.atlas import run_experiment
 
-    n_files = 99 if full else 24
-    env = Environment()
-    tracer = enable_tracing(env)
+    env, tracer = _traced_env()
     result = run_experiment(
-        "cloud", n_files=n_files, seed=0, max_instances=12, env=env
+        "cloud", n_files=n_files, seed=0, max_instances=max_instances, env=env
     )
-    rows = table1(result.records)
-    by_step = {r.step: r for r in rows}
+    return result, tracer
+
+
+def _e5_report(row, full, result, tracer, _extra, stream) -> RunReport:
+    from repro.atlas import table1
+
+    n_files = row["n_files"]
+    by_step = {r.step: r for r in table1(result.records)}
     headline = {
         "files": len(result.records),
         "failures": result.failures,
@@ -405,16 +463,24 @@ def _e5(full: bool, stream: bool = False) -> RunReport:
     )
 
 
-def _e6(full: bool, stream: bool = False) -> RunReport:
-    from repro.atlas import compare_cloud_hpc, run_experiment
+def _e6_traced(n_files, slots):
+    from repro.atlas import run_experiment
 
-    n_files = 99 if full else 24
-    cloud = run_experiment("cloud", n_files=n_files, seed=0, max_instances=12)
-    env = Environment()
-    tracer = enable_tracing(env)
-    hpc = run_experiment("hpc", n_files=n_files, seed=0, slots=12, env=env)
-    rows = compare_cloud_hpc(cloud.records, hpc.records)
-    by_step = {r.step: r for r in rows}
+    env, tracer = _traced_env()
+    return run_experiment("hpc", n_files=n_files, seed=0, slots=slots, env=env), tracer
+
+
+def _e6_extras(n_files, slots):
+    from repro.atlas import run_experiment
+
+    # The cloud side gets as many instances as the HPC side has slots.
+    return run_experiment("cloud", n_files=n_files, seed=0, max_instances=slots)
+
+
+def _e6_report(row, full, hpc, tracer, cloud, stream) -> RunReport:
+    from repro.atlas import compare_cloud_hpc
+
+    by_step = {r.step: r for r in compare_cloud_hpc(cloud.records, hpc.records)}
     headline = {
         "cloud_makespan_h": cloud.makespan / 3600,
         "hpc_makespan_h": hpc.makespan / 3600,
@@ -432,7 +498,7 @@ def _e6(full: bool, stream: bool = False) -> RunReport:
         rules=e6_rules(),
         straggler_category="atlas.step",
         notes=[
-            f"{n_files} files per environment; trace covers the HPC run",
+            f"{row['n_files']} files per environment; trace covers the HPC run",
             "paper: prefetch 87% slower on HPC, fasterq 30% / salmon 19% "
             "faster, DESeq2 no difference",
         ],
@@ -442,79 +508,83 @@ def _e6(full: bool, stream: bool = False) -> RunReport:
 
 # -- E7: JAWS task fusion --------------------------------------------------------
 
+#: The JGI per-sample QC chain, in chain order: task -> (output name,
+#: output file, cpu, runtime minutes, container image).
+JGI_TASKS = {
+    "qc": ("cleaned", "cleaned.fq", 2, 1, "jgi/qc@sha256:aa"),
+    "trim": ("trimmed", "trimmed.fq", 2, 1, "jgi/qc@sha256:aa"),
+    "align": ("bam", "out.bam", 4, 2, "jgi/align@sha256:bb"),
+    "stats": ("report", "stats.txt", 1, 1, "jgi/qc@sha256:aa"),
+}
 
-def _e7(full: bool, stream: bool = False) -> RunReport:
-    from repro.cluster import Cluster, NodeSpec
-    from repro.jaws import (
-        CromwellEngine,
-        EngineOptions,
-        fuse_linear_chains,
-        parse_wdl,
+
+def jgi_wdl(samples: int, chain=tuple(JGI_TASKS)) -> str:
+    """WDL for a scatter over ``samples`` reads files, each running the
+    ``chain`` of :data:`JGI_TASKS`, every task consuming its
+    predecessor's output."""
+    tasks, calls = [], []
+    source, ref = "reads", "s"
+    for name in chain:
+        output, path, cpu, minutes, image = JGI_TASKS[name]
+        tasks.append(
+            f"task {name} {{\n"
+            f"    input {{ File {source} }}\n"
+            f"    command <<< run_{name} >>>\n"
+            f'    output {{ File {output} = "{path}" }}\n'
+            f"    runtime {{ cpu: {cpu}, runtime_minutes: {minutes}, "
+            f'docker: "{image}" }}\n'
+            "}\n"
+        )
+        calls.append(f"        call {name} {{ input: {source} = {ref} }}\n")
+        source, ref = output, f"{name}.{output}"
+    names = ", ".join(f'"s{i}.fq"' for i in range(samples))
+    return (
+        "version 1.0\n"
+        + "".join(tasks)
+        + "workflow sample_qc {\n"
+        + f"    input {{ Array[File] samples = [{names}] }}\n"
+        + "    scatter (s in samples) {\n"
+        + "".join(calls)
+        + "    }\n}\n"
     )
+
+
+def _jgi_run(doc, nodes: int, env=None):
+    """Run a parsed JGI workflow on ``nodes`` 16-core nodes under the
+    overhead-dominated cost model of the JGI anecdote: shared-filesystem
+    staging costs far more than the 1-2 minute tools."""
+    from repro.cluster import Cluster, NodeSpec
+    from repro.jaws import CromwellEngine, EngineOptions
     from repro.rm import BatchScheduler
 
-    # Local import: the WDL text generator lives with the benchmark's
-    # cost-model narrative, but the workflow shape is simple enough to
-    # restate here at parametric sample count.
-    def jgi_workflow(samples: int) -> str:
-        names = ", ".join(f'"s{i}.fq"' for i in range(samples))
-        return f"""
-        version 1.0
-        task qc {{
-            input {{ File reads }}
-            command <<< run_qc >>>
-            output {{ File cleaned = "cleaned.fq" }}
-            runtime {{ cpu: 2, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-        }}
-        task trim {{
-            input {{ File cleaned }}
-            command <<< run_trim >>>
-            output {{ File trimmed = "trimmed.fq" }}
-            runtime {{ cpu: 2, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-        }}
-        task align {{
-            input {{ File trimmed }}
-            command <<< run_align >>>
-            output {{ File bam = "out.bam" }}
-            runtime {{ cpu: 4, runtime_minutes: 2, docker: "jgi/align@sha256:bb" }}
-        }}
-        task stats {{
-            input {{ File bam }}
-            command <<< run_stats >>>
-            output {{ File report = "stats.txt" }}
-            runtime {{ cpu: 1, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-        }}
-        workflow sample_qc {{
-            input {{ Array[File] samples = [{names}] }}
-            scatter (s in samples) {{
-                call qc {{ input: reads = s }}
-                call trim {{ input: cleaned = qc.cleaned }}
-                call align {{ input: trimmed = trim.trimmed }}
-                call stats {{ input: bam = align.bam }}
-            }}
-        }}
-        """
-
+    env = env if env is not None else Environment()
+    cluster = Cluster(env, pools=[(NodeSpec("c", cores=16, memory_gb=128), nodes)])
     options = EngineOptions(container_start_s=45.0, stage_overhead_s=420.0)
-    samples = 25 if full else 8
+    engine = CromwellEngine(env, BatchScheduler(env, cluster), options)
+    result = engine.run(doc)
+    env.run(until=result.done)
+    if not result.succeeded:
+        raise RuntimeError(f"JGI workflow failed: {result.error}")
+    return result
 
-    def execute(doc, env=None):
-        env = env if env is not None else Environment()
-        cluster = Cluster(
-            env, pools=[(NodeSpec("c", cores=16, memory_gb=128), 32)]
-        )
-        engine = CromwellEngine(env, BatchScheduler(env, cluster), options)
-        result = engine.run(doc)
-        env.run(until=result.done)
-        assert result.succeeded, result.error
-        return result
 
-    baseline = execute(parse_wdl(jgi_workflow(samples)))
-    fused_doc, fusions = fuse_linear_chains(parse_wdl(jgi_workflow(samples)))
-    env = Environment()
-    tracer = enable_tracing(env)
-    fused = execute(fused_doc, env=env)
+def _e7_traced(samples, chain, nodes):
+    from repro.jaws import fuse_linear_chains, parse_wdl
 
+    doc, fusions = fuse_linear_chains(parse_wdl(jgi_wdl(samples, chain)))
+    env, tracer = _traced_env()
+    return (_jgi_run(doc, nodes, env=env), fusions), tracer
+
+
+def _e7_extras(samples, chain, nodes):
+    from repro.jaws import parse_wdl
+
+    return _jgi_run(parse_wdl(jgi_wdl(samples, chain)), nodes)
+
+
+def _e7_report(row, full, outcome, tracer, baseline, stream) -> RunReport:
+    fused, fusions = outcome
+    samples = row["samples"]
     time_cut = 1 - fused.makespan / baseline.makespan
     shard_cut = 1 - fused.shard_count / baseline.shard_count
     headline = {
@@ -544,8 +614,21 @@ def _e7(full: bool, stream: bool = False) -> RunReport:
 
 # -- E8: LLM-driven Phyloflow (no discrete-event trace) --------------------------
 
+PHYLOFLOW_INSTRUCTION = (
+    "Run the full phyloflow pipeline on tumor.vcf: transform the VCF, "
+    "cluster the mutations into 3 clusters, and build the phylogeny."
+)
 
-def _e8(full: bool, stream: bool = False) -> RunReport:
+PHYLOFLOW_STEPS = [
+    "vcf_transform_from_file",
+    "pyclone_vi_from_futures",
+    "spruce_format_from_futures",
+    "spruce_phylogeny_from_futures",
+]
+
+
+def _phyloflow(n_mutations: int, inject_failure: bool = False) -> tuple:
+    """One driver run from the instruction; ``(result, final tree)``."""
     from repro.llm import (
         ChatWorkflowDriver,
         MockFunctionCallingLLM,
@@ -553,31 +636,44 @@ def _e8(full: bool, stream: bool = False) -> RunReport:
         make_synthetic_vcf,
     )
 
-    instruction = (
-        "Run the full phyloflow pipeline on tumor.vcf: transform the VCF, "
-        "cluster the mutations into 3 clusters, and build the phylogeny."
-    )
-    pipeline_order = [
-        "vcf_transform_from_file",
-        "pyclone_vi_from_futures",
-        "spruce_format_from_futures",
-        "spruce_phylogeny_from_futures",
-    ]
-    vcf = make_synthetic_vcf(n_mutations=90, n_clones=3, depth=500, seed=11)
+    vcf = make_synthetic_vcf(n_mutations=n_mutations, n_clones=3, depth=500, seed=11)
     adapters = PhyloflowAdapters(files={"tumor.vcf": vcf})
+    if inject_failure:
+        adapters.inject_failure("pyclone_vi_from_futures", times=1)
     driver = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters)
-    result = driver.run(instruction)
-    tree = driver.final_value(result)
+    result = driver.run(PHYLOFLOW_INSTRUCTION)
+    return result, driver.final_value(result)
 
-    adapters2 = PhyloflowAdapters(files={"tumor.vcf": vcf})
-    adapters2.inject_failure("pyclone_vi_from_futures", times=1)
-    driver2 = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters2)
-    recovery = driver2.run(instruction)
-    tree2 = driver2.final_value(recovery)
 
+def _e8_traced(n_mutations):
+    return _phyloflow(n_mutations), None
+
+
+def _e8_extras(n_mutations):
+    # One injected transient failure the driver must forward and retry.
+    return _phyloflow(n_mutations, inject_failure=True)
+
+
+def _e8_canonical(outcome) -> str:
+    import json
+
+    result, tree = outcome
+    doc = {
+        "calls_made": result.calls_made(),
+        "api_calls": result.api_calls,
+        "n_clones": tree["n_clones"],
+        "confidence": round(float(tree["confidence"]), 12),
+        "edges": sorted(map(list, tree["edges"])),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _e8_report(row, full, outcome, tracer, recovery_run, stream) -> RunReport:
+    result, tree = outcome
+    recovery, tree2 = recovery_run
     headline = {
         "api_calls": result.api_calls,
-        "steps_in_order": int(result.calls_made() == pipeline_order),
+        "steps_in_order": int(result.calls_made() == PHYLOFLOW_STEPS),
         "futures_registered": len(result.future_ids),
         "n_clones": tree["n_clones"],
         "confidence": tree["confidence"],
@@ -597,16 +693,129 @@ def _e8(full: bool, stream: bool = False) -> RunReport:
     )
 
 
-SCENARIOS = {
-    "E1": Scenario("E1", "CWS makespan reduction (§3.5)", _e1, "makespan table"),
-    "E2": Scenario("E2", "EnTK utilization (§4.3, Fig 4)", _e2, "Fig 4"),
-    "E3": Scenario("E3", "EnTK concurrency (§4.3, Fig 5)", _e3, "Fig 5"),
-    "E4": Scenario("E4", "EnTK fault tolerance (§4.3)", _e4, "failure table"),
-    "E5": Scenario("E5", "ATLAS cloud metrics (§5.2.1, Table 1)", _e5, "Table 1"),
-    "E6": Scenario("E6", "ATLAS cloud vs HPC (§5.2.1, Table 2)", _e6, "Table 2"),
-    "E7": Scenario("E7", "JAWS task fusion (§6.1)", _e7, "fusion table"),
-    "E8": Scenario("E8", "LLM Phyloflow (§2.1)", _e8, "pipeline demo"),
+#: Frontier UQ Stage 3 rows shared by E2 and E3 above the golden scale.
+_STAGE3_REDUCED = {"n_tasks": 400, "nodes": 400}
+_STAGE3_FULL = {"n_tasks": 7875, "nodes": 8000}
+#: E4 runs the benchmark's 1/10-scale scenario at both report scales.
+_E4_TENTH = {
+    "n_tasks": 790,
+    "nodes": 800,
+    "diverging": (("constit-diverge-0", 900.0), ("constit-diverge-1", 1100.0)),
 }
+
+SCENARIOS = {
+    "E1": Scenario(
+        "E1",
+        "CWS makespan reduction (§3.5)",
+        scales={
+            "golden": {"seeds": (0,)},
+            "reduced": {"seeds": (0,)},
+            "full": {"seeds": (0, 1, 2)},
+        },
+        traced=_e1_traced,
+        extras=_e1_extras,
+        report=_e1_report,
+    ),
+    "E2": Scenario(
+        "E2",
+        "EnTK utilization (§4.3, Fig 4)",
+        scales={
+            "golden": {"n_tasks": 120, "nodes": 120},
+            "reduced": _STAGE3_REDUCED,
+            "full": _STAGE3_FULL,
+        },
+        traced=_stage3_run,
+        report=_e2_report,
+    ),
+    "E3": Scenario(
+        "E3",
+        "EnTK concurrency (§4.3, Fig 5)",
+        scales={
+            "golden": {"n_tasks": 160, "nodes": 80},
+            "reduced": _STAGE3_REDUCED,
+            "full": _STAGE3_FULL,
+        },
+        traced=_stage3_run,
+        report=_e3_report,
+    ),
+    "E4": Scenario(
+        "E4",
+        "EnTK fault tolerance (§4.3)",
+        scales={
+            "golden": {
+                "n_tasks": 100,
+                "nodes": 104,
+                "diverging": (("diverge-0", 900.0),),
+            },
+            "reduced": _E4_TENTH,
+            "full": _E4_TENTH,
+        },
+        traced=_e4_traced,
+        report=_e4_report,
+    ),
+    "E5": Scenario(
+        "E5",
+        "ATLAS cloud metrics (§5.2.1, Table 1)",
+        scales={
+            "golden": {"n_files": 8, "max_instances": 4},
+            "reduced": {"n_files": 24, "max_instances": 12},
+            "full": {"n_files": 99, "max_instances": 12},
+        },
+        traced=_e5_traced,
+        report=_e5_report,
+    ),
+    "E6": Scenario(
+        "E6",
+        "ATLAS cloud vs HPC (§5.2.1, Table 2)",
+        scales={
+            "golden": {"n_files": 8, "slots": 4},
+            "reduced": {"n_files": 24, "slots": 12},
+            "full": {"n_files": 99, "slots": 12},
+        },
+        traced=_e6_traced,
+        extras=_e6_extras,
+        report=_e6_report,
+    ),
+    "E7": Scenario(
+        "E7",
+        "JAWS task fusion (§6.1)",
+        scales={
+            "golden": {"samples": 4, "chain": ("qc", "align"), "nodes": 16},
+            "reduced": {"samples": 8, "chain": tuple(JGI_TASKS), "nodes": 32},
+            "full": {"samples": 25, "chain": tuple(JGI_TASKS), "nodes": 32},
+        },
+        traced=_e7_traced,
+        extras=_e7_extras,
+        report=_e7_report,
+    ),
+    "E8": Scenario(
+        "E8",
+        "LLM Phyloflow (§2.1)",
+        scales={
+            "golden": {"n_mutations": 60},
+            "reduced": {"n_mutations": 90},
+            "full": {"n_mutations": 90},
+        },
+        traced=_e8_traced,
+        extras=_e8_extras,
+        report=_e8_report,
+        canonical=_e8_canonical,
+    ),
+}
+
+
+def scenario_id(bench_id: str) -> str:
+    """The registry key for ``bench_id``, matched case-insensitively.
+
+    Raises :class:`KeyError` whose message names the valid ids.
+    """
+    key = bench_id.strip().upper()
+    if key not in SCENARIOS:
+        raise KeyError(
+            f"unknown benchmark {bench_id!r}; choose from "
+            f"{', '.join(sorted(SCENARIOS))}"
+        )
+    return key
 
 
 def run_scenario(
@@ -618,12 +827,42 @@ def run_scenario(
     :class:`~repro.obs.stream.StubTrace` pass; verdicts are identical
     to the batch path (asserted in ``tests/report/test_stream_mode.py``).
     """
-    key = bench_id.upper()
-    if key not in SCENARIOS:
-        raise KeyError(
-            f"unknown benchmark {bench_id!r}; choose from {sorted(SCENARIOS)}"
-        )
-    return SCENARIOS[key].run(full=full, stream=stream)
+    return SCENARIOS[scenario_id(bench_id)].run(full=full, stream=stream)
 
 
-__all__ = ["SCENARIOS", "Scenario", "run_scenario"]
+def golden_trace(bench_id: str) -> str:
+    """The text a golden digest pins: the traced run at ``golden`` scale,
+    exported as JSONL with metrics (E8: the canonical JSON of its run)."""
+    from repro.obs import to_jsonl
+
+    scenario = SCENARIOS[scenario_id(bench_id)]
+    # numpy global-state hygiene: the builders use explicit Generators,
+    # but reset the legacy global RNG anyway so a stray np.random.* call
+    # cannot couple one scenario's digest to whatever ran before it.
+    np.random.seed(0)  # simlint: disable=DET002 -- resets, never draws from, the global stream
+    outcome, tracer = scenario.trace("golden")
+    if tracer is None:
+        return scenario.canonical(outcome)
+    return to_jsonl(tracer, include_metrics=True)
+
+
+def pinned_digests() -> dict:
+    """``{bench_id: {"sha256", "bytes", "lines"}}`` from :data:`DIGESTS_FILE`."""
+    import json
+
+    with open(DIGESTS_FILE) as fh:
+        return json.load(fh)
+
+
+__all__ = [
+    "DIGESTS_FILE",
+    "JGI_TASKS",
+    "SCENARIOS",
+    "Scenario",
+    "golden_trace",
+    "jgi_wdl",
+    "numerical_failure_task",
+    "pinned_digests",
+    "run_scenario",
+    "scenario_id",
+]

@@ -5,9 +5,9 @@ Two entry points (full guide: ``docs/SANITIZER.md``):
 * :func:`enable_sanitizer` — attach a batch observer to an
   :class:`~repro.simkernel.core.Environment` and collect cross-process
   write-write pairs per same-instant batch.
-* ``python -m repro.sanitizer`` — re-run the golden E1–E8 scenarios at
-  reduced scale with every batch reversed/shuffled and verify the
-  digests don't move (:mod:`repro.sanitizer.permute`).
+* ``python -m repro.sanitizer`` — re-run the registry's E1–E8
+  scenarios at golden scale with every batch reversed/shuffled and
+  verify the digests don't move (:mod:`repro.sanitizer.permute`).
 
 This package top level stays import-light (PEP 562 lazy attributes):
 the instrumented containers import :mod:`repro.sanitizer.hooks` at

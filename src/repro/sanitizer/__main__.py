@@ -1,13 +1,15 @@
 """CLI for the simsan batch-permutation checker.
 
-Usage (from the repo root)::
+Usage (from any directory; the scenarios come from the registry in
+:mod:`repro.report.scenarios`)::
 
-    PYTHONPATH=src python -m repro.sanitizer                     # all of E1-E8
-    PYTHONPATH=src python -m repro.sanitizer --only E2,E5        # a subset
-    PYTHONPATH=src python -m repro.sanitizer --out SIMSAN.json   # machine report
+    python -m repro.sanitizer                     # all of E1-E8
+    python -m repro.sanitizer --only E2,E5        # a subset (case-insensitive)
+    python -m repro.sanitizer --out SIMSAN.json   # machine report
 
-Exit codes: 0 all scenarios pass, 1 at least one divergent trace or
-same-instant race, 2 usage/internal error.
+Exit codes: 0 all scenarios pass, 1 at least one divergent trace,
+same-instant race or golden-digest drift, 2 usage error (an unknown
+bench id or permutation mode).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.report.scenarios import scenario_id
 from repro.sanitizer.permute import MODES, run_check
 
 
@@ -38,21 +41,15 @@ def main(argv=None) -> int:
         "--seed", type=int, default=1, help="shuffle seed (default: 1)"
     )
     parser.add_argument(
-        "--traces",
-        type=Path,
-        default=Path("tests/golden/traces.py"),
-        help="path to the golden trace builders",
-    )
-    parser.add_argument(
         "--out", type=Path, help="also write the JSON report to this path"
     )
     args = parser.parse_args(argv)
 
-    if not args.traces.exists():
-        print(f"error: no golden builders at {args.traces} (run from the repo root)",
-              file=sys.stderr)
+    try:
+        only = [scenario_id(b) for b in (args.only or "").split(",") if b.strip()]
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    only = [b.strip() for b in args.only.split(",")] if args.only else None
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
         if mode not in MODES:
@@ -60,13 +57,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    report = run_check(
-        args.traces,
-        only=only,
-        modes=modes,
-        seed=args.seed,
-        digests_path=args.traces.parent / "trace_digests.json",
-    )
+    report = run_check(only=only, modes=modes, seed=args.seed)
 
     for res in report["results"]:
         status = "ok  " if res["passed"] else "FAIL"
@@ -85,6 +76,7 @@ def main(argv=None) -> int:
               "golden digest (fix the golden suite first)")
 
     if args.out:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     return 0 if report["passed"] else 1

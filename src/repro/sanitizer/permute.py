@@ -1,10 +1,15 @@
 """Batch-permutation checker for the golden E1–E8 scenarios.
 
+One loop over the scenario registry (:mod:`repro.report.scenarios`):
+each bench id's golden-scale traced run (:func:`golden_trace`) is the
+baseline, so the check needs only ``src`` on the path and runs from
+any directory.
+
 The calendar-queue kernel dispatches every event scheduled at the same
 simulated instant as one batch, in insertion order.  Correct models
 must not depend on that order: two events at the same instant have no
 causal edge between them, so any batch permutation must produce the
-same simulation.  This module re-runs the reduced-scale golden
+same simulation.  This module re-runs the golden-scale
 scenarios with every same-instant batch reversed or deterministically
 shuffled (:class:`repro.sanitizer.core.Sanitizer`'s ``permute`` mode)
 and compares the exported traces against an unpermuted baseline built
@@ -39,12 +44,9 @@ Only ``divergent`` fails the check.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.obs.tracer import tracing_hook
 from repro.sanitizer.core import enable_sanitizer
@@ -92,29 +94,6 @@ class PermutationResult:
             "batches": self.batches,
             "units": self.units,
         }
-
-
-def load_build_traces(traces_path: Path | str) -> Callable:
-    """Import ``build_traces`` from the golden suite by file path.
-
-    The builders live under ``tests/`` (they are test fixtures, not
-    library code), so they are loaded explicitly rather than imported —
-    ``python -m repro.sanitizer`` must work with only ``src`` on the
-    path.
-    """
-    traces_path = Path(traces_path)
-    repo_root = traces_path.resolve().parents[2]
-    if str(repo_root) not in sys.path:
-        # traces.py does ``from repro.obs import ...`` style imports
-        # plus nothing test-local, but regen.py precedent: make the
-        # repo root importable so sibling fixtures resolve.
-        sys.path.insert(0, str(repo_root))
-    spec = importlib.util.spec_from_file_location("_golden_traces", traces_path)
-    if spec is None or spec.loader is None:
-        raise FileNotFoundError(f"cannot load golden builders from {traces_path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.build_traces
 
 
 # -- canonicalization ----------------------------------------------------------
@@ -221,13 +200,14 @@ def classify(base_text: str, perm_text: str) -> tuple[str, str]:
 
 
 def check_scenario(
-    build_traces: Callable,
     bench_id: str,
     modes: Iterable[str] = MODES,
     seed: int = 1,
 ) -> list[PermutationResult]:
     """Run one scenario unpermuted, then once per permutation mode."""
-    base = build_traces(only=[bench_id])[bench_id]
+    from repro.report import scenarios
+
+    base = scenarios.golden_trace(bench_id)
     results = []
     for mode in modes:
         sanitizers: list = []
@@ -236,7 +216,7 @@ def check_scenario(
             sanitizers.append(enable_sanitizer(env, permute=_mode, seed=seed))
 
         with tracing_hook(hook):
-            perm = build_traces(only=[bench_id])[bench_id]
+            perm = scenarios.golden_trace(bench_id)
         verdict, detail = classify(base, perm)
         races: list = []
         order_warnings: list = []
@@ -263,35 +243,30 @@ def check_scenario(
 
 
 def run_check(
-    traces_path: Path,
     only: Optional[Iterable[str]] = None,
     modes: Iterable[str] = MODES,
     seed: int = 1,
-    digests_path: Optional[Path] = None,
 ) -> dict:
-    """Run the permutation check; returns the SIMSAN report document."""
-    build_traces = load_build_traces(traces_path)
-    bench_ids = sorted(only) if only else sorted(
-        build_traces.__globals__["BUILDERS"]
-    )
+    """Run the permutation check over registry ids ``only`` (default:
+    every scenario); returns the SIMSAN report document.
+
+    Raises :class:`KeyError` for an id the registry does not know.
+    """
+    from repro.report import scenarios
+
+    bench_ids = sorted({scenarios.scenario_id(b) for b in only or scenarios.SCENARIOS})
+    pinned = scenarios.pinned_digests()
     results: list[PermutationResult] = []
     drift: list[str] = []
-    pinned = (
-        json.loads(digests_path.read_text())
-        if digests_path is not None and digests_path.exists()
-        else {}
-    )
     for bench_id in bench_ids:
-        scenario_results = check_scenario(build_traces, bench_id, modes, seed)
-        results.extend(scenario_results)
-        if bench_id in pinned:
-            # Drift of the *unpermuted* baseline against the pinned
-            # digest is a different failure (the golden suite's), but
-            # worth flagging here: it means this check compared against
-            # a moved target.
-            base = build_traces(only=[bench_id])[bench_id]
-            if hashlib.sha256(base.encode()).hexdigest() != pinned[bench_id]["sha256"]:
-                drift.append(bench_id)
+        results.extend(check_scenario(bench_id, modes, seed))
+        # Drift of the *unpermuted* baseline against the pinned digest
+        # is a different failure (the golden suite's), but worth
+        # flagging here: it means this check compared against a moved
+        # target.
+        base = scenarios.golden_trace(bench_id)
+        if hashlib.sha256(base.encode()).hexdigest() != pinned[bench_id]["sha256"]:
+            drift.append(bench_id)
     return {
         "tool": "simsan-permute",
         "seed": seed,
@@ -308,6 +283,5 @@ __all__ = [
     "PermutationResult",
     "check_scenario",
     "classify",
-    "load_build_traces",
     "run_check",
 ]

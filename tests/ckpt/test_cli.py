@@ -41,3 +41,11 @@ def test_digest_before_spill_existed_exits_2(tmp_path, capsys):
     )
     assert main(["digest", "--dir", str(tmp_path)]) == 2
     assert "spill/" in _only_error_line(capsys)
+
+
+def test_run_unknown_bench_exits_2_and_writes_nothing(tmp_path, capsys):
+    directory = tmp_path / "ckpt"
+    assert main(["run", "--bench", "E9", "--dir", str(directory)]) == 2
+    line = _only_error_line(capsys)
+    assert "E9" in line and "E1, E2" in line
+    assert not directory.exists()

@@ -1,6 +1,9 @@
 """Regenerate, check, snapshot, or diff the pinned golden traces.
 
-Usage (from the repo root)::
+The traces come from :func:`repro.report.scenarios.golden_trace`; the
+digests live in ``src/repro/report/trace_digests.json``.
+
+Usage::
 
     PYTHONPATH=src python tests/golden/regen.py                  # regenerate digests
     PYTHONPATH=src python tests/golden/regen.py --check          # verify, exit 1 on drift
@@ -25,14 +28,16 @@ forensics::
 import argparse
 import hashlib
 import json
-import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1].parent))
+from repro.report.scenarios import (
+    DIGESTS_FILE,
+    SCENARIOS,
+    golden_trace,
+    pinned_digests,
+)
 
-from tests.golden.traces import build_traces  # noqa: E402
-
-OUT = Path(__file__).parent / "trace_digests.json"
+OUT = Path(DIGESTS_FILE)
 
 #: Lines of context shown on each side of the first divergence.
 CONTEXT = 3
@@ -46,6 +51,10 @@ def _digest(text: str) -> dict:
     }
 
 
+def build_traces() -> dict[str, str]:
+    return {bench_id: golden_trace(bench_id) for bench_id in sorted(SCENARIOS)}
+
+
 def regenerate() -> None:
     traces = build_traces()
     digests = {bench_id: _digest(text) for bench_id, text in traces.items()}
@@ -56,7 +65,7 @@ def regenerate() -> None:
 
 
 def check() -> int:
-    pinned = json.loads(OUT.read_text())
+    pinned = pinned_digests()
     traces = build_traces()
     drifted = []
     for bench_id in sorted(pinned):

@@ -1,11 +1,14 @@
-"""Golden determinism regression: reduced-scale E1–E8 traces, byte-pinned.
+"""Golden determinism regression: golden-scale E1–E8 traces, byte-pinned.
 
-Every builder in :mod:`tests.golden.traces` exports a JSONL trace (E8: a
-canonical JSON headline) whose SHA-256 digest is pinned in
-``trace_digests.json``.  The digests were captured from the seed
-implementation *before* the scheduling/primitive optimizations landed —
-a digest mismatch means a grant order, simulated timestamp, or exported
-field changed, which the perf work explicitly must not do.
+The traces come from the scenario registry in ``src/``:
+:func:`repro.report.scenarios.golden_trace` runs each scenario's traced
+run at its ``golden`` scale and exports it as JSONL (E8: a canonical
+JSON of its run).  Their SHA-256 digests are pinned in
+``src/repro/report/trace_digests.json``.  The digests were captured
+from the seed implementation *before* the scheduling/primitive
+optimizations landed — a digest mismatch means a grant order,
+simulated timestamp, or exported field changed, which the perf work
+explicitly must not do.
 
 The ``-sanitizer`` cases rebuild each trace with the simsan sanitizer
 attached as the kernel's batch observer (no permutation, attached
@@ -20,28 +23,24 @@ so in the commit message.
 
 import contextlib
 import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.obs import tracing_hook
+from repro.report.scenarios import SCENARIOS, golden_trace, pinned_digests
 from repro.sanitizer import enable_sanitizer
-from tests.golden.traces import BUILDERS, build_traces
 
-PINNED = json.loads(
-    (Path(__file__).parent / "trace_digests.json").read_text()
-)
+PINNED = pinned_digests()
 
 
 def test_pinned_set_matches_builders():
-    assert set(PINNED) == set(BUILDERS)
+    assert set(PINNED) == set(SCENARIOS)
 
 
 @pytest.mark.parametrize(
     "bench_id, sanitized",
-    [pytest.param(b, False, id=b) for b in sorted(BUILDERS)]
-    + [pytest.param(b, True, id=f"{b}-sanitizer") for b in sorted(BUILDERS)],
+    [pytest.param(b, False, id=b) for b in sorted(SCENARIOS)]
+    + [pytest.param(b, True, id=f"{b}-sanitizer") for b in sorted(SCENARIOS)],
 )
 def test_trace_digest(bench_id, sanitized):
     sanitizers: list = []
@@ -50,7 +49,7 @@ def test_trace_digest(bench_id, sanitized):
         sanitizers.append(enable_sanitizer(env))
 
     with tracing_hook(attach) if sanitized else contextlib.nullcontext():
-        text = build_traces(only={bench_id})[bench_id]
+        text = golden_trace(bench_id)
     # E8 has no discrete-event run, so nothing to observe.
     assert all(s.batches for s in sanitizers)
     assert sanitized == bool(sanitizers) or bench_id == "E8"

@@ -1,6 +1,6 @@
 """Shared traced mini-scenarios for the observability tests.
 
-``mini_entk_run`` is the E2/E3 harness (benchmarks/bench_entk_*.py) at
+``mini_entk_run`` is the E2/E3 campaign (``repro.report.scenarios``) at
 a scale that finishes in well under a second, with tracing enabled so
 the tests can exercise the span/metric/query/export stack against a
 real multi-layer run.  ``assert_chrome_trace_valid`` checks the Trace

@@ -26,36 +26,20 @@ Scales and expected shapes:
       75 % and time by 55–85 % (8 samples instead of 25).
 - E8  LLM-driven Phyloflow (§2.1): 4 steps in order from one sentence,
       coherent JSON phylogeny, error-forwarding recovery.
+
+E4, E7 and E8 run the scenario registry's ``reduced`` rows
+(``repro.report.scenarios``), the same campaigns ``python -m
+repro.report`` reports on.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.atlas import compare_cloud_hpc, run_experiment, table1
-from repro.cluster import Cluster, FaultInjector, NodeSpec
 from repro.cws.experiment import makespan_experiment, summarize
-from repro.entk import (
-    AgentConfig,
-    AppManager,
-    EnTask,
-    Pipeline,
-    ResourceDescription,
-    Stage,
-    TaskState,
-)
-from repro.entk.platforms import platform_cluster
-from repro.exaam import frontier_stage3_tasks
-from repro.jaws import CromwellEngine, EngineOptions, fuse_linear_chains, parse_wdl
-from repro.llm import (
-    ChatWorkflowDriver,
-    MockFunctionCallingLLM,
-    PhyloflowAdapters,
-    make_synthetic_vcf,
-)
-from repro.rm import BatchScheduler
-from repro.simkernel import Environment
+from repro.entk import TaskState
+from repro.report.scenarios import SCENARIOS
 
 from tests.obs.minirun import mini_entk_run
 
@@ -126,41 +110,13 @@ def test_e3_entk_concurrency_shape(entk_mini):
 # -- E4: EnTK fault tolerance --------------------------------------------------
 
 
-def _numerical_failure_task(name, duration):
-    def work(env, task, nodes):
-        yield env.timeout(duration * 0.95)
-        raise RuntimeError("time step too large for this loading condition")
-
-    return EnTask(work=work, nodes=8, cores_per_node=56, gpus_per_node=8,
-                  name=name)
-
-
 def test_e4_fault_tolerance_shape():
-    n_tasks, nodes = 790, 800
-    env = Environment()
-    cluster = platform_cluster(env, "frontier", nodes=nodes)
-    batch = BatchScheduler(env, cluster, backfill=False)
-    agent = AgentConfig(node_strikes=8, fail_detect_s=15.0, max_task_retries=2)
-    am = AppManager(
-        env, batch,
-        ResourceDescription(nodes=nodes, walltime_s=24 * 3600, agent=agent,
-                            max_jobs=1),
-    )
-    tasks = frontier_stage3_tasks(n_tasks - 2, rng=np.random.default_rng(42))
-    tasks += [_numerical_failure_task("constit-diverge-0", 900.0),
-              _numerical_failure_task("constit-diverge-1", 1100.0)]
-    pipeline = Pipeline(name="uq-stage3")
-    stage = Stage(name="exaconstit")
-    stage.add_tasks(tasks)
-    pipeline.add_stage(stage)
-    result = am.run([pipeline])
-    FaultInjector(env, cluster,
-                  schedule=[(2000.0, cluster.nodes[nodes // 2].id)],
-                  downtime=None)
-    env.run(until=result.done)
+    # The registry's reduced E4 scenario: 790 tasks on 800 nodes.
+    result, _ = SCENARIOS["E4"].trace("reduced")
+    tasks = [t for pl in result.pipelines for t in pl.all_tasks()]
 
     node_failed = {
-        t.name for pl in result.pipelines for t in pl.all_tasks()
+        t.name for t in tasks
         for cause in t.failure_causes if "time step" not in str(cause)
     }
     recovered = [t for t in tasks
@@ -217,63 +173,11 @@ def test_e6_table2_cloud_vs_hpc(atlas_cloud):
 # -- E7: JAWS task fusion ------------------------------------------------------
 
 
-def _jgi_workflow(samples):
-    names = ", ".join(f'"s{i}.fq"' for i in range(samples))
-    return f"""
-    version 1.0
-    task qc {{
-        input {{ File reads }}
-        command <<< run_qc >>>
-        output {{ File cleaned = "cleaned.fq" }}
-        runtime {{ cpu: 2, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-    }}
-    task trim {{
-        input {{ File cleaned }}
-        command <<< run_trim >>>
-        output {{ File trimmed = "trimmed.fq" }}
-        runtime {{ cpu: 2, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-    }}
-    task align {{
-        input {{ File trimmed }}
-        command <<< run_align >>>
-        output {{ File bam = "out.bam" }}
-        runtime {{ cpu: 4, runtime_minutes: 2, docker: "jgi/align@sha256:bb" }}
-    }}
-    task stats {{
-        input {{ File bam }}
-        command <<< run_stats >>>
-        output {{ File report = "stats.txt" }}
-        runtime {{ cpu: 1, runtime_minutes: 1, docker: "jgi/qc@sha256:aa" }}
-    }}
-    workflow sample_qc {{
-        input {{ Array[File] samples = [{names}] }}
-        scatter (s in samples) {{
-            call qc {{ input: reads = s }}
-            call trim {{ input: cleaned = qc.cleaned }}
-            call align {{ input: trimmed = trim.trimmed }}
-            call stats {{ input: bam = align.bam }}
-        }}
-    }}
-    """
-
-
-def _execute_wdl(doc):
-    # Overhead-dominated cost model — the regime of the JGI anecdote.
-    options = EngineOptions(container_start_s=45.0, stage_overhead_s=420.0)
-    env = Environment()
-    cluster = Cluster(env, pools=[(NodeSpec("c", cores=16, memory_gb=128), 32)])
-    engine = CromwellEngine(env, BatchScheduler(env, cluster), options)
-    result = engine.run(doc)
-    env.run(until=result.done)
-    assert result.succeeded, result.error
-    return result
-
-
 def test_e7_jaws_fusion_shape():
-    wdl = _jgi_workflow(samples=8)
-    baseline = _execute_wdl(parse_wdl(wdl))
-    fused_doc, fusions = fuse_linear_chains(parse_wdl(wdl))
-    fused = _execute_wdl(fused_doc)
+    # The registry's reduced E7 scenario: 8 samples on 32 nodes.
+    e7 = SCENARIOS["E7"]
+    baseline = e7.extra("reduced")
+    (fused, fusions), _ = e7.trace("reduced")
 
     assert list(fusions.values())[0] == ["qc", "trim", "align", "stats"]
     shard_cut = 1 - fused.shard_count / baseline.shard_count
@@ -286,15 +190,9 @@ def test_e7_jaws_fusion_shape():
 
 
 def test_e8_llm_phyloflow_shape():
-    instruction = (
-        "Run the full phyloflow pipeline on tumor.vcf: transform the VCF, "
-        "cluster the mutations into 3 clusters, and build the phylogeny."
-    )
-    vcf = make_synthetic_vcf(n_mutations=90, n_clones=3, depth=500, seed=11)
-    adapters = PhyloflowAdapters(files={"tumor.vcf": vcf})
-    driver = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters)
-    result = driver.run(instruction)
-    tree = driver.final_value(result)
+    # The registry's reduced E8 scenario: 90 mutations, 3 planted clones.
+    e8 = SCENARIOS["E8"]
+    (result, tree), _ = e8.trace("reduced")
 
     assert result.calls_made() == [
         "vcf_transform_from_file",
@@ -310,10 +208,7 @@ def test_e8_llm_phyloflow_shape():
     assert json.loads(json.dumps(tree))["n_clones"] == 3
 
     # Error forwarding: one injected failure, pipeline still completes.
-    adapters2 = PhyloflowAdapters(files={"tumor.vcf": vcf})
-    adapters2.inject_failure("pyclone_vi_from_futures", times=1)
-    driver2 = ChatWorkflowDriver(MockFunctionCallingLLM(), adapters2)
-    recovery = driver2.run(instruction)
+    recovery, tree2 = e8.extra("reduced")
     assert len(recovery.errors) == 1
     assert recovery.calls_made().count("pyclone_vi_from_futures") == 2
-    assert driver2.final_value(recovery)["n_clones"] == 3
+    assert tree2["n_clones"] == 3
