@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import networkx as nx
-
 from repro.core.workflow import Workflow
 
 
@@ -33,11 +31,10 @@ def upward_ranks(
     scheduling under imperfect information (bench E1 ablation).
     """
     runtime_of = runtime_of or (lambda name: workflow.task(name).runtime_s)
-    graph = workflow.graph
     ranks: dict[str, float] = {}
-    for node in reversed(list(nx.lexicographical_topological_sort(graph))):
+    for node in reversed(workflow.topological_order()):
         child_max = max(
-            (ranks[c] for c in graph.successors(node)),
+            (ranks[c] for c in workflow.children(node)),
             default=0.0,
         )
         ranks[node] = runtime_of(node) + child_max
@@ -46,11 +43,10 @@ def upward_ranks(
 
 def bottom_levels(workflow: Workflow) -> dict[str, int]:
     """Edge-count distance from each task to its farthest sink."""
-    graph = workflow.graph
     levels: dict[str, int] = {}
-    for node in reversed(list(nx.lexicographical_topological_sort(graph))):
+    for node in reversed(workflow.topological_order()):
         levels[node] = 1 + max(
-            (levels[c] for c in graph.successors(node)), default=-1
+            (levels[c] for c in workflow.children(node)), default=-1
         )
     return levels
 
@@ -72,18 +68,17 @@ def merge_points(workflow: Workflow) -> list[str]:
     scheduling expensive: every parent chain must finish before the
     merge task can start.
     """
-    graph = workflow.graph
-    merges = [n for n in graph if graph.in_degree(n) > 1]
-    return sorted(merges, key=lambda n: (-graph.in_degree(n), n))
+    in_degree = {n: len(workflow.parents(n)) for n in workflow.tasks}
+    merges = [n for n, k in in_degree.items() if k > 1]
+    return sorted(merges, key=lambda n: (-in_degree[n], n))
 
 
 def workflow_width(workflow: Workflow) -> int:
     """Maximum antichain size approximation: the largest number of tasks
     sharing the same depth — an upper bound on useful parallelism."""
-    graph = workflow.graph
     depth: dict[str, int] = {}
-    for node in nx.lexicographical_topological_sort(graph):
-        depth[node] = 1 + max((depth[p] for p in graph.predecessors(node)), default=-1)
+    for node in workflow.topological_order():
+        depth[node] = 1 + max((depth[p] for p in workflow.parents(node)), default=-1)
     counts: dict[int, int] = {}
     for d in depth.values():
         counts[d] = counts.get(d, 0) + 1

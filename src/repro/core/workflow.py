@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional
-
-import networkx as nx
 
 from repro.core.task import TaskSpec
 
@@ -28,9 +27,10 @@ class Workflow:
         if not name:
             raise ValueError("Workflow name must be non-empty")
         self.name = name
-        self._graph = nx.DiGraph()
         self._tasks: dict[str, TaskSpec] = {}
         self._producer: dict[str, str] = {}  # file name -> task name
+        self._parents: dict[str, set] = {}
+        self._children: dict[str, set] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -46,29 +46,26 @@ class Workflow:
                 raise WorkflowValidationError(
                     f"File {out.name!r} produced by both {owner!r} and {spec.name!r}"
                 )
-        self._tasks[spec.name] = spec
-        self._graph.add_node(spec.name)
-        for out in spec.outputs:
-            self._producer[out.name] = spec.name
-        for inp in spec.inputs:
-            producer = self._producer.get(inp)
-            if producer is not None:
-                self._graph.add_edge(producer, spec.name)
-        for dep in after:
-            if dep not in self._tasks:
-                raise WorkflowValidationError(
-                    f"after={dep!r}: no such task in workflow {self.name!r}"
-                )
-            self._graph.add_edge(dep, spec.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            # Roll back so the workflow stays consistent.
-            self._graph.remove_node(spec.name)
-            del self._tasks[spec.name]
-            for out in spec.outputs:
-                del self._producer[out.name]
+        # Edges only run from existing tasks to the new one, so the only
+        # cycle an insert can form is a self-loop.
+        parents = set(after)
+        if spec.name in parents or not set(spec.inputs).isdisjoint(spec.output_names):
             raise WorkflowValidationError(
                 f"Adding {spec.name!r} would create a cycle"
             )
+        missing = sorted(parents - self._tasks.keys())
+        if missing:
+            raise WorkflowValidationError(
+                f"after={missing[0]!r}: no such task in workflow {self.name!r}"
+            )
+        parents.update(self._producer[i] for i in spec.inputs if i in self._producer)
+        self._tasks[spec.name] = spec
+        self._parents[spec.name] = parents
+        self._children[spec.name] = set()
+        for parent in parents:
+            self._children[parent].add(spec.name)
+        for out in spec.outputs:
+            self._producer[out.name] = spec.name
         return spec
 
     # -- queries --------------------------------------------------------------
@@ -76,11 +73,6 @@ class Workflow:
     @property
     def tasks(self) -> dict[str, TaskSpec]:
         return dict(self._tasks)
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        """Read-only view of the dependency graph (task-name nodes)."""
-        return self._graph.copy(as_view=True)
 
     def task(self, name: str) -> TaskSpec:
         return self._tasks[name]
@@ -92,29 +84,40 @@ class Workflow:
         return name in self._tasks
 
     def parents(self, name: str) -> list[str]:
-        return sorted(self._graph.predecessors(name))
+        return sorted(self._parents[name])
 
     def children(self, name: str) -> list[str]:
-        return sorted(self._graph.successors(name))
+        return sorted(self._children[name])
 
     def roots(self) -> list[str]:
-        return sorted(n for n in self._graph if self._graph.in_degree(n) == 0)
+        return sorted(n for n, ps in self._parents.items() if not ps)
 
     def sinks(self) -> list[str]:
-        return sorted(n for n in self._graph if self._graph.out_degree(n) == 0)
+        return sorted(n for n, cs in self._children.items() if not cs)
 
     def topological_order(self) -> list[str]:
-        """Deterministic topological order (lexicographic tie-break)."""
-        return list(nx.lexicographical_topological_sort(self._graph))
+        """Deterministic topological order: Kahn's algorithm, always
+        emitting the smallest-named ready task."""
+        waiting = {n: len(ps) for n, ps in self._parents.items()}
+        heap = [n for n, k in waiting.items() if k == 0]
+        heapq.heapify(heap)
+        order = []
+        while heap:
+            node = heapq.heappop(heap)
+            order.append(node)
+            for child in self._children[node]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    heapq.heappush(heap, child)
+        return order
 
     def ready_tasks(self, completed: set) -> list[str]:
         """Tasks whose parents are all in ``completed`` and not completed
         themselves — what a WMS submits next."""
         return sorted(
             n
-            for n in self._graph
-            if n not in completed
-            and all(p in completed for p in self._graph.predecessors(n))
+            for n, ps in self._parents.items()
+            if n not in completed and ps <= completed
         )
 
     def external_inputs(self) -> set:
@@ -136,8 +139,6 @@ class Workflow:
         """Raise :class:`WorkflowValidationError` on structural problems."""
         if not self._tasks:
             raise WorkflowValidationError(f"Workflow {self.name!r} is empty")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise WorkflowValidationError(f"Workflow {self.name!r} has a cycle")
 
     def to_dot(self) -> str:
         """GraphViz DOT export (for docs, debugging, papers).
@@ -149,7 +150,8 @@ class Workflow:
         for name, spec in sorted(self._tasks.items()):
             label = f"{name}\\n{spec.runtime_s:g}s x {spec.cores}c"
             lines.append(f'  "{name}" [label="{label}"];')
-        for src, dst in sorted(self._graph.edges):
+        edges = sorted((p, n) for n, ps in self._parents.items() for p in ps)
+        for src, dst in edges:
             files = [
                 out.name
                 for out in self._tasks[src].outputs
@@ -163,5 +165,5 @@ class Workflow:
     def __repr__(self) -> str:
         return (
             f"<Workflow {self.name!r}: {len(self._tasks)} tasks, "
-            f"{self._graph.number_of_edges()} edges>"
+            f"{sum(map(len, self._parents.values()))} edges>"
         )

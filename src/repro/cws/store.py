@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.metrics import bottom_levels, upward_ranks
+from repro.core.metrics import bottom_levels
 from repro.core.workflow import Workflow
 
 
@@ -27,19 +27,12 @@ class StoredWorkflow:
     file_locations: dict = field(default_factory=dict)
     #: Cached structural metrics (invalidated never — DAGs are static).
     _bottom_levels: Optional[dict] = None
-    _upward_ranks: Optional[dict] = None
 
     @property
     def bottom_levels(self) -> dict:
         if self._bottom_levels is None:
             self._bottom_levels = bottom_levels(self.workflow)
         return self._bottom_levels
-
-    @property
-    def upward_ranks(self) -> dict:
-        if self._upward_ranks is None:
-            self._upward_ranks = upward_ranks(self.workflow)
-        return self._upward_ranks
 
     @property
     def done(self) -> bool:
@@ -75,10 +68,6 @@ class WorkflowStore:
     def rank_of(self, workflow_name: str, task_name: str) -> int:
         """Structural rank (bottom level): hops to the farthest sink."""
         return self.get(workflow_name).bottom_levels[task_name]
-
-    def upward_rank_of(self, workflow_name: str, task_name: str) -> float:
-        """Runtime-weighted HEFT rank using nominal runtimes."""
-        return self.get(workflow_name).upward_ranks[task_name]
 
     def input_bytes_of(self, workflow_name: str, task_name: str) -> int:
         """Total bytes of the task's input files (producer-declared sizes)."""

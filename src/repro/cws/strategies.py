@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.metrics import upward_ranks
 from repro.cws.store import WorkflowStore
 from repro.rm.kube import KubeScheduler, Pod, SchedulingStrategy
 from repro.cluster.node import Node
@@ -121,26 +122,26 @@ class PredictiveHeftStrategy(_StoreBackedStrategy):
         self.predictor = predictor
         self.default_runtime_s = default_runtime_s
 
-    def _predicted_upward_rank(self, wf_name: str, task: str) -> float:
-        stored = self.store.get(wf_name)
-
-        def runtime_of(name: str) -> float:
-            est = self.predictor.predict(name, node_speed=1.0)
-            return est if est is not None else self.default_runtime_s
-
-        # Recompute with live predictions (cheap at our DAG sizes; the
-        # stored structural ranks stay untouched for RankStrategy users).
-        from repro.core.metrics import upward_ranks
-
-        return upward_ranks(stored.workflow, runtime_of)[task]
+    def _predicted_runtime(self, name: str) -> float:
+        est = self.predictor.predict(name, node_speed=1.0)
+        return est if est is not None else self.default_runtime_s
 
     def prioritize(self, pending: list, scheduler: KubeScheduler) -> list:
+        # One rank table per workflow per pass: the predictor only
+        # learns in ``observe``, never inside a pass.
+        ranks: dict[str, dict] = {}
+
         def key(item):
             idx, pod = item
             ctx = self._context(pod)
             if ctx is None:
                 return (0.0, idx)
-            return (-self._predicted_upward_rank(*ctx), idx)
+            wf_name, task = ctx
+            if wf_name not in ranks:
+                ranks[wf_name] = upward_ranks(
+                    self.store.get(wf_name).workflow, self._predicted_runtime
+                )
+            return (-ranks[wf_name][task], idx)
 
         return [p for _, p in sorted(enumerate(pending), key=key)]
 

@@ -225,7 +225,7 @@ def _e1_traced(seeds):
     from repro.workloads import workflow_mix
 
     env, tracer = _traced_env()
-    wf = max(workflow_mix(seed=seeds[0]), key=lambda w: len(w.graph))
+    wf = max(workflow_mix(seed=seeds[0]), key=len)
     return (wf, run_workflow_once(wf, "rank", env=env)), tracer
 
 

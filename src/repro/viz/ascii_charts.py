@@ -103,13 +103,10 @@ def render_dag(workflow, max_width: int = 100) -> str:
         [1] left(<-src)  right(<-src)
         [2] sink(<-left,right)
     """
-    graph = workflow.graph
     depth: dict = {}
-    import networkx as nx
-
-    for node in nx.lexicographical_topological_sort(graph):
+    for node in workflow.topological_order():
         depth[node] = 1 + max(
-            (depth[p] for p in graph.predecessors(node)), default=-1
+            (depth[p] for p in workflow.parents(node)), default=-1
         )
     by_level: dict = {}
     for node, d in depth.items():
@@ -118,7 +115,7 @@ def render_dag(workflow, max_width: int = 100) -> str:
     for level in sorted(by_level):
         cells = []
         for node in sorted(by_level[level]):
-            parents = sorted(graph.predecessors(node))
+            parents = workflow.parents(node)
             cells.append(
                 node if not parents else f"{node}(<-{','.join(parents)})"
             )

@@ -1,6 +1,8 @@
 """Tests for TaskSpec and Workflow DAG construction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TaskSpec, Workflow, WorkflowValidationError
 from repro.data import File
@@ -72,6 +74,33 @@ class TestWorkflowConstruction:
         with pytest.raises(WorkflowValidationError):
             wf.add_task(t("b", outputs=("x",)))
 
+    @pytest.mark.parametrize(
+        "bad, after",
+        [(t("b", outputs=("y",)), ["b"]), (t("b", inputs=("y",), outputs=("y",)), [])],
+        ids=["after-self", "input-is-own-output"],
+    )
+    def test_self_dependency_rejected_without_mutation(self, bad, after):
+        wf = Workflow("w")
+        wf.add_task(t("a", outputs=("x",)))
+        with pytest.raises(WorkflowValidationError, match="would create a cycle"):
+            wf.add_task(bad, after=after)
+        assert len(wf) == 1
+        assert "b" not in wf
+        assert wf.producer_of("y") is None
+        assert wf.children("a") == []
+        wf.add_task(t("b", inputs=("x",), outputs=("y",)))
+        assert wf.parents("b") == ["a"]
+        assert wf.producer_of("y") == "b"
+
+    def test_file_and_after_edge_to_same_parent_is_one_edge(self):
+        wf = Workflow("w")
+        wf.add_task(t("a", outputs=("x",)))
+        wf.add_task(t("b", inputs=("x",)), after=["a"])
+        assert wf.parents("b") == ["a"]
+        assert wf.children("a") == ["b"]
+        assert wf.to_dot().count('"a" -> "b"') == 1
+        assert repr(wf) == "<Workflow 'w': 2 tasks, 1 edges>"
+
     def test_external_inputs(self):
         wf = Workflow("w")
         wf.add_task(t("a", inputs=("raw.vcf",), outputs=("x",)))
@@ -107,6 +136,15 @@ class TestWorkflowQueries:
         assert order.index("left") < order.index("sink")
         assert order.index("right") < order.index("sink")
 
+    def test_topological_order_is_lexicographic_not_insertion(self):
+        wf = Workflow("w")
+        wf.add_task(t("z"))
+        wf.add_task(t("y"), after=["z"])
+        wf.add_task(t("a"), after=["y"])
+        wf.add_task(t("m"))
+        wf.add_task(t("b"), after=["m"])
+        assert wf.topological_order() == ["m", "b", "z", "y", "a"]
+
     def test_ready_tasks_progression(self):
         wf = self.diamond()
         assert wf.ready_tasks(set()) == ["src"]
@@ -129,3 +167,36 @@ class TestWorkflowQueries:
         assert len(wf) == 4
         assert "left" in wf
         assert "ghost" not in wf
+
+
+@st.composite
+def random_dags(draw):
+    """Tasks named in a random permutation; each may depend (by file or
+    by ``after=``) on any task inserted before it."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    names = draw(st.permutations([f"t{i:02d}" for i in range(n)]))
+    wf = Workflow("rand")
+    for i, name in enumerate(names):
+        deps = draw(st.sets(st.sampled_from(names[:i]))) if i else set()
+        by_file = draw(st.sets(st.sampled_from(sorted(deps)))) if deps else set()
+        inputs = tuple(f"{d}.out" for d in sorted(by_file))
+        wf.add_task(
+            t(name, inputs=inputs, outputs=(f"{name}.out",)),
+            after=sorted(deps - by_file),
+        )
+    return wf
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_dags())
+def test_topological_order_emits_smallest_ready_task(wf):
+    order = wf.topological_order()
+    assert sorted(order) == sorted(wf.tasks)
+    position = {name: i for i, name in enumerate(order)}
+    done: set = set()
+    for name in order:
+        assert name == min(wf.ready_tasks(done))
+        done.add(name)
+    for name in order:
+        for child in wf.children(name):
+            assert position[name] < position[child]

@@ -50,12 +50,6 @@ class TestWorkflowStore:
         assert store.rank_of("d", "big") == 1
         assert store.rank_of("d", "sink") == 0
 
-    def test_upward_rank_weighted(self):
-        store = WorkflowStore()
-        store.register(wf_diamond())
-        assert store.upward_rank_of("d", "big") == 55
-        assert store.upward_rank_of("d", "small") == 6
-
     def test_input_bytes_from_producers(self):
         store = WorkflowStore()
         store.register(wf_diamond())

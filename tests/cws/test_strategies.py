@@ -4,10 +4,11 @@ import pytest
 
 from repro.cluster import Cluster, NodeSpec
 from repro.core import TaskSpec, Workflow
-from repro.cws import CWSI
+from repro.core.metrics import upward_ranks
+from repro.cws import CWSI, PredictiveHeftStrategy, WorkflowStore
 from repro.data import File
 from repro.engines import NextflowLikeEngine
-from repro.rm import KubeScheduler
+from repro.rm import KubeScheduler, Pod
 from repro.simkernel import Environment
 from repro.workloads import fork_join
 
@@ -143,6 +144,56 @@ class TestStrategyBehaviour:
         # complete correctly.
         run, cwsi = run_with_strategy(self.critical_branch_wf, "heft")
         assert run.succeeded
+
+
+class TestHeftPrioritize:
+    class FixedPredictor:
+        def __init__(self, runtimes):
+            self.runtimes = runtimes
+
+        def predict(self, task, node_speed=1.0):
+            return self.runtimes.get(task)
+
+    def test_ranks_computed_once_per_workflow_per_pass(self, monkeypatch):
+        import repro.core.metrics as metrics
+        import repro.cws.strategies as strategies
+
+        store = WorkflowStore()
+        workflows = [
+            fork_join(width=4, seed=1, name="fj1"),
+            fork_join(width=3, seed=2, name="fj2"),
+        ]
+        for wf in workflows:
+            store.register(wf)
+        predictor = self.FixedPredictor({"src": 5.0, "branch001": 40.0, "join": 2.0})
+        heft = PredictiveHeftStrategy(store, predictor, default_runtime_s=3.0)
+        pending = [
+            Pod(duration=1, labels={"workflow": wf.name, "task": name})
+            for name in ("branch000", "branch001", "branch002", "join", "src")
+            for wf in workflows
+        ]
+        pending.insert(3, Pod(duration=1))
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return upward_ranks(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "upward_ranks", counted)
+        monkeypatch.setattr(strategies, "upward_ranks", counted, raising=False)
+        order = heft.prioritize(pending, scheduler=None)
+        assert sorted(calls) == ["fj1", "fj2"]
+
+        def per_pod_key(item):
+            idx, pod = item
+            if not pod.labels:
+                return (0.0, idx)
+            wf = store.get(pod.labels["workflow"]).workflow
+            ranks = upward_ranks(wf, lambda n: predictor.runtimes.get(n, 3.0))
+            return (-ranks[pod.labels["task"]], idx)
+
+        assert order == [p for _, p in sorted(enumerate(pending), key=per_pod_key)]
 
 
 class TestFastPlacement:
