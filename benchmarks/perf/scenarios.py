@@ -280,6 +280,58 @@ def entk_frontier(n_tasks: int = 7875, nodes: int = 8000, seed: int = 42) -> dic
     return res
 
 
+# -- wide workflows through the task-at-a-time engines ----------------------------
+
+
+def wms_wide(fork_width: int = 2000, montage_width: int = 400, nodes: int = 64) -> dict:
+    """Wide DAGs through the Nextflow-like and Airflow-like engines.
+
+    A ``fork_width``-wide ``fork_join`` and a ``montage_width``-wide
+    ``montage_like``, each through both engines on ``nodes`` 16-core
+    Kubernetes nodes: the WfCommons-sized workflows whose per-completion
+    dependency bookkeeping the engines' shared DAG driver keeps at
+    O(out-degree).  ``runs`` holds each run's wall time.
+    """
+    from repro.engines import AirflowLikeEngine, NextflowLikeEngine
+    from repro.rm import KubeScheduler
+    from repro.workloads.synthetic import fork_join, montage_like
+
+    runs = {}
+    tasks = events = 0
+    wall = 0.0
+    for shape, wf_fn, width in (
+        ("fork_join", fork_join, fork_width),
+        ("montage_like", montage_like, montage_width),
+    ):
+        for engine_cls in (NextflowLikeEngine, AirflowLikeEngine):
+            workflow = wf_fn(width=width)
+            env = Environment()
+            cluster = Cluster(
+                env, name="kube", pools=[(NodeSpec("k", cores=16, memory_gb=64), nodes)]
+            )
+            engine = engine_cls(env, KubeScheduler(env, cluster))
+            t0 = time.perf_counter()
+            run = engine.run(workflow)
+            env.run(until=run.done)
+            dt = time.perf_counter() - t0
+            assert run.succeeded, run.stats
+            runs[f"{engine.engine_name}/{shape}"] = round(dt, 4)
+            tasks += len(workflow)
+            events += env.scheduled_events
+            wall += dt
+    return {
+        "params": {
+            "fork_width": fork_width, "montage_width": montage_width, "nodes": nodes,
+        },
+        "runs": runs,
+        "wall_s": round(wall, 4),
+        "events": events,
+        "events_per_s": round(events / wall) if wall > 0 else 0,
+        "throughput": round(tasks / wall, 1) if wall > 0 else 0,
+        "throughput_unit": "tasks/s",
+    }
+
+
 # -- scenario registry --------------------------------------------------------------
 
 
@@ -347,6 +399,13 @@ SCENARIOS: dict[str, PerfScenario] = {
             full={"n_tasks": 7875, "nodes": 8000},
             description="full-scale E2/E3 Frontier UQ campaign",
         ),
+        PerfScenario(
+            "wms_wide",
+            wms_wide,
+            smoke={"fork_width": 200, "montage_width": 40, "nodes": 16},
+            full={"fork_width": 2000, "montage_width": 400, "nodes": 64},
+            description="wide fork_join/montage_like through Nextflow and Airflow",
+        ),
     ]
 }
 
@@ -359,4 +418,5 @@ __all__ = [
     "queue_scaling",
     "resource_churn",
     "sched_small_jobs",
+    "wms_wide",
 ]

@@ -26,10 +26,9 @@ jaws_shards (f)       0.0040      ~0.0074        0.0054
 ====================  ==========  =============  =======
 
 ``entk_frontier`` is not gated: its fast-path gain (~1.4x) is real but
-the remaining cost is the semantic Fig-4/5 metrics accounting, leaving
-too little headroom between pre (0.0071 smoke) and post (~0.0089) for
-a noise-proof floor; the BENCH_PERF regression gate still covers it at
-2x granularity.  The smoke gates run in CI's ``perf-smoke`` lane; the
+leaves too little headroom between pre (0.0071 smoke) and post
+(~0.0089) for a noise-proof floor; the BENCH_PERF regression gate
+still covers it at 2x granularity.  The smoke gates run in CI's ``perf-smoke`` lane; the
 full gates are marked ``slow``.
 
 Each measurement interleaves repeats of the scenario and the kernel

@@ -121,9 +121,9 @@ def read_snapshot(path) -> dict:
     :class:`SnapshotVersionError` on schema mismatch.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise TornSnapshotError(f"unreadable snapshot {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or "snapshot" not in doc or "sha256" not in doc:
         raise TornSnapshotError(f"snapshot {path!r} missing envelope fields")
@@ -212,10 +212,11 @@ def write_manifest(directory, doc: dict) -> str:
 def read_manifest(directory) -> Optional[dict]:
     path = os.path.join(str(directory), MANIFEST_NAME)
     try:
-        doc = json.loads(open(path).read())
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except FileNotFoundError:
         return None
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise TornSnapshotError(f"unreadable manifest {path!r}: {exc}") from exc
     if doc.get("version") != SCHEMA_VERSION:
         raise SnapshotVersionError(

@@ -1,11 +1,13 @@
-"""Shared engine records and result types."""
+"""Shared engine records, result types and the DAG driver."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from itertools import count
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.core.workflow import Workflow
+from repro.resilience import NodeHealth, RetryPolicy
 
 
 class EngineError(RuntimeError):
@@ -70,6 +72,19 @@ class WorkflowRun:
     #: Kernel event triggering when the run finishes (set by engines).
     done: Any = None
 
+    @classmethod
+    def start(cls, workflow: Workflow, engine: str, env) -> "WorkflowRun":
+        """Validate ``workflow`` and open a live run at ``env.now``: a
+        pending record per task and an untriggered ``done`` event."""
+        workflow.validate()
+        records = {name: TaskRecord(name=name) for name in workflow.tasks}
+        return cls(workflow, engine, env.now, records=records, done=env.event())
+
+    def finish(self, t: float) -> None:
+        """Close the run at simulated time ``t`` and trigger ``done``."""
+        self.t_done = t
+        self.done.succeed(self)
+
     @property
     def makespan(self) -> Optional[float]:
         if self.t_done is None:
@@ -96,3 +111,147 @@ class WorkflowRun:
             f"<WorkflowRun {self.workflow.name!r} via {self.engine} "
             f"{status} makespan={span}>"
         )
+
+
+class Outcome(NamedTuple):
+    """How one attempt ended, as an engine reports it to a :class:`DagDriver`.
+
+    ``node_id`` is where a success ran, or the node a failure is charged
+    to; ``unit`` is the engine's own handle on the attempt (its pod).
+    """
+
+    name: str
+    ok: bool
+    start_time: Optional[float] = None
+    end_time: Optional[float] = None
+    node_id: Optional[str] = None
+    cause: Any = None
+    unit: Any = None
+
+
+class RetryingEngine:
+    """Base of the engines that retry failed tasks themselves.
+
+    ``retry_policy`` defaults to retrying any failure ``max_retries``
+    times without backoff.  ``node_health`` is fed task outcomes, and
+    the scheduler avoids the nodes it quarantines.
+    """
+
+    def __init__(
+        self,
+        env,
+        scheduler,
+        max_retries: int = 2,
+        retry_policy: Optional[RetryPolicy] = None,
+        node_health: Optional[NodeHealth] = None,
+    ):
+        self.env = env
+        self.scheduler = scheduler
+        #: True when the caller opted into the resilience layer; gates
+        #: the extra retry.* observability so default runs trace
+        #: byte-identically to the pre-resilience engine.
+        self._resilient = retry_policy is not None or node_health is not None
+        if retry_policy is None:
+            retry_policy = RetryPolicy.legacy(max_retries)
+        self.retry_policy = retry_policy
+        self.node_health = node_health
+        if node_health is not None:
+            scheduler.node_health = node_health
+
+
+class DagDriver:
+    """One workflow's dependency loop, for a :class:`RetryingEngine`.
+
+    Each task counts down its unfinished parents, so a completion costs
+    O(out-degree), not a scan of the DAG.  The engine hands attempts to
+    its substrate with ``launch(name)`` and reports their ends through
+    :meth:`report`, the completion channel: a list plus one wake event,
+    re-armed on each wait.  Each wake settles every outcome reported so
+    far, in launch order, through one epilogue.  A failed attempt that
+    may retry is relaunched inline after its backoff; then the tasks
+    that became ready are launched in sorted-name order, the order
+    :meth:`Workflow.ready_tasks` returns.
+    """
+
+    def __init__(self, engine: RetryingEngine, run: WorkflowRun):
+        self.engine = engine
+        self.run = run
+        self._reported: list = []
+        self._wake = None
+        #: Launch number of each task's attempt in flight (one at most);
+        #: its size is the count of attempts in flight.
+        self._seq: dict = {}
+
+    def report(self, outcome: Outcome) -> None:
+        """Hand over a finished attempt; harmless once the run is over."""
+        self._reported.append((self._seq[outcome.name], outcome))
+        if self._wake is not None and not self._wake.triggered:
+            self._wake.succeed()
+
+    def drive(self, launch: Callable[[str], Any], settle: Callable = lambda out: None):
+        """The loop, as a generator for the engine's process.
+
+        ``settle(outcome)`` opens each outcome's epilogue.  Sets
+        ``run.succeeded`` (and ``run.stats["error"]`` when a task runs
+        out of retries); closing the run is left to the engine.
+        """
+        engine, run, env = self.engine, self.run, self.engine.env
+        workflow, records = run.workflow, run.records
+        policy, health = engine.retry_policy, engine.node_health
+        unfinished = {name: len(workflow.parents(name)) for name in workflow.tasks}
+        in_flight, launches = self._seq, count()
+
+        def submit(name: str) -> None:
+            in_flight[name] = next(launches)
+            records[name].mark_submitted(env.now)
+            launch(name)
+
+        try:
+            ready = workflow.roots()
+            # No deadlock branch: each countdown of a validated, acyclic DAG reaches 0.
+            while ready or in_flight:
+                for name in sorted(ready):
+                    submit(name)
+                self._wake = wake = env.event()
+                if self._reported:
+                    wake.succeed()
+                yield wake
+                batch, self._reported = sorted(self._reported), []
+                ready = []
+                for _, out in batch:
+                    name, record = out.name, records[out.name]
+                    del in_flight[name]
+                    settle(out)
+                    if out.ok:
+                        record.state = "completed"
+                        record.start_time, record.end_time = out.start_time, out.end_time
+                        record.node_id = out.node_id
+                        if health is not None:
+                            health.record_success(out.node_id)
+                        for child in workflow.children(name):
+                            unfinished[child] -= 1
+                            if not unfinished[child]:
+                                ready.append(child)
+                        continue
+                    record.failure_causes.append(out.cause)
+                    fclass = policy.classify(out.cause)
+                    if health is not None and out.node_id is not None:
+                        health.record_failure(out.node_id, cause=out.cause)
+                    if not policy.should_retry(record.attempts, out.cause):
+                        record.state = "failed"
+                        raise EngineError(
+                            f"Task {name!r} failed {record.attempts} times "
+                            f"({fclass.value}): {out.cause!r}"
+                        )
+                    if engine._resilient:
+                        env.tracer.instant(
+                            name, category="retry.task", component=engine.engine_name,
+                            tags={"attempt": record.attempts, "class": fclass.value},
+                        )
+                    delay = policy.backoff_s(record.attempts, key=name)
+                    if delay > 0:
+                        yield env.timeout(delay)
+                    submit(name)
+            run.succeeded = True
+        except EngineError as exc:
+            run.stats["error"] = str(exc)

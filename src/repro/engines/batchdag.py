@@ -13,7 +13,7 @@ enforced by the RM itself.
 from __future__ import annotations
 
 from repro.core.workflow import Workflow
-from repro.engines.base import TaskRecord, WorkflowRun
+from repro.engines.base import WorkflowRun
 from repro.rm.base import Job, JobState, ResourceRequest
 from repro.rm.batch import BatchScheduler
 from repro.simkernel import Environment
@@ -45,13 +45,7 @@ class BatchDagEngine:
 
     def run(self, workflow: Workflow) -> WorkflowRun:
         """Submit every task now; returns a live WorkflowRun."""
-        workflow.validate()
-        run = WorkflowRun(
-            workflow=workflow, engine=self.engine_name, t_submit=self.env.now
-        )
-        run.records = {name: TaskRecord(name=name) for name in workflow.tasks}
-        run.done = self.env.event()
-
+        run = WorkflowRun.start(workflow, self.engine_name, self.env)
         jobs: dict = {}
         for name in workflow.topological_order():
             spec = workflow.task(name)
@@ -97,5 +91,4 @@ class BatchDagEngine:
                 record.failure_causes.append(job.failure_cause)
                 ok = False
         run.succeeded = ok
-        run.t_done = self.env.now
-        run.done.succeed(run)
+        run.finish(self.env.now)

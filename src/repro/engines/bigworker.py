@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.workflow import Workflow
-from repro.engines.base import EngineError, TaskRecord, WorkflowRun
+from repro.engines.base import DagDriver, Outcome, RetryingEngine, WorkflowRun
 from repro.resilience import NodeHealth, RetryPolicy
 from repro.rm.kube import KubeScheduler, Pod
 from repro.simkernel import Environment, Interrupt, Store
@@ -22,7 +22,7 @@ from repro.simkernel import Environment, Interrupt, Store
 _POISON = object()
 
 
-class AirflowLikeEngine:
+class AirflowLikeEngine(RetryingEngine):
     """One node-sized worker pod per node, held for the whole run.
 
     ``run()`` returns a :class:`WorkflowRun` whose ``stats`` include:
@@ -45,122 +45,22 @@ class AirflowLikeEngine:
         retry_policy: Optional[RetryPolicy] = None,
         node_health: Optional[NodeHealth] = None,
     ):
-        self.env = env
-        self.scheduler = scheduler
+        super().__init__(env, scheduler, max_retries, retry_policy, node_health)
         self.workers = workers
-        self._resilient = retry_policy is not None or node_health is not None
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy.legacy(max_retries)
-        )
-        self.max_retries = self.retry_policy.max_retries
-        self.node_health = node_health
-        if node_health is not None:
-            scheduler.node_health = node_health
 
     def run(self, workflow: Workflow) -> WorkflowRun:
-        workflow.validate()
-        run = WorkflowRun(
-            workflow=workflow, engine=self.engine_name, t_submit=self.env.now
-        )
-        run.records = {name: TaskRecord(name=name) for name in workflow.tasks}
-        run.done = self.env.event()
-        self.env.process(self._drive(workflow, run), name=f"airflow:{workflow.name}")
+        run = WorkflowRun.start(workflow, self.engine_name, self.env)
+        self.env.process(self._drive(run), name=f"airflow:{workflow.name}")
         return run
 
     # -- internals --------------------------------------------------------------
 
-    def _drive(self, workflow: Workflow, run: WorkflowRun):
+    def _drive(self, run: WorkflowRun):
+        workflow = run.workflow
         cluster = self.scheduler.cluster
         n_workers = self.workers or len(cluster.up_nodes)
         queue = Store(self.env)
-        finished = Store(self.env)
-
-        worker_pods = []
-        for i in range(n_workers):
-            # Size each worker to the i-th node (round-robin over specs)
-            # — "a big worker on every node".
-            node = cluster.up_nodes[i % len(cluster.up_nodes)]
-            pod = Pod(
-                cores=node.spec.cores,
-                gpus=node.spec.gpus,
-                memory_gb=node.spec.memory_gb,
-                work=self._worker_loop(queue, finished),
-                name=f"{workflow.name}/worker-{i}",
-                labels={"workflow": workflow.name, "role": "big-worker"},
-            )
-            self.scheduler.submit(pod)
-            worker_pods.append(pod)
-
-        completed: set = set()
-        in_flight: set = set()
-        try:
-            while len(completed) < len(workflow):
-                for name in workflow.ready_tasks(completed):
-                    if name in in_flight:
-                        continue
-                    record = run.records[name]
-                    record.mark_submitted(self.env.now)
-                    in_flight.add(name)
-                    yield queue.put((name, workflow.task(name)))
-                if not in_flight:
-                    raise EngineError(
-                        f"Deadlock in {workflow.name!r}: nothing in flight"
-                    )
-                name, record_update, ok, cause = yield finished.get()
-                in_flight.discard(name)
-                record = run.records[name]
-                if ok:
-                    completed.add(name)
-                    record.state = "completed"
-                    record.start_time = record_update[0]
-                    record.end_time = record_update[1]
-                    record.node_id = record_update[2]
-                    if self.node_health is not None:
-                        self.node_health.record_success(record.node_id)
-                else:
-                    record.failure_causes.append(cause)
-                    fclass = self.retry_policy.classify(cause)
-                    failed_node = getattr(cause, "node_id", None)
-                    if self.node_health is not None and failed_node is not None:
-                        self.node_health.record_failure(failed_node, cause=cause)
-                    if not self.retry_policy.should_retry(record.attempts, cause):
-                        record.state = "failed"
-                        raise EngineError(
-                            f"Task {name!r} failed {record.attempts} times "
-                            f"({fclass.value})"
-                        )
-                    if self._resilient:
-                        self.env.tracer.instant(
-                            name,
-                            category="retry.task",
-                            component=self.engine_name,
-                            tags={
-                                "attempt": record.attempts,
-                                "class": fclass.value,
-                            },
-                        )
-                    delay = self.retry_policy.backoff_s(record.attempts, key=name)
-                    if delay > 0:
-                        yield self.env.timeout(delay)
-            run.succeeded = True
-        except EngineError as exc:
-            run.succeeded = False
-            run.stats["error"] = str(exc)
-        finally:
-            # Dismiss workers; they exit after draining the poison pills.
-            for _ in worker_pods:
-                yield queue.put(_POISON)
-            yield self.env.all_of(
-                [p.completion for p in worker_pods if p.completion is not None]
-            )
-            run.t_done = self.env.now
-            self._account(run, worker_pods)
-            run.done.succeed(run)
-
-    def _worker_loop(self, queue: Store, finished: Store):
-        """Factory for the worker pod payload."""
+        driver = DagDriver(self, run)
 
         def work(env, pod, node):
             while True:
@@ -173,11 +73,39 @@ class AirflowLikeEngine:
                     yield env.timeout(spec.runtime_s / node.effective_speed)
                 except Interrupt as intr:
                     # Node died mid-task: report the failure and stop.
-                    yield finished.put((name, None, False, intr.cause))
+                    cause = intr.cause
+                    node_id = getattr(cause, "node_id", None)
+                    driver.report(Outcome(name, False, node_id=node_id, cause=cause))
                     raise
-                yield finished.put((name, (start, env.now, node.id), True, None))
+                driver.report(Outcome(name, True, start, env.now, node.id))
 
-        return work
+        worker_pods = []
+        for i in range(n_workers):
+            # Size each worker to the i-th node (round-robin over specs)
+            # — "a big worker on every node".
+            node = cluster.up_nodes[i % len(cluster.up_nodes)]
+            pod = Pod(
+                cores=node.spec.cores,
+                gpus=node.spec.gpus,
+                memory_gb=node.spec.memory_gb,
+                work=work,
+                name=f"{workflow.name}/worker-{i}",
+                labels={"workflow": workflow.name, "role": "big-worker"},
+            )
+            self.scheduler.submit(pod)
+            worker_pods.append(pod)
+
+        try:
+            yield from driver.drive(lambda n: queue.put((n, workflow.task(n))))
+        finally:
+            # Dismiss workers; they exit after draining the poison pills.
+            for _ in worker_pods:
+                yield queue.put(_POISON)
+            yield self.env.all_of(
+                [p.completion for p in worker_pods if p.completion is not None]
+            )
+            self._account(run, worker_pods)
+            run.finish(self.env.now)
 
     @staticmethod
     def _account(run: WorkflowRun, worker_pods) -> None:

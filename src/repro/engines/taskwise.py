@@ -8,18 +8,19 @@ submission carries workflow context the scheduler can exploit.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.core.workflow import Workflow
-from repro.engines.base import EngineError, TaskRecord, WorkflowRun
+from repro.engines.base import DagDriver, Outcome, RetryingEngine, WorkflowRun
 from repro.resilience import NodeHealth, RetryPolicy
 from repro.rm.base import JobState
 from repro.rm.kube import KubeScheduler, Pod
 from repro.simkernel import Environment
 
 
-class NextflowLikeEngine:
-    """Submit ready tasks as pods; poll; repeat until the DAG drains.
+class NextflowLikeEngine(RetryingEngine):
+    """Submit each ready task as a pod the moment its parents complete.
 
     Parameters
     ----------
@@ -30,20 +31,12 @@ class NextflowLikeEngine:
         engine registers the workflow graph and announces submissions
         and completions, making the resource manager workflow-aware
         (the §3 integration).
-    max_retries:
-        Times a failed task is resubmitted before the run aborts
-        (ignored when ``retry_policy`` is given).
     pod_overhead_s:
         Fixed startup cost added to every task (container pull/start);
         Argo's profile sets this higher.
-    retry_policy:
-        Full :class:`~repro.resilience.RetryPolicy` (failure
-        classification, backoff, jitter).  Default is the legacy
-        behaviour: retry any failure up to ``max_retries``, no backoff.
-    node_health:
-        Shared :class:`~repro.resilience.NodeHealth`.  Task failures and
-        successes feed it, and its quarantine set is pushed to the
-        scheduler as an avoid-set before every submission.
+
+    ``max_retries``, ``retry_policy`` and ``node_health`` are those of
+    :class:`~repro.engines.base.RetryingEngine`.
     """
 
     engine_name = "nextflow-like"
@@ -61,22 +54,8 @@ class NextflowLikeEngine:
     ):
         if right_size_memory and cwsi is None:
             raise ValueError("right_size_memory requires a CWSI")
-        self.env = env
-        self.scheduler = scheduler
+        super().__init__(env, scheduler, max_retries, retry_policy, node_health)
         self.cwsi = cwsi
-        #: True when the caller opted into the resilience layer; gates
-        #: the extra retry.* observability so default runs trace
-        #: byte-identically to the pre-resilience engine.
-        self._resilient = retry_policy is not None or node_health is not None
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy.legacy(max_retries)
-        )
-        self.max_retries = self.retry_policy.max_retries
-        self.node_health = node_health
-        if node_health is not None:
-            scheduler.node_health = node_health
         self.pod_overhead_s = pod_overhead_s
         #: Replace user memory requests with CWSI peak predictions
         #: once history exists (§3.4 resource allocation).
@@ -89,99 +68,29 @@ class NextflowLikeEngine:
         returned run's ``done`` attribute is a kernel event usable with
         ``env.run(until=run.done)``.
         """
-        workflow.validate()
-        run = WorkflowRun(
-            workflow=workflow, engine=self.engine_name, t_submit=self.env.now
-        )
-        run.records = {name: TaskRecord(name=name) for name in workflow.tasks}
-        run.done = self.env.event()
+        run = WorkflowRun.start(workflow, self.engine_name, self.env)
         if self.cwsi is not None:
             self.cwsi.register_workflow(workflow)
-        self.env.process(self._drive(workflow, run), name=f"wms:{workflow.name}")
+        self.env.process(self._drive(run), name=f"wms:{workflow.name}")
         return run
 
     # -- internals --------------------------------------------------------------
 
-    def _drive(self, workflow: Workflow, run: WorkflowRun):
-        completed: set = set()
-        outstanding: dict = {}  # pod -> task name
-        try:
-            while len(completed) < len(workflow):
-                for name in workflow.ready_tasks(completed):
-                    if any(tn == name for tn in outstanding.values()):
-                        continue
-                    pod = self._submit(workflow, name, run)
-                    outstanding[pod] = name
-                if not outstanding:
-                    raise EngineError(
-                        f"Deadlock: no outstanding tasks but workflow "
-                        f"{workflow.name!r} not complete"
-                    )
-                yield self.env.any_of([p.completion for p in outstanding])
-                for pod in [p for p in outstanding if p.state.terminal]:
-                    name = outstanding.pop(pod)
-                    record = run.records[name]
-                    span = getattr(pod, "_engine_span", None)
-                    if span is not None:
-                        span.tag(state=pod.state.value).finish()
-                    if pod.state == JobState.COMPLETED:
-                        completed.add(name)
-                        record.state = "completed"
-                        record.start_time = pod.start_time
-                        record.end_time = pod.end_time
-                        record.node_id = pod.node.id
-                        if self.node_health is not None:
-                            self.node_health.record_success(pod.node.id)
-                        if self.cwsi is not None:
-                            self.cwsi.task_finished(workflow.name, name, pod)
-                    else:
-                        cause = pod.failure_cause
-                        record.failure_causes.append(cause)
-                        fclass = self.retry_policy.classify(cause)
-                        if self.node_health is not None and pod.node is not None:
-                            self.node_health.record_failure(
-                                pod.node.id, cause=cause
-                            )
-                        if not self.retry_policy.should_retry(
-                            record.attempts, cause
-                        ):
-                            record.state = "failed"
-                            raise EngineError(
-                                f"Task {name!r} failed "
-                                f"{record.attempts} times "
-                                f"({fclass.value}): "
-                                f"{record.failure_causes[-1]!r}"
-                            )
-                        if self._resilient:
-                            self.env.tracer.instant(
-                                name,
-                                category="retry.task",
-                                component=self.engine_name,
-                                tags={
-                                    "attempt": record.attempts,
-                                    "class": fclass.value,
-                                },
-                            )
-                        delay = self.retry_policy.backoff_s(
-                            record.attempts, key=name
-                        )
-                        if delay > 0:
-                            yield self.env.timeout(delay)
-                        retry_pod = self._submit(workflow, name, run)
-                        outstanding[retry_pod] = name
-            run.succeeded = True
-            run.t_done = self.env.now
-            run.done.succeed(run)
-        except EngineError as exc:
-            run.succeeded = False
-            run.t_done = self.env.now
-            run.stats["error"] = str(exc)
-            run.done.succeed(run)
+    def _drive(self, run: WorkflowRun):
+        driver = DagDriver(self, run)
+        yield from driver.drive(partial(self._submit, run, driver.report), self._settle)
+        run.finish(self.env.now)
 
-    def _submit(self, workflow: Workflow, name: str, run: WorkflowRun) -> Pod:
+    def _settle(self, out: Outcome) -> None:
+        pod = out.unit
+        pod._engine_span.tag(state=pod.state.value).finish()
+        if out.ok and self.cwsi is not None:
+            self.cwsi.task_finished(pod.labels["workflow"], out.name, pod)
+
+    def _submit(self, run: WorkflowRun, report, name: str) -> None:
+        workflow = run.workflow
         spec = workflow.task(name)
-        record = run.records[name]
-        record.mark_submitted(self.env.now)
+        attempt = run.records[name].attempts
         memory_gb = spec.memory_gb
         if self.right_size_memory:
             memory_gb = self.cwsi.suggest_memory_gb(name, spec.memory_gb)
@@ -190,11 +99,11 @@ class NextflowLikeEngine:
             gpus=spec.gpus,
             memory_gb=memory_gb,
             duration=spec.runtime_s + self.pod_overhead_s,
-            name=f"{workflow.name}/{name}#{record.attempts}",
+            name=f"{workflow.name}/{name}#{attempt}",
             labels={
                 "workflow": workflow.name,
                 "task": name,
-                "attempt": record.attempts,
+                "attempt": attempt,
                 # What the monitoring agent will observe (true peak).
                 "peak_memory_gb": spec.true_peak_memory_gb,
             },
@@ -205,12 +114,15 @@ class NextflowLikeEngine:
             name,
             category="engine.task",
             component=self.engine_name,
-            tags={"workflow": workflow.name, "attempt": record.attempts},
+            tags={"workflow": workflow.name, "attempt": attempt},
         )
         self.scheduler.submit(pod)
+        pod.completion.callbacks.append(lambda _event: report(Outcome(
+            name, pod.state == JobState.COMPLETED, pod.start_time, pod.end_time,
+            pod.node.id if pod.node is not None else None, pod.failure_cause, pod,
+        )))
         if self.cwsi is not None:
             self.cwsi.task_submitted(workflow.name, name, pod)
-        return pod
 
 
 class ArgoLikeEngine(NextflowLikeEngine):
@@ -225,10 +137,4 @@ class ArgoLikeEngine(NextflowLikeEngine):
 
     def __init__(self, env, scheduler, cwsi=None, max_retries: int = 2,
                  pod_overhead_s: float = 3.0):
-        super().__init__(
-            env,
-            scheduler,
-            cwsi=cwsi,
-            max_retries=max_retries,
-            pod_overhead_s=pod_overhead_s,
-        )
+        super().__init__(env, scheduler, cwsi, max_retries, pod_overhead_s)

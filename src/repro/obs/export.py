@@ -301,7 +301,7 @@ def iter_records(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
 
     The one record reader behind :func:`tracer_from_jsonl` and
     :meth:`repro.obs.stream.StubTrace.from_jsonl`: a line that is not
-    JSON, or whose ``type`` is not span/instant/metric, raises
+    a JSON object, or whose ``type`` is not span/instant/metric, raises
     :class:`ValueError` naming its line number.
     """
     for lineno, line in enumerate(lines, start=1):
@@ -312,6 +312,11 @@ def iter_records(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno} is not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"line {lineno}: a record is a JSON object, not "
+                f"{type(record).__name__}"
+            )
         kind = record.get("type")
         if kind not in _RECORD_TYPES:
             raise ValueError(f"line {lineno}: unknown record type {kind!r}")

@@ -101,6 +101,25 @@ class TestTornAndStale:
         assert body["tag"] == "good"
         assert body["_skipped_torn"] == [torn]
 
+    def test_latest_skips_newest_with_invalid_utf8(self, tmp_path):
+        write_snapshot(tmp_path, {"index": 0, "tag": "good"})
+        torn = write_snapshot(tmp_path, {"index": 1, "tag": "torn"})
+        with open(torn, "wb") as fh:
+            fh.write(b'{"snapshot": "\xff\xfe", "sha256": "00"}')
+        with pytest.raises(TornSnapshotError):
+            read_snapshot(torn)
+        path, body = latest_snapshot(tmp_path)
+        assert path == snapshot_path(tmp_path, 0)
+        assert body["tag"] == "good"
+        assert body["_skipped_torn"] == [torn]
+
+    def test_manifest_with_invalid_utf8_is_torn(self, tmp_path):
+        write_manifest(tmp_path, {"bench": "E2"})
+        with open(tmp_path / MANIFEST_NAME, "wb") as fh:
+            fh.write(b'{"bench": "\xff"}')
+        with pytest.raises(TornSnapshotError):
+            read_manifest(tmp_path)
+
     def test_latest_none_when_empty(self, tmp_path):
         assert latest_snapshot(tmp_path) is None
 

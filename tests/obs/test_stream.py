@@ -136,6 +136,8 @@ class TestRecordReader:
         [
             ("{not json", "line 3 is not valid JSON"),
             ('{"type": "bogus"}', "line 3: unknown record type 'bogus'"),
+            ("5", "line 3: a record is a JSON object, not int"),
+            ('["span"]', "line 3: a record is a JSON object, not list"),
         ],
     )
     def test_both_loaders_raise_the_same_error(self, bad, message):
