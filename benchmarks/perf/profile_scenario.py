@@ -1,9 +1,9 @@
 """Profile any perf scenario under cProfile.
 
-Generalizes the original kernel-only profiler: ``--scenario`` picks any
-entry in :data:`benchmarks.perf.scenarios.SCENARIOS`, so the same
-per-call view that steered the calendar-queue rewrite (docs/SIMKERNEL.md)
-works for the scheduler-bound and end-to-end scenarios too.  The
+``--scenario`` picks any entry in
+:data:`benchmarks.perf.scenarios.SCENARIOS`, so the same per-call view
+that steered the calendar-queue rewrite (docs/SIMKERNEL.md) works for
+the scheduler-bound and end-to-end scenarios too.  The
 event-driven scheduler fast path was steered by exactly this tool:
 ``--scenario sched_small_jobs`` showed the per-wakeup full queue scans,
 ``--scenario jaws_shards`` the per-call WDL runtime re-parsing.

@@ -5,7 +5,7 @@ see "essential information, such as input files" — this strategy puts
 that information to work.  The workflow store tracks which node each
 produced file landed on (node-local scratch); the strategy then
 
-- **prioritizes** by structural rank (as :class:`RankStrategy`), and
+- **prioritizes** by structural rank (it is a :class:`RankStrategy`), and
 - **places** each task on the fitting node that minimizes the bytes it
   would have to pull over the interconnect, and
 - **charges** the residual transfer honestly: the scheduler adds
@@ -23,11 +23,11 @@ from typing import Optional
 
 from repro.cluster.node import Node
 from repro.cws.store import WorkflowStore
-from repro.cws.strategies import _StoreBackedStrategy
+from repro.cws.strategies import RankStrategy, pod_context
 from repro.rm.kube import KubeScheduler, Pod
 
 
-class DataLocalityStrategy(_StoreBackedStrategy):
+class DataLocalityStrategy(RankStrategy):
     """Rank-ordered, locality-placed scheduling with honest staging costs.
 
     Parameters
@@ -95,7 +95,7 @@ class DataLocalityStrategy(_StoreBackedStrategy):
         return remote, shared
 
     def stage_cost_s(self, pod: Pod, node: Node, scheduler: KubeScheduler) -> float:
-        ctx = self._context(pod)
+        ctx = pod_context(self.store, pod)
         if ctx is None:
             return 0.0
         remote, shared = self.remote_bytes(*ctx, node)
@@ -106,18 +106,8 @@ class DataLocalityStrategy(_StoreBackedStrategy):
 
     # -- scheduling hooks ----------------------------------------------------------
 
-    def prioritize(self, pending: list, scheduler: KubeScheduler) -> list:
-        def key(item):
-            idx, pod = item
-            ctx = self._context(pod)
-            if ctx is None:
-                return (0.0, idx)
-            return (-float(self.store.rank_of(*ctx)), idx)
-
-        return [p for _, p in sorted(enumerate(pending), key=key)]
-
     def select_node(self, pod: Pod, candidates: list, scheduler: KubeScheduler):
-        ctx = self._context(pod)
+        ctx = pod_context(self.store, pod)
         if ctx is None:
             return super().select_node(pod, candidates, scheduler)
         best = min(

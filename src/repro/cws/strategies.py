@@ -5,8 +5,9 @@ rank and file size, we achieve an average runtime reduction of 10.8%."
 
 All strategies read workflow context from pod labels (``workflow`` /
 ``task``) resolved against the :class:`~repro.cws.store.WorkflowStore`.
-Pods without labels (non-workflow traffic) sort last, preserving FIFO
-among themselves — the scheduler keeps working for everyone.
+Pods without labels (non-workflow traffic) score 0, so they follow the
+scored workflow pods in FIFO order — the scheduler keeps working for
+everyone.  :func:`order_by_score` is the one ordering they all share.
 """
 
 from __future__ import annotations
@@ -19,6 +20,30 @@ from repro.rm.kube import KubeScheduler, Pod, SchedulingStrategy
 from repro.cluster.node import Node
 
 
+def pod_context(store: WorkflowStore, pod: Pod) -> Optional[tuple]:
+    """``(workflow, task)`` from the pod's labels, or None when the pod
+    carries no workflow context the store knows."""
+    wf = pod.labels.get("workflow")
+    task = pod.labels.get("task")
+    if wf is None or task is None or wf not in store:
+        return None
+    return wf, task
+
+
+def order_by_score(pending: list, store: WorkflowStore, score) -> list:
+    """Pods by descending ``score(workflow, task)``, stable; a pod
+    without workflow context scores 0."""
+
+    def key(item):
+        idx, pod = item
+        ctx = pod_context(store, pod)
+        if ctx is None:
+            return (0.0, idx)
+        return (-float(score(*ctx)), idx)
+
+    return [p for _, p in sorted(enumerate(pending), key=key)]
+
+
 class _StoreBackedStrategy(SchedulingStrategy):
     """Common label-resolution plumbing."""
 
@@ -28,15 +53,8 @@ class _StoreBackedStrategy(SchedulingStrategy):
         #: the heterogeneity-aware half of workflow-aware scheduling.
         self.place_fastest = place_fastest
 
-    def _context(self, pod: Pod) -> Optional[tuple]:
-        wf = pod.labels.get("workflow")
-        task = pod.labels.get("task")
-        if wf is None or task is None or wf not in self.store:
-            return None
-        return wf, task
-
     def _trace_decision(self, pod: Pod, node: Node, scheduler: KubeScheduler) -> Node:
-        ctx = self._context(pod)
+        ctx = pod_context(self.store, pod)
         scheduler.env.tracer.instant(
             "decision",
             category="cws.strategy",
@@ -52,7 +70,7 @@ class _StoreBackedStrategy(SchedulingStrategy):
         return node
 
     def select_node(self, pod: Pod, candidates: list, scheduler: KubeScheduler) -> Node:
-        if self.place_fastest and self._context(pod) is not None:
+        if self.place_fastest and pod_context(self.store, pod) is not None:
             chosen = max(
                 candidates, key=lambda n: (n.spec.speed, -n.free_cores, n.id)
             )
@@ -71,14 +89,7 @@ class RankStrategy(_StoreBackedStrategy):
     name = "rank"
 
     def prioritize(self, pending: list, scheduler: KubeScheduler) -> list:
-        def key(item):
-            idx, pod = item
-            ctx = self._context(pod)
-            if ctx is None:
-                return (0.0, idx)
-            return (-float(self.store.rank_of(*ctx)), idx)
-
-        return [p for _, p in sorted(enumerate(pending), key=key)]
+        return order_by_score(pending, self.store, self.store.rank_of)
 
 
 class FileSizeStrategy(_StoreBackedStrategy):
@@ -91,14 +102,7 @@ class FileSizeStrategy(_StoreBackedStrategy):
     name = "filesize"
 
     def prioritize(self, pending: list, scheduler: KubeScheduler) -> list:
-        def key(item):
-            idx, pod = item
-            ctx = self._context(pod)
-            if ctx is None:
-                return (0.0, idx)
-            return (-float(self.store.input_bytes_of(*ctx)), idx)
-
-        return [p for _, p in sorted(enumerate(pending), key=key)]
+        return order_by_score(pending, self.store, self.store.input_bytes_of)
 
 
 class PredictiveHeftStrategy(_StoreBackedStrategy):
@@ -131,29 +135,21 @@ class PredictiveHeftStrategy(_StoreBackedStrategy):
         # learns in ``observe``, never inside a pass.
         ranks: dict[str, dict] = {}
 
-        def key(item):
-            idx, pod = item
-            ctx = self._context(pod)
-            if ctx is None:
-                return (0.0, idx)
-            wf_name, task = ctx
+        def score(wf_name: str, task: str) -> float:
             if wf_name not in ranks:
                 ranks[wf_name] = upward_ranks(
                     self.store.get(wf_name).workflow, self._predicted_runtime
                 )
-            return (-ranks[wf_name][task], idx)
+            return ranks[wf_name][task]
 
-        return [p for _, p in sorted(enumerate(pending), key=key)]
+        return order_by_score(pending, self.store, score)
 
     def select_node(self, pod: Pod, candidates: list, scheduler: KubeScheduler) -> Node:
-        ctx = self._context(pod)
+        ctx = pod_context(self.store, pod)
         if ctx is None:
             chosen = SchedulingStrategy.select_node(self, pod, candidates, scheduler)
             return self._trace_decision(pod, chosen, scheduler)
-        _, task = ctx
-        nominal = self.predictor.predict(task, node_speed=1.0)
-        if nominal is None:
-            nominal = self.default_runtime_s
+        nominal = self._predicted_runtime(ctx[1])
         # Earliest finish time: all candidates are free *now*, so EFT
         # reduces to fastest execution.
         chosen = min(

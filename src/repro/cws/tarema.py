@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.cws.predictors import LotaruLikePredictor
 from repro.cws.store import WorkflowStore
+from repro.cws.strategies import order_by_score
 from repro.rm.kube import KubeScheduler, Pod, SchedulingStrategy
 from repro.cluster import Cluster
 from repro.cluster.node import Node
@@ -92,15 +93,7 @@ class TaremaAllocator(SchedulingStrategy):
     # -- scheduling hooks ------------------------------------------------------
 
     def prioritize(self, pending: list, scheduler: KubeScheduler) -> list:
-        def key(item):
-            idx, pod = item
-            wf = pod.labels.get("workflow")
-            task = pod.labels.get("task")
-            if wf is None or task is None or wf not in self.store:
-                return (0.0, idx)
-            return (-float(self.store.rank_of(wf, task)), idx)
-
-        return [p for _, p in sorted(enumerate(pending), key=key)]
+        return order_by_score(pending, self.store, self.store.rank_of)
 
     def select_node(self, pod: Pod, candidates: list, scheduler: KubeScheduler) -> Node:
         task = pod.labels.get("task")

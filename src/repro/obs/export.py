@@ -14,6 +14,7 @@ sequence, and gauges/counters become ``C`` counter tracks.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Iterable, Iterator, Optional
 
 from repro.obs.tracer import Span, Tracer
@@ -296,13 +297,22 @@ def write_jsonl(tracer: Tracer, path, include_metrics: bool = True) -> None:
 _RECORD_TYPES = ("span", "instant", "metric")
 
 
-def iter_records(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
-    """``(type, record)`` for each non-blank line of a JSONL trace.
+#: What reading the fields of a malformed record raises.
+RECORD_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError)
+
+
+def malformed(lineno: int, kind: str, exc: Exception) -> ValueError:
+    return ValueError(f"line {lineno}: malformed {kind} record: {exc!r}")
+
+
+def iter_records(lines: Iterable[str]) -> Iterator[tuple[int, str, dict]]:
+    """``(line number, type, record)`` per non-blank line of a JSONL trace.
 
     The one record reader behind :func:`tracer_from_jsonl` and
     :meth:`repro.obs.stream.StubTrace.from_jsonl`: a line that is not
     a JSON object, or whose ``type`` is not span/instant/metric, raises
-    :class:`ValueError` naming its line number.
+    :class:`ValueError` naming its line number (as the loaders do for a
+    record whose fields they cannot read, via :func:`malformed`).
     """
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -320,7 +330,7 @@ def iter_records(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
         kind = record.get("type")
         if kind not in _RECORD_TYPES:
             raise ValueError(f"line {lineno}: unknown record type {kind!r}")
-        yield kind, record
+        yield lineno, kind, record
 
 
 def tracer_from_jsonl(text: str) -> Tracer:
@@ -333,44 +343,47 @@ def tracer_from_jsonl(text: str) -> Tracer:
     """
     latest = [0.0]
     tracer = Tracer(clock=lambda: latest[0])
-    span_records = []
-    for kind, record in iter_records(text.splitlines()):
-        if kind == "span":
-            span_records.append(record)
-        elif kind == "instant":
-            tracer.instant(
-                record["name"],
-                category=record.get("cat", ""),
-                component=record.get("comp", ""),
-                tags=record.get("tags"),
-                t=record["t"],
-            )
-            latest[0] = max(latest[0], record["t"])
-        else:
-            tracer.metrics.register(
-                metric_from_record(record), component=record.get("comp", "")
-            )
+    spans = []
+    for lineno, kind, record in iter_records(text.splitlines()):
+        try:
+            if kind == "span":
+                span = Span(
+                    tracer,
+                    span_id=operator.index(record["id"]),
+                    name=record["name"],
+                    category=record.get("cat", ""),
+                    component=record.get("comp", ""),
+                    tags=record.get("tags"),
+                    start=record["t0"],
+                    parent_id=record.get("parent"),
+                )
+                if record.get("t1") is not None:
+                    span.end = float(record["t1"])
+                    latest[0] = max(latest[0], span.end)
+                latest[0] = max(latest[0], span.start)
+                for t, name, attrs in record.get("events", ()):
+                    span.events.append((float(t), name, dict(attrs)))
+                    latest[0] = max(latest[0], float(t))
+                spans.append(span)
+            elif kind == "instant":
+                tracer.instant(
+                    record["name"],
+                    category=record.get("cat", ""),
+                    component=record.get("comp", ""),
+                    tags=record.get("tags"),
+                    t=record["t"],
+                )
+                latest[0] = max(latest[0], record["t"])
+            else:
+                tracer.metrics.register(
+                    metric_from_record(record), component=record.get("comp", "")
+                )
+        except RECORD_ERRORS as exc:
+            raise malformed(lineno, kind, exc) from exc
 
-    # Spans are exported in id order; rebuild them directly so ids,
+    # Spans are exported in id order; adopt them in that order so ids,
     # parents and open/closed state survive the round trip.
-    for record in sorted(span_records, key=lambda r: r["id"]):
-        span = Span(
-            tracer,
-            span_id=record["id"],
-            name=record["name"],
-            category=record.get("cat", ""),
-            component=record.get("comp", ""),
-            tags=record.get("tags"),
-            start=record["t0"],
-            parent_id=record.get("parent"),
-        )
-        if record.get("t1") is not None:
-            span.end = float(record["t1"])
-            latest[0] = max(latest[0], span.end)
-        latest[0] = max(latest[0], span.start)
-        for t, name, attrs in record.get("events", ()):
-            span.events.append((float(t), name, dict(attrs)))
-            latest[0] = max(latest[0], float(t))
+    for span in sorted(spans, key=lambda s: s.span_id):
         tracer._adopt(span)
     return tracer
 

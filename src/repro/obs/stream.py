@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import re
 import sys
@@ -48,9 +49,11 @@ from typing import Iterable, Optional
 
 from repro.obs.alerts import _judge, is_failed, rule_percentiles
 from repro.obs.export import (
+    RECORD_ERRORS,
     _dumps,
     instant_record,
     iter_records,
+    malformed,
     metric_from_record,
     metric_record,
     span_record,
@@ -137,7 +140,7 @@ class SpanStub:
         """Build from one :func:`~repro.obs.export.span_record` dict."""
         end = record.get("t1")
         return cls(
-            span_id=record["id"],
+            span_id=operator.index(record["id"]),
             parent_id=record.get("parent"),
             name=record["name"],
             category=record.get("cat", ""),
@@ -205,14 +208,17 @@ class StubTrace:
         analysis reads them).
         """
         trace = cls()
-        for kind, record in iter_records(lines):
-            if kind == "span":
-                trace.spans.append(SpanStub.from_record(record))
-            elif kind == "metric":
-                trace.metrics.register(
-                    metric_from_record(record),
-                    component=record.get("comp", ""),
-                )
+        for lineno, kind, record in iter_records(lines):
+            try:
+                if kind == "span":
+                    trace.spans.append(SpanStub.from_record(record))
+                elif kind == "metric":
+                    trace.metrics.register(
+                        metric_from_record(record),
+                        component=record.get("comp", ""),
+                    )
+            except RECORD_ERRORS as exc:
+                raise malformed(lineno, kind, exc) from exc
         trace.spans.sort(key=lambda s: s.span_id)
         return trace
 

@@ -73,7 +73,10 @@ class SchedulingStrategy:
     name = "base"
 
     def prioritize(self, pending: list[Pod], scheduler: "KubeScheduler") -> list[Pod]:
-        """Order pending pods; earlier pods get first pick of nodes."""
+        """Order pending pods; earlier pods get first pick of nodes.
+
+        Called once per pass; the order must not depend on binds made
+        in that pass."""
         return pending
 
     def select_node(
@@ -130,6 +133,13 @@ class KubeScheduler(SchedulerCore):
     O(nodes) candidate scan until capacity is gained.  Pods take
     fractions of a node, which the free pool's whole-node version
     cannot see, so every pod release bumps the core's gain version.
+
+    Each wake is one pass: prioritize once, then walk the order once,
+    binding each pod that fits.  That places exactly what re-ordering
+    after every bind would: binds only shrink capacity, so a blocked or
+    declined pod stays so (a locality cost is a minimum over fewer
+    candidates; its patience clock does not move), and every shipped
+    order is a stable sort by a key of the pod and the workflow store.
     """
 
     _component = "kube"
@@ -177,10 +187,6 @@ class KubeScheduler(SchedulerCore):
         self.strategy = strategy
         self._kick()
 
-    @property
-    def pending_count(self) -> int:
-        return len(self.pending)
-
     # -- scheduling loop ------------------------------------------------------------
 
     def _scheduler_loop(self):
@@ -190,36 +196,29 @@ class KubeScheduler(SchedulerCore):
             self._wake = self.env.event()
 
     def _try_schedule(self) -> None:
+        if not self.pending:
+            return
         deadline = float("inf")  # earliest strategy-requested re-look
-        progressed = True
-        while progressed:
-            progressed = False
-            if not self.pending:
-                break
-            ordered = self.strategy.prioritize(list(self.pending), self)
-            avoid = self._avoid_ids()
-            for pod in ordered:
-                key = (pod.cores, pod.gpus, pod.memory_gb)
-                if self._known_blocked(key):
-                    continue
-                candidates = [
-                    n
-                    for n in self.cluster.nodes
-                    if n.id not in avoid
-                    and n.fits(pod.cores, pod.gpus, pod.memory_gb)
-                ]
-                if not candidates:
-                    self._record_blocked(key)
-                    continue
-                node = self.strategy.select_node(pod, candidates, self)
-                if node is None:  # delay scheduling: pod waits
-                    when = self.strategy.wake_deadline_s(pod, self)
-                    if when is not None and self.env.now < when < deadline:
-                        deadline = when
-                    continue
-                self._bind(pod, node)
-                progressed = True
-                break  # re-prioritize after each placement
+        avoid = self._avoid_ids()
+        for pod in self.strategy.prioritize(list(self.pending), self):
+            key = (pod.cores, pod.gpus, pod.memory_gb)
+            if self._known_blocked(key):
+                continue
+            candidates = [
+                n
+                for n in self.cluster.nodes
+                if n.id not in avoid and n.fits(pod.cores, pod.gpus, pod.memory_gb)
+            ]
+            if not candidates:
+                self._record_blocked(key)
+                continue
+            node = self.strategy.select_node(pod, candidates, self)
+            if node is None:  # delay scheduling: pod waits
+                when = self.strategy.wake_deadline_s(pod, self)
+                if when is not None and self.env.now < when < deadline:
+                    deadline = when
+                continue
+            self._bind(pod, node)
         if deadline < self._deadline_armed_at:
             # One exact one-shot timer for the earliest patience expiry
             # — event-driven, not a polling tick.

@@ -1,6 +1,8 @@
 """Tests for the WDL-subset parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.jaws import WdlParseError, parse_wdl
 from repro.jaws.wdl import Attr, FuncCall, Ident, Literal, WdlCall, WdlScatter
@@ -159,3 +161,30 @@ class TestParseErrors:
         """
         with pytest.raises(WdlParseError, match="multiple workflow"):
             parse_wdl(src)
+
+
+@st.composite
+def mutated_wdl(draw):
+    """A valid document with 1–4 single-character deletions, insertions
+    or replacements, drawn from the characters the grammar cares about."""
+    text = draw(st.sampled_from([SIMPLE, SCATTERED]))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text) - 1))
+        ch = draw(st.sampled_from(list('{}()<>[]"~:=,.\n x1')))
+        op = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if op == "delete":
+            text = text[:i] + text[i + 1:]
+        elif op == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + ch + text[i + 1:]
+    return text
+
+
+@given(mutated_wdl())
+@settings(max_examples=200, deadline=2000)
+def test_mutated_wdl_raises_only_parse_errors(text):
+    try:
+        parse_wdl(text)
+    except WdlParseError:
+        pass

@@ -1,6 +1,8 @@
 """Tests for the SLO rule engine (:mod:`repro.obs.alerts`)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Tracer
 from repro.obs.alerts import (
@@ -48,6 +50,19 @@ class TestRuleParsing:
     def test_invalid_expressions_raise(self, expr):
         with pytest.raises(RuleError):
             parse_expr(expr)
+
+    @given(
+        st.text(max_size=40)
+        | st.text(alphabet="px9(._/)<>=!+-e ", max_size=30)
+    )
+    @settings(max_examples=300, deadline=1000)
+    def test_arbitrary_text_raises_only_rule_error(self, expr):
+        try:
+            lhs, op, threshold = parse_expr(expr)
+        except RuleError:
+            return
+        assert op in ("<", "<=", ">", ">=", "==", "!=")
+        assert isinstance(threshold, float)
 
     def test_bad_severity_rejected(self):
         with pytest.raises(RuleError):

@@ -130,6 +130,20 @@ class TestStubStore:
         assert batch_peak == stream_peak
 
 
+SPAN = {"type": "span", "id": 1, "name": "s", "cat": "c", "comp": "x",
+        "t0": 0.0, "t1": 1.0, "tags": {"state": "DONE"}}
+INSTANT = {"type": "instant", "name": "i", "cat": "c", "comp": "x", "t": 0.5}
+METRIC = {"type": "metric", "kind": "gauge", "name": "g", "comp": "x",
+          "times": [0.0], "values": [1.0]}
+
+
+def edited(record, drop=None, **fields):
+    """``record`` without field ``drop`` and with ``fields`` set."""
+    out = {k: v for k, v in record.items() if k != drop}
+    out.update(fields)
+    return out
+
+
 class TestRecordReader:
     @pytest.mark.parametrize(
         "bad,message",
@@ -151,6 +165,39 @@ class TestRecordReader:
                 load()
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "load",
+        [lambda lines: tracer_from_jsonl("\n".join(lines)), StubTrace.from_jsonl],
+        ids=["tracer", "stub"],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            edited(SPAN, drop="name"),
+            edited(SPAN, drop="t0"),
+            edited(SPAN, drop="id"),
+            edited(SPAN, id="1"),
+            edited(SPAN, tags=[1]),
+            edited(METRIC, drop="name"),
+            edited(METRIC, times=[]),
+        ],
+        ids=[
+            "span-name", "span-t0", "span-id", "span-id-str", "span-tags",
+            "metric-name", "metric-times",
+        ],
+    )
+    def test_malformed_record_names_its_line(self, load, bad):
+        lines = [json.dumps(r) for r in (INSTANT, SPAN, bad)]
+        with pytest.raises(ValueError, match=f"^line 3: malformed {bad['type']} "):
+            load(lines)
+
+    def test_instant_without_time(self):
+        lines = [json.dumps(r) for r in (SPAN, edited(INSTANT, drop="t"))]
+        with pytest.raises(ValueError, match="^line 2: malformed instant "):
+            tracer_from_jsonl("\n".join(lines))
+        # The stub store skips instants, so it has nothing to reject.
+        assert len(StubTrace.from_jsonl(lines).spans) == 1
 
 
 #: Rules whose streaming value must equal the batch one exactly.

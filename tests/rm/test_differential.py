@@ -20,6 +20,9 @@ not decisions:
   measure-zero and assert full identity; the golden digests
   (tests/golden, which DO contain collision-heavy scenarios) stay
   byte-identical with the fast path on, pinning the curated behavior.
+- **one pass per wake** in :class:`KubeScheduler`: prioritize once and
+  walk the order once, where the reference ``RestartKube`` re-orders
+  and restarts after every bind.  Contract: fully identical.
 
 Each fast path is a class attribute, so a trivial subclass recovers
 the reference pass-per-wakeup / race-per-job behavior.  These tests
@@ -33,10 +36,14 @@ import random
 import pytest
 
 from repro.cluster import Cluster, FaultInjector, NodeSpec
+from repro.cws import CWSI, TaremaAllocator
+from repro.cws.experiment import DEFAULT_POOLS
+from repro.engines import NextflowLikeEngine
 from repro.resilience import NodeHealth
 from repro.rm import BatchScheduler, Job, JobState, KubeScheduler, ResourceRequest
 from repro.rm.kube import Pod, SchedulingStrategy
 from repro.simkernel import Environment
+from repro.workloads import workflow_mix
 
 
 class ReferenceBatch(BatchScheduler):
@@ -58,6 +65,46 @@ class ReferenceKube(KubeScheduler):
     """Pre-fast-path kube scheduler: every pass scans every pod."""
 
     _memoize = False
+
+
+class RestartKube(KubeScheduler):
+    """Pre-one-pass kube scheduler: re-prioritizes the pending pods and
+    restarts its walk after every bind."""
+
+    def _try_schedule(self) -> None:
+        deadline = float("inf")
+        progressed = True
+        while progressed:
+            progressed = False
+            if not self.pending:
+                break
+            ordered = self.strategy.prioritize(list(self.pending), self)
+            avoid = self._avoid_ids()
+            for pod in ordered:
+                key = (pod.cores, pod.gpus, pod.memory_gb)
+                if self._known_blocked(key):
+                    continue
+                candidates = [
+                    n
+                    for n in self.cluster.nodes
+                    if n.id not in avoid
+                    and n.fits(pod.cores, pod.gpus, pod.memory_gb)
+                ]
+                if not candidates:
+                    self._record_blocked(key)
+                    continue
+                node = self.strategy.select_node(pod, candidates, self)
+                if node is None:
+                    when = self.strategy.wake_deadline_s(pod, self)
+                    if when is not None and self.env.now < when < deadline:
+                        deadline = when
+                    continue
+                self._bind(pod, node)
+                progressed = True
+                break
+        if deadline < self._deadline_armed_at:
+            self._deadline_armed_at = deadline
+            self.env.process(self._deadline_wake(deadline), name="kube-deadline")
 
 
 class BiggestFirstStrategy(SchedulingStrategy):
@@ -389,6 +436,77 @@ class TestKubePolicyDifferential:
         fast = run_kube(KubeScheduler, specs, env_setup=setup, late_health=late_health)
         ref = run_kube(ReferenceKube, specs, env_setup=setup, late_health=late_health)
         assert fast == ref
+
+
+def run_cwsi_mix(sched_cls, seed, strategy):
+    """Every workflow of a seeded ``workflow_mix`` at once on one CWSI
+    scheduler, beside a few unlabelled pods; returns each task's and
+    each pod's (state, node, start, end)."""
+    env = Environment()
+    cluster = Cluster(env, pools=list(DEFAULT_POOLS))
+    sched = sched_cls(env, cluster)
+    if strategy == "tarema":
+        cwsi = CWSI(env, sched, strategy="fifo")
+        sched.set_strategy(
+            TaremaAllocator(cluster, cwsi.store, cwsi.runtime_predictor)
+        )
+    else:
+        cwsi = CWSI(env, sched, strategy=strategy)
+    engine = NextflowLikeEngine(env, sched, cwsi=cwsi)
+    runs = [engine.run(wf) for wf in workflow_mix(seed=seed)]
+    rng = random.Random(seed)
+    pods = [
+        Pod(cores=rng.choice([1, 2, 4]), duration=rng.choice([5, 20, 60]))
+        for _ in range(6)
+    ]
+
+    def background():
+        for pod in pods:
+            yield env.timeout(rng.choice([0.0, 3.0, 11.0]))
+            sched.submit(pod)
+
+    env.process(background(), name="background")
+    env.run()
+    tasks = [
+        (run.workflow.name, r.name, r.state, r.node_id, r.start_time, r.end_time)
+        for run in runs
+        for r in run.records.values()
+    ]
+    return tasks, [
+        (p.state, p.node.id, p.start_time, p.end_time) for p in pods
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+class TestKubeOnePassDifferential:
+    """One pass per wake == re-prioritizing after every bind, down to
+    node identity, under every workflow-aware ordering and under the
+    reordering and declining strategies."""
+
+    @pytest.mark.parametrize(
+        "strategy", ["fifo", "rank", "filesize", "heft", "locality", "tarema"]
+    )
+    def test_identical_cwsi_schedules(self, seed, strategy):
+        one_pass = run_cwsi_mix(KubeScheduler, seed, strategy)
+        restart = run_cwsi_mix(RestartKube, seed, strategy)
+        assert one_pass == restart
+        assert all(t[2] == "completed" for t in one_pass[0])
+
+    @pytest.mark.parametrize(
+        "strategy", [BiggestFirstStrategy, PatientStrategy], ids=["reorder", "patient"]
+    )
+    def test_identical_pod_schedules(self, seed, strategy):
+        specs = kube_workload(seed)
+        one_pass = run_kube(KubeScheduler, specs, strategy=strategy)
+        restart = run_kube(RestartKube, specs, strategy=strategy)
+        assert one_pass == restart
+
+    def test_identical_under_quarantine(self, seed):
+        specs = kube_workload(seed)
+        setup = quarantines("k-00001", "k-00003", first_at=5.0, every=10.0)
+        one_pass = run_kube(KubeScheduler, specs, env_setup=setup)
+        restart = run_kube(RestartKube, specs, env_setup=setup)
+        assert one_pass == restart
 
 
 class TestFastPathFlagsExist:

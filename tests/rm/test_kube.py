@@ -97,6 +97,25 @@ class TestStrategyHook:
         assert long.start_time == 0
         assert short.start_time == 50
 
+    def test_one_prioritize_per_pass(self):
+        """Several pods bind in one wake off a single ``prioritize``
+        call: the pass walks its order once instead of re-ordering the
+        pending pods after every bind."""
+
+        class Counting(SchedulingStrategy):
+            calls = 0
+
+            def prioritize(self, pending, scheduler):
+                Counting.calls += 1
+                return pending
+
+        env = Environment()
+        cluster = Cluster(env, pools=[(NodeSpec("k", cores=4, memory_gb=32), 2)])
+        sched = KubeScheduler(env, cluster, strategy=Counting())
+        pods = run_pods(env, sched, [Pod(cores=2, duration=5) for _ in range(4)])
+        assert [p.start_time for p in pods] == [0, 0, 0, 0]
+        assert Counting.calls == 1
+
     def test_custom_select_node(self):
         class FastestNode(SchedulingStrategy):
             def select_node(self, pod, candidates, scheduler):
