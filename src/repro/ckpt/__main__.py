@@ -13,7 +13,8 @@ in wall-clock terms so the crash-injection harness can land SIGKILLs
 mid-run; it does not affect simulated time or the trace bytes.
 ``run`` prints one ``error:`` line and exits 2, writing nothing, for a
 bench id the scenario registry does not know; ``resume`` and
-``digest`` do the same when the directory holds no run to act on.
+``digest`` do the same when the directory holds no run to act on,
+or a manifest they cannot read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from repro.obs.tracer import SpanSink
 from repro.report.scenarios import scenario_id
 
-from repro.ckpt.format import read_manifest
+from repro.ckpt.format import SnapshotError, read_manifest
 from repro.ckpt.runner import (
     DEFAULT_CADENCE,
     SPILL_DIR,
@@ -117,7 +118,10 @@ def main(argv=None) -> int:
             extra_sinks=extra,
         )
     else:
-        manifest = read_manifest(args.dir)
+        try:
+            manifest = read_manifest(args.dir)
+        except SnapshotError as exc:
+            return _error(str(exc))
         if manifest is None:
             return _error(f"no checkpoint manifest in {args.dir!r}")
         if args.cmd == "digest":

@@ -35,7 +35,7 @@ import re
 from typing import Optional
 
 #: Bump on any incompatible change to the snapshot body layout.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SCHEMA = f"repro.ckpt/{SCHEMA_VERSION}"
 
 MANIFEST_NAME = "manifest.json"
@@ -114,21 +114,36 @@ def write_snapshot(directory, body: dict) -> str:
     return path
 
 
+def _load_object(path, what: str) -> dict:
+    """Parse ``path`` as one JSON object, or raise
+    :class:`TornSnapshotError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, absurdly deep nesting
+        raise TornSnapshotError(f"unreadable {what} {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TornSnapshotError(f"{what} {path!r} is not a JSON object")
+    return doc
+
+
 def read_snapshot(path) -> dict:
     """Load and validate one snapshot body.
 
     Raises :class:`TornSnapshotError` on unreadable/corrupt files and
     :class:`SnapshotVersionError` on schema mismatch.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise TornSnapshotError(f"unreadable snapshot {path!r}: {exc}") from exc
-    if not isinstance(doc, dict) or "snapshot" not in doc or "sha256" not in doc:
+    doc = _load_object(path, "snapshot")
+    if "snapshot" not in doc or "sha256" not in doc:
         raise TornSnapshotError(f"snapshot {path!r} missing envelope fields")
     body = doc["snapshot"]
-    encoded = canonical_json(body)
+    if not isinstance(body, dict):
+        raise TornSnapshotError(f"snapshot {path!r} body is not an object")
+    try:
+        encoded = canonical_json(body)
+    except ValueError as exc:  # NaN or infinity: never written by us
+        raise TornSnapshotError(f"snapshot {path!r}: {exc}") from exc
     digest = hashlib.sha256(encoded.encode()).hexdigest()
     if digest != doc["sha256"]:
         raise TornSnapshotError(
@@ -211,13 +226,9 @@ def write_manifest(directory, doc: dict) -> str:
 
 def read_manifest(directory) -> Optional[dict]:
     path = os.path.join(str(directory), MANIFEST_NAME)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
+    if not os.path.exists(path):
         return None
-    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise TornSnapshotError(f"unreadable manifest {path!r}: {exc}") from exc
+    doc = _load_object(path, "manifest")
     if doc.get("version") != SCHEMA_VERSION:
         raise SnapshotVersionError(
             f"manifest {path!r} has schema {doc.get('schema')!r}; this "

@@ -39,11 +39,9 @@ class FreeNodePool:
     buckets (``iter_matching``/``first_fit``) flushes first, and
     ``__len__`` reads ``_free_ids``, which is always current.
 
-    :attr:`version` counts capacity *gains* — a node turning free,
-    recovering, or registering.  It never moves on a loss, so a
-    scheduler that observed "no fit for class C at version v" may skip
-    re-scanning C until the version changes: free capacity only
-    shrinks in between, and shrinking cannot create a fit.
+    The pool keeps no fit verdicts: a scheduler that found no fit for
+    a class may skip it for the rest of *one* pass (its binds only
+    shrink the pool), and asks again on the next.
     """
 
     def __init__(self) -> None:
@@ -54,9 +52,6 @@ class FreeNodePool:
         self._eligible_cache: dict[tuple, tuple[list[int], ...]] = {}
         self._pending: list[int] = []  # frees awaiting bucket insertion
         self._pending_set: set[int] = set()
-        #: Monotone count of capacity gains (free/recover/register);
-        #: invalidation key for the schedulers' negative-fit memos.
-        self.version = 0
 
     def __len__(self) -> int:
         """Number of currently free (idle, up) nodes."""
@@ -73,7 +68,6 @@ class FreeNodePool:
         if node.is_up and not node.allocations:
             self._free_ids.add(idx)
             self._buckets[node.spec].append(idx)  # idx is the max so far
-            self.version += 1
         node._idle_watchers.append(self._on_idle_changed)
 
     def _on_idle_changed(self, node: Node, idle: bool) -> None:
@@ -86,7 +80,6 @@ class FreeNodePool:
         if idle:
             if idx not in self._free_ids:
                 self._free_ids.add(idx)
-                self.version += 1
                 if idx not in self._pending_set:
                     self._pending.append(idx)
                     self._pending_set.add(idx)
@@ -218,15 +211,14 @@ class Cluster:
 
         Node *identities* are per-cluster deterministic (spec-derived
         ids), so including the down-node set is safe; the free pool is
-        summarized by its length and version (the sorted buckets are a
-        rebuildable index, not state).
+        summarized by its length (the sorted buckets are a rebuildable
+        index, not state).
         """
         return {
             "nodes": len(self.nodes),
             "down": sorted(n.id for n in self.nodes if not n.is_up),
             "allocations": sum(len(n.allocations) for n in self.nodes),
             "free": len(self.free_pool),
-            "pool_version": self.free_pool.version,
         }
 
     # -- construction -------------------------------------------------------

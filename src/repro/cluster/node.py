@@ -133,10 +133,6 @@ class Node:
         """Spec speed degraded by any injected slowdown factor."""
         return self.spec.speed / self.slowdown
 
-    @property
-    def used_cores(self) -> int:
-        return self.spec.cores - self.free_cores
-
     def fits(self, cores: int = 0, gpus: int = 0, memory_gb: float = 0.0) -> bool:
         """Whether a request fits in the node's *current* free capacity."""
         return (

@@ -67,10 +67,6 @@ class TaskSpec:
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
     @property
-    def input_names(self) -> tuple:
-        return self.inputs
-
-    @property
     def output_names(self) -> tuple:
         return tuple(f.name for f in self.outputs)
 

@@ -106,16 +106,6 @@ def is_generator(func: ast.FunctionDef) -> bool:
     return any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes(func))
 
 
-def enclosing_function(node: ast.AST) -> Optional[ast.FunctionDef]:
-    """Nearest FunctionDef/AsyncFunctionDef containing ``node``."""
-    cur = parent(node)
-    while cur is not None:
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return cur
-        cur = parent(cur)
-    return None
-
-
 def functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

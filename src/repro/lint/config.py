@@ -22,7 +22,10 @@ family's, else the implicit "everywhere" scope.  Globs use
 
 Every key under ``scopes``, ``enable`` and ``disable`` must name a
 registered rule id or family; anything else (a typo, a deleted rule) is
-a :class:`ConfigError` rather than a silently ignored setting.
+a :class:`ConfigError` rather than a silently ignored setting.  So is
+a value of the wrong type: a list key that is not a list of strings
+(``paths = "src"`` is not read as ``["s", "r", "c"]``), a section or
+scope that is not a table.
 """
 
 from __future__ import annotations
@@ -120,7 +123,8 @@ class LintConfig:
 
 
 class ConfigError(ValueError):
-    """``[tool.simlint]`` names a rule id or family that does not exist."""
+    """``[tool.simlint]`` is malformed: a value of the wrong type, or a
+    key naming no registered rule id or family."""
 
 
 def _check_rule_keys(cfg: LintConfig) -> None:
@@ -138,40 +142,52 @@ def _check_rule_keys(cfg: LintConfig) -> None:
                 )
 
 
+def _str_list(where: str, value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(
+            f"[tool.simlint] {where}: expected a list of strings, got {value!r}"
+        )
+    return list(value)
+
+
+def _table(where: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"[{where}]: expected a table, got {value!r}")
+    return value
+
+
+def config_from_pyproject(doc: dict) -> LintConfig:
+    """Config from a parsed pyproject document; a value of the wrong
+    type is a :class:`ConfigError`, never a silent default."""
+    cfg = LintConfig()
+    tool = _table("tool", doc.get("tool", {}))
+    section = _table("tool.simlint", tool.get("simlint", {}))
+    for key in ("paths", "enable", "disable", "entry-globs", "baseline"):
+        if key in section:
+            setattr(cfg, key.replace("-", "_"), _str_list(key, section[key]))
+    scopes = _table("tool.simlint.scopes", section.get("scopes", {}))
+    for key, scope in scopes.items():
+        scope = _table(f"tool.simlint.scopes.{key}", scope)
+        cfg.scopes[key] = {
+            part: _str_list(f"scopes.{key}.{part}", scope.get(part, []))
+            for part in ("include", "exclude")
+        }
+    _check_rule_keys(cfg)
+    return cfg
+
+
 def load_config(root: Path, pyproject: Optional[Path] = None) -> LintConfig:
     """Config from ``<root>/pyproject.toml`` (or an explicit file)."""
-    cfg = LintConfig()
     path = pyproject or root / "pyproject.toml"
     if not path.is_file():
-        return cfg
+        return LintConfig()
     if tomllib is None:
         raise RuntimeError(
             f"cannot read {path}: no TOML parser available "
             "(Python >= 3.11 ships tomllib; on 3.10 install `tomli`)"
         )
     with open(path, "rb") as fh:
-        doc = tomllib.load(fh)
-    section = doc.get("tool", {}).get("simlint", {})
-    if not isinstance(section, dict):
-        return cfg
-    if "paths" in section:
-        cfg.paths = [str(p) for p in section["paths"]]
-    if "enable" in section:
-        cfg.enable = [str(r) for r in section["enable"]]
-    if "disable" in section:
-        cfg.disable = [str(r) for r in section["disable"]]
-    if "entry-globs" in section:
-        cfg.entry_globs = [str(g) for g in section["entry-globs"]]
-    if "baseline" in section:
-        cfg.baseline = [str(b) for b in section["baseline"]]
-    for key, scope in section.get("scopes", {}).items():
-        if isinstance(scope, dict):
-            cfg.scopes[key] = {
-                "include": [str(g) for g in scope.get("include", [])],
-                "exclude": [str(g) for g in scope.get("exclude", [])],
-            }
-    _check_rule_keys(cfg)
-    return cfg
+        return config_from_pyproject(tomllib.load(fh))
 
 
 def find_project_root(start: Path) -> Path:

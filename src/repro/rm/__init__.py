@@ -6,8 +6,8 @@ inconsistent interfaces that drop workflow context.  This package
 implements the resource-manager side:
 
 - :class:`BatchScheduler` — an HPC batch system granting whole nodes to
-  jobs with walltime limits, FIFO + EASY backfill, and fair-share
-  priorities (the SLURM/LSF role for EnTK pilots and JAWS HTCondor
+  jobs with walltime limits, FIFO + EASY backfill and afterok
+  dependencies (the SLURM/LSF role for EnTK pilots and JAWS HTCondor
   pools).
 - :class:`KubeScheduler` — a pod-granularity bin-packing scheduler with
   a pluggable prioritization/placement strategy — the extension point
@@ -15,10 +15,10 @@ implements the resource-manager side:
 
 Both are policies over one placement core,
 :class:`~repro.rm.base.SchedulerCore`: the coalesced wake, the
-negative-fit memo, the quarantine avoid-set and the submit/retire
-bookkeeping.  Both managers are workflow-*blind* by default: they see opaque jobs and
-pods.  Everything the CWSI adds (DAG edges, input sizes, predictions)
-arrives through the strategy hooks.
+per-pass negative-fit rule, the quarantine avoid-set and the
+submit/retire bookkeeping.  Both managers are workflow-*blind* by
+default: they see opaque jobs and pods.  Everything the CWSI adds (DAG
+edges, input sizes, predictions) arrives through the strategy hooks.
 """
 
 from repro.rm.base import (

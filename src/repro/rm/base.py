@@ -50,10 +50,10 @@ class ResourceRequest:
     gpus_per_node: int = 0
     memory_gb_per_node: float = 0.0
     walltime_s: float = 3600.0
-    #: The fit-relevant projection of the request — the memo key for
-    #: the schedulers' incremental ("blocked class") placement.  Two
-    #: requests with equal placement classes fit exactly the same free
-    #: pools; walltime and payload are irrelevant to fitting.
+    #: The fit-relevant projection of the request — the key of the
+    #: batch pass's ``blocked`` set.  Two requests with equal placement
+    #: classes fit exactly the same free pools; walltime and payload
+    #: are irrelevant to fitting.
     placement_class: tuple = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -166,19 +166,13 @@ class SchedulerCore:
       and policy events ``_kick`` a single ``_wake`` event, so N
       triggers landing on one simulated instant run exactly one
       scheduling pass.
-    - **One negative-fit memo.**  A resource class that found no fit is
-      recorded in ``_blocked`` against the capacity version
-      (``cluster.free_pool.version + _gain_version``), and later passes
-      skip it until that version moves.  Exactness: every gain channel
-      bumps the version — a node turning idle, recovering or
-      registering bumps the free pool's; a quarantine release, and the
-      pod scheduler's fractional release, bump the local
-      ``_gain_version`` — and between bumps capacity only shrinks,
-      which cannot create a fit.  So a miss under the avoid-set is
-      memoized (the avoid-set only shrinks through a release), while a
-      miss under an extra caller-supplied ``exclude`` (the EASY
-      reservation) says nothing about the class and is not.  A memoized
-      class also answers any narrower query: it cannot fit there either.
+    - **One negative-fit rule.**  Each pass keeps a plain ``blocked``
+      set of the resource classes that found no fit, and skips a class
+      once it is in there.  Exact: binds only shrink capacity within a
+      pass, and shrinking cannot create a fit.  A miss under the
+      avoid-set is recorded; a miss under an extra caller-supplied
+      ``exclude`` (the EASY reservation) says nothing about the class
+      and is not.  Nothing carries over to the next pass.
     - **One avoid-set.**  Node ids from the optional
       :class:`~repro.resilience.NodeHealth`; quarantined nodes are
       excluded from every placement.  Assigning ``node_health`` — at
@@ -188,8 +182,8 @@ class SchedulerCore:
       the queue gauge and the span of each unit.
     """
 
-    #: Differential-test knob: the reference subclasses disable the
-    #: blocked-class memo to recover full-scan-per-pass behaviour.
+    #: Differential-test knob: the reference subclasses turn the
+    #: pass-local blocked set off to recover a full scan per unit.
     _memoize = True
     #: Trace names, set by each policy: component (also naming the
     #: scheduling process and checkpoint probe), span category, and the
@@ -205,11 +199,6 @@ class SchedulerCore:
         self.running: OrderedSet = OrderedSet()
         self.finished: list = []
         self._wake = env.event()
-        #: Resource classes with no current fit, memoized against the
-        #: capacity version they were observed at.
-        self._blocked: dict[tuple, int] = {}
-        #: Local capacity gains the free pool cannot see.
-        self._gain_version = 0
         self._watched: set = set()
         self._node_health = None
         self.node_health = node_health
@@ -222,14 +211,9 @@ class SchedulerCore:
         Identity-free on purpose: unit ids come from a *process-global*
         counter, so they differ between a fresh recording process and
         an in-process resume that ran other scenarios first.  Counts
-        are per-run deterministic either way; the negative-fit memo
-        (``_blocked``) is a rebuildable cache and stays out.
+        are per-run deterministic either way.
         """
-        return {
-            "running": len(self.running),
-            "finished": len(self.finished),
-            "gain_version": self._gain_version,
-        }
+        return {"running": len(self.running), "finished": len(self.finished)}
 
     @property
     def node_health(self):
@@ -242,7 +226,7 @@ class SchedulerCore:
         self._node_health = health
         if health is not None and health not in self._watched:
             # Event-driven: probation ending wakes the scheduler exactly
-            # then, and bumps the version the memo is keyed on.
+            # then.
             self._watched.add(health)
             health.watch_release(self._on_quarantine_release)
 
@@ -258,24 +242,8 @@ class SchedulerCore:
             self._wake.succeed()
 
     def _on_quarantine_release(self, node_id: str) -> None:
-        """Probation ended: the avoid-set shrank, so blocked classes
-        may fit again — bump the gain version and re-run the pass."""
-        self._gain_version += 1
+        """Probation ended: the avoid-set shrank, so re-run the pass."""
         self._kick()
-
-    # -- negative-fit memo -----------------------------------------------------
-
-    def _capacity_version(self) -> int:
-        return self.cluster.free_pool.version + self._gain_version
-
-    def _known_blocked(self, key) -> bool:
-        """True if ``key`` missed and no capacity was gained since."""
-        return self._memoize and self._blocked.get(key) == self._capacity_version()
-
-    def _record_blocked(self, key) -> None:
-        """Memoize a miss of ``key`` under the avoid-set alone."""
-        if self._memoize:
-            self._blocked[key] = self._capacity_version()
 
     # -- bookkeeping -----------------------------------------------------------
 

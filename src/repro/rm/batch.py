@@ -1,4 +1,4 @@
-"""HPC batch scheduler: whole-node jobs, FIFO + EASY backfill, fair share.
+"""HPC batch scheduler: whole-node jobs, FIFO + EASY backfill.
 
 This is the SLURM/LSF stand-in.  It intentionally knows nothing about
 workflows: jobs are opaque (the "workflow-blind" baseline of §3).  The
@@ -8,7 +8,6 @@ many small ones.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Optional
 
 from repro.simkernel import Environment, Interrupt
@@ -18,7 +17,7 @@ from repro.rm.util import OrderedSet
 
 
 class BatchScheduler(SchedulerCore):
-    """FIFO batch scheduler with optional EASY backfill and fair share.
+    """FIFO batch scheduler with optional EASY backfill.
 
     Parameters
     ----------
@@ -28,16 +27,14 @@ class BatchScheduler(SchedulerCore):
         Enable EASY backfill: while the queue head waits for nodes,
         later jobs may run if they fit now and provably do not delay
         the head job's reservation (using walltime as the runtime bound).
-    fair_share:
-        Order the queue by accumulated per-user core-seconds (ascending)
-        before submit order — the policy §6.2 notes Cromwell lacks.
     node_health:
         Optional :class:`~repro.resilience.NodeHealth`; quarantined
         nodes are excluded from every placement decision.
 
-    Wakeups, the negative-fit memo keyed on a job's
-    :attr:`~repro.rm.base.ResourceRequest.placement_class`, and the
-    avoid-set are the :class:`~repro.rm.base.SchedulerCore`'s.  On top:
+    Wakeups, the negative-fit rule and the avoid-set are the
+    :class:`~repro.rm.base.SchedulerCore`'s; each pass's ``blocked`` set
+    holds the :attr:`~repro.rm.base.ResourceRequest.placement_class` of
+    every request that found no fit.  On top:
 
     - Duration-only jobs complete off a single kernel timer instead of
       a payload process racing a walltime timeout (``_direct_timers``);
@@ -66,27 +63,17 @@ class BatchScheduler(SchedulerCore):
         env: Environment,
         cluster: Cluster,
         backfill: bool = True,
-        fair_share: bool = False,
         node_health=None,
     ):
         super().__init__(env, cluster, node_health)
         self.backfill = backfill
-        self.fair_share = fair_share
         self.queue: OrderedSet = OrderedSet()
-        #: Per-user consumed core-seconds (fair-share input).
-        self.usage: dict[str, float] = defaultdict(float)
         #: Queued jobs with afterok dependencies — the only ones the
         #: doomed-job sweep has to look at.
         self._dep_queued: OrderedSet = OrderedSet()
-        self._submit_seq: dict[str, int] = {}
-        self._seq = 0
 
     def ckpt_fingerprint(self) -> dict:
-        return {
-            **super().ckpt_fingerprint(),
-            "queued": len(self.queue),
-            "usage": sorted(self.usage.items()),
-        }
+        return {**super().ckpt_fingerprint(), "queued": len(self.queue)}
 
     # -- client API ------------------------------------------------------------
 
@@ -97,8 +84,6 @@ class BatchScheduler(SchedulerCore):
             self.queue,
             {"job": job.name, "user": job.user, "nodes": job.request.nodes},
         )
-        self._seq += 1
-        self._submit_seq[job.job_id] = self._seq
         if job.depends_on:
             self._dep_queued.append(job)
         return job
@@ -112,7 +97,6 @@ class BatchScheduler(SchedulerCore):
     def _cancel(self, job: Job, wake: bool = False) -> None:
         self.queue.remove(job)
         self._dep_queued.discard(job)
-        self._submit_seq.pop(job.job_id, None)
         job.state = JobState.CANCELLED
         self.env.tracer.instant(
             "cancel", category=self._category, component=self._component,
@@ -154,28 +138,20 @@ class BatchScheduler(SchedulerCore):
             if self._dependency_state(job) == "doomed":
                 self._cancel(job)
 
-    def _ordered_queue(self) -> list[Job]:
-        eligible = [
-            j for j in self.queue if self._dependency_state(j) == "ready"
-        ]
-        if not self.fair_share:
-            return eligible
-        return sorted(
-            eligible,
-            key=lambda j: (self.usage[j.user], self._submit_seq[j.job_id]),
-        )
-
     def _first_eligible(self) -> Optional[Job]:
         for job in self.queue:
             if not job.depends_on or self._dependency_state(job) == "ready":
                 return job
         return None
 
-    def _free_nodes_for(self, request: ResourceRequest, exclude=()) -> Optional[list[Node]]:
+    def _free_nodes_for(
+        self, request: ResourceRequest, blocked: set, exclude=()
+    ) -> Optional[list[Node]]:
         """First-fit free nodes for ``request`` outside the avoid-set
-        and the node ids in ``exclude``, or ``None``."""
+        and the node ids in ``exclude``, or ``None``.  ``blocked`` is
+        the pass's set of placement classes with no fit."""
         key = request.placement_class
-        if self._known_blocked(key):
+        if key in blocked:
             return None
         avoid = self._avoid_ids()
         nodes = self.cluster.free_pool.first_fit(
@@ -185,21 +161,19 @@ class BatchScheduler(SchedulerCore):
             request.nodes,
             avoid | exclude if exclude else avoid,
         )
-        if nodes is None and not exclude:
-            self._record_blocked(key)
+        if nodes is None and not exclude and self._memoize:
+            blocked.add(key)
         return nodes
 
     def _try_schedule(self) -> None:
-        if self.fair_share:
-            self._try_schedule_snapshot()
-            return
         # FIFO order is queue order, so walk the indexed queue lazily
         # instead of materializing the eligible list every pass.
         # Dependency states cannot change mid-pass (completions arrive
         # via separate events), so per-job eligibility is stable here.
+        blocked: set = set()
         head = self._first_eligible()
         while head is not None:
-            nodes = self._free_nodes_for(head.request)
+            nodes = self._free_nodes_for(head.request, blocked)
             if nodes is None:
                 break
             self._start(head, nodes)
@@ -212,37 +186,20 @@ class BatchScheduler(SchedulerCore):
             # steady state of a saturated cluster — most wakeups exit
             # here in O(1).
             return
-        self._backfill(head, [j for j in self.queue if j is not head])
+        self._backfill(head, blocked)
 
-    def _try_schedule_snapshot(self) -> None:
-        """Fair-share pass: order changes between starts, so snapshot."""
-        ordered = self._ordered_queue()
-        started = True
-        while started and ordered:
-            started = False
-            head = ordered[0]
-            nodes = self._free_nodes_for(head.request)
-            if nodes is not None:
-                self._start(head, nodes)
-                ordered.pop(0)
-                started = True
-        if not ordered or not self.backfill:
-            return
-        self._backfill(ordered[0], ordered[1:])
-
-    def _backfill(self, head: Job, candidates) -> None:
+    def _backfill(self, head: Job, blocked: set) -> None:
         # EASY backfill: reserve for the head, let later jobs squeeze in.
         shadow, reserved = self._head_reservation(head)
         free_pool = self.cluster.free_pool
-        for job in candidates:
+        for job in [j for j in self.queue if j is not head]:
             if not free_pool:
                 break  # every remaining fit check would come up empty
             if job.depends_on and self._dependency_state(job) != "ready":
                 continue
-            nodes = self._free_nodes_for(job.request, exclude=reserved)
-            fits_outside_reservation = nodes is not None
-            if not fits_outside_reservation:
-                nodes = self._free_nodes_for(job.request)
+            nodes = self._free_nodes_for(job.request, blocked, exclude=reserved)
+            if nodes is None:
+                nodes = self._free_nodes_for(job.request, blocked)
                 if nodes is None:
                     continue
                 # Using reserved nodes is fine only if we finish before
@@ -301,7 +258,6 @@ class BatchScheduler(SchedulerCore):
     def _start(self, job: Job, nodes: list[Node]) -> None:
         self._launch(job, self.queue, {"user": job.user, "nodes": len(nodes)})
         self._dep_queued.discard(job)
-        self._submit_seq.pop(job.job_id, None)
         job.nodes = list(nodes)
         # Allocate synchronously so the scheduling pass that picked these
         # nodes cannot hand them to another job before the run process
@@ -382,7 +338,6 @@ class BatchScheduler(SchedulerCore):
                 alloc.release()
             self.cluster.track_release(cores=tracked_cores, gpus=tracked_gpus)
             job.failure_cause = failure_cause
-            self.usage[job.user] += (self.env.now - job.start_time) * request.total_cores
             self._retire(job)
 
     def _run_payload_race(self, job: Job, request: ResourceRequest):

@@ -128,14 +128,11 @@ class KubeScheduler(SchedulerCore):
     the :meth:`SchedulingStrategy.wake_deadline_s` hook: the scheduler
     arms one exact one-shot timer for the earliest requested deadline.
 
-    A pod class (cores, gpus, memory) with zero fitting nodes outside
-    the avoid-set is memoized by the core, so later passes skip its
-    O(nodes) candidate scan until capacity is gained.  Pods take
-    fractions of a node, which the free pool's whole-node version
-    cannot see, so every pod release bumps the core's gain version.
-
     Each wake is one pass: prioritize once, then walk the order once,
-    binding each pod that fits.  That places exactly what re-ordering
+    binding each pod that fits.  A pod class (cores, gpus, memory) with
+    zero fitting nodes outside the avoid-set goes into the pass's
+    ``blocked`` set, so the rest of the pass skips its O(nodes)
+    candidate scan.  That places exactly what re-ordering
     after every bind would: binds only shrink capacity, so a blocked or
     declined pod stays so (a locality cost is a minimum over fewer
     candidates; its patience clock does not move), and every shipped
@@ -179,11 +176,7 @@ class KubeScheduler(SchedulerCore):
         return pod
 
     def set_strategy(self, strategy: SchedulingStrategy) -> None:
-        """Swap the scheduling strategy (how CWS installs itself).
-
-        Fit memos survive the swap: the blocked-class verdict is pure
-        capacity ("no node fits"), which no strategy can change.
-        """
+        """Swap the scheduling strategy (how CWS installs itself)."""
         self.strategy = strategy
         self._kick()
 
@@ -200,9 +193,10 @@ class KubeScheduler(SchedulerCore):
             return
         deadline = float("inf")  # earliest strategy-requested re-look
         avoid = self._avoid_ids()
+        blocked: set = set()  # pod classes with no fit in this pass
         for pod in self.strategy.prioritize(list(self.pending), self):
             key = (pod.cores, pod.gpus, pod.memory_gb)
-            if self._known_blocked(key):
+            if key in blocked:
                 continue
             candidates = [
                 n
@@ -210,7 +204,8 @@ class KubeScheduler(SchedulerCore):
                 if n.id not in avoid and n.fits(pod.cores, pod.gpus, pod.memory_gb)
             ]
             if not candidates:
-                self._record_blocked(key)
+                if self._memoize:
+                    blocked.add(key)
                 continue
             node = self.strategy.select_node(pod, candidates, self)
             if node is None:  # delay scheduling: pod waits
@@ -289,7 +284,4 @@ class KubeScheduler(SchedulerCore):
             node.unregister_occupant(pod.name)
             alloc.release()
             self.cluster.track_release(cores=pod.cores, gpus=pod.gpus)
-            # Fractional capacity gain the free pool's whole-node
-            # version cannot see; invalidates blocked-class memos.
-            self._gain_version += 1
             self._retire(pod)

@@ -3,8 +3,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.ckpt.__main__ import main
-from repro.ckpt.format import write_manifest
+from repro.ckpt.format import MANIFEST_NAME, write_manifest
 
 
 def _only_error_line(capsys) -> str:
@@ -49,3 +51,11 @@ def test_run_unknown_bench_exits_2_and_writes_nothing(tmp_path, capsys):
     line = _only_error_line(capsys)
     assert "E9" in line and "E1, E2" in line
     assert not directory.exists()
+
+
+@pytest.mark.parametrize("cmd", ["resume", "digest"])
+@pytest.mark.parametrize("text", ["[1,2]", '{"bench": NaN', '{"version": 1}'])
+def test_unreadable_manifest_exits_2(tmp_path, capsys, cmd, text):
+    (tmp_path / MANIFEST_NAME).write_text(text)
+    assert main([cmd, "--dir", str(tmp_path)]) == 2
+    assert "manifest" in _only_error_line(capsys)

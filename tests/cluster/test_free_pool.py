@@ -1,10 +1,8 @@
-"""Tests for FreeNodePool's batched maintenance and version counter.
+"""Tests for FreeNodePool's batched maintenance.
 
 The pool defers bucket insertion for freed nodes (O(1) per release,
-one sorted repair per query) and exposes a capacity-gain ``version``
-the schedulers key their negative-fit memos on.  These tests pin the
-exactness claims: queries always see the pool as if maintenance were
-eager, and the version moves on every gain and only on gains.
+one sorted repair per query).  These tests pin the exactness claim:
+queries always see the pool as if maintenance were eager.
 """
 
 import random
@@ -119,42 +117,6 @@ class TestBatchedRelease:
         assert [n.id for n in got] == [
             i for i in scan_ids(cluster, cores=4) if i != cluster.nodes[0].id
         ][:2]
-
-
-class TestVersionCounter:
-    def test_gains_bump(self):
-        cluster = hetero_cluster()
-        pool = cluster.free_pool
-        v0 = pool.version
-        node = cluster.nodes[0]
-        a = node.allocate(cores=node.spec.cores)
-        assert pool.version == v0  # loss: no bump
-        a.release()
-        assert pool.version == v0 + 1  # gain: free
-        node.fail()
-        assert pool.version == v0 + 1  # loss: no bump
-        node.recover()
-        assert pool.version == v0 + 2  # gain: recover
-
-    def test_register_bumps_per_free_node(self):
-        cluster = hetero_cluster()
-        v = cluster.free_pool.version
-        cluster.add_pool(NodeSpec("late", cores=8, memory_gb=32), 3)
-        assert cluster.free_pool.version == v + 3
-
-    def test_partial_allocation_no_gain(self):
-        """A node with remaining capacity is not whole-node free; only
-        the last release is the gain."""
-        cluster = hetero_cluster()
-        pool = cluster.free_pool
-        node = cluster.nodes[0]
-        a = node.allocate(cores=2)
-        b = node.allocate(cores=2)
-        v = pool.version
-        a.release()  # still one allocation live
-        assert pool.version == v
-        b.release()
-        assert pool.version == v + 1
 
 
 class TestRandomizedEquivalence:

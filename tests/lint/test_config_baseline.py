@@ -4,10 +4,12 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lint import LintConfig, lint_paths, lint_source, load_config
 from repro.lint.baseline import render_baseline_toml
-from repro.lint.config import ConfigError
+from repro.lint.config import ConfigError, config_from_pyproject
 from repro.lint.config import tomllib  # stdlib on 3.11+, tomli backport on 3.10
 
 VIOLATION = "import random\ndelay = random.random()\n"
@@ -93,6 +95,78 @@ class TestConfig:
         cfg = load_config(tmp_path)
         assert cfg.paths == ["src", "tests"]
         assert cfg.rule_enabled("DET001")
+
+
+class TestConfigTypes:
+    """A value of the wrong type is a ConfigError, never a string read
+    as a list of characters or a section silently ignored."""
+
+    @needs_toml
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # A string is not a list: '*' would exempt every file from
+            # DET005, and "src" would name the paths s, r and c.
+            '[tool.simlint]\nentry-globs = "*/__main__.py"',
+            '[tool.simlint]\npaths = "src"',
+            '[tool.simlint]\ndisable = [1]',
+            '[tool.simlint]\nbaseline = "DET002|a.py|x"',
+            "[tool]\nsimlint = 5",
+            "tool = 5",
+            "[tool.simlint]\nscopes = 5",
+            '[tool.simlint.scopes]\nDET = "src/*"',
+            "[tool.simlint.scopes]\nDET = { include = 5 }",
+            '[tool.simlint.scopes]\nDET = { exclude = "tests/*" }',
+        ],
+        ids=[
+            "entry-globs-string",
+            "paths-string",
+            "disable-ints",
+            "baseline-string",
+            "section-int",
+            "tool-int",
+            "scopes-int",
+            "scope-string",
+            "include-int",
+            "exclude-string",
+        ],
+    )
+    def test_wrong_type_is_a_config_error(self, tmp_path: Path, body):
+        (tmp_path / "pyproject.toml").write_text(body + "\n")
+        with pytest.raises(ConfigError):
+            load_config(tmp_path)
+
+
+_RULE_KEYS = ["DET", "DET005", "KERNEL", "RACE001", "NOPE9"]
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.sampled_from(_RULE_KEYS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["include", "exclude", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+_scopes = st.dictionaries(st.sampled_from(_RULE_KEYS), _values, max_size=3)
+_sections = st.dictionaries(
+    st.sampled_from(
+        ["paths", "enable", "disable", "entry-globs", "baseline", "scopes", "other"]
+    ),
+    _values | _scopes,
+    max_size=4,
+)
+
+
+@given(st.one_of(_sections, _values))
+@settings(max_examples=300, deadline=1000)
+def test_generated_sections_load_or_raise_config_error(section):
+    try:
+        cfg = config_from_pyproject({"tool": {"simlint": section}})
+    except ConfigError:
+        return
+    assert isinstance(cfg, LintConfig)
+    for field_ in (cfg.paths, cfg.enable, cfg.disable, cfg.entry_globs, cfg.baseline):
+        assert all(isinstance(v, str) for v in field_)
+    for scope in cfg.scopes.values():
+        assert all(isinstance(g, str) for part in scope.values() for g in part)
 
 
 class TestBaseline:

@@ -3,8 +3,9 @@
 The event-driven PR gave both schedulers fast paths that change cost,
 not decisions:
 
-- **coalesced wakeups + negative-fit memoization** (``_memoize``),
-  which skip whole scheduling passes and per-class placement scans.
+- **coalesced wakeups + the pass-local blocked set** (``_memoize``),
+  which skip whole scheduling passes and, within a pass, the placement
+  scans of a class that already found no fit.
   Contract: *fully* identical — same placements (node identity
   included), timings, states.
 - **the duration-job direct timer** in :class:`BatchScheduler`
@@ -27,7 +28,7 @@ not decisions:
 Each fast path is a class attribute, so a trivial subclass recovers
 the reference pass-per-wakeup / race-per-job behavior.  These tests
 run seeded randomized workloads through both and assert the contracts
-above — the acceptance argument that coalescing and memoization make
+above — the acceptance argument that coalescing and the blocked set make
 identical placement decisions to pass-per-wakeup scheduling.
 """
 
@@ -35,7 +36,7 @@ import random
 
 import pytest
 
-from repro.cluster import Cluster, FaultInjector, NodeSpec
+from repro.cluster import Cluster, FaultInjector, FreeNodePool, Node, NodeSpec
 from repro.cws import CWSI, TaremaAllocator
 from repro.cws.experiment import DEFAULT_POOLS
 from repro.engines import NextflowLikeEngine
@@ -54,7 +55,7 @@ class ReferenceBatch(BatchScheduler):
 
 
 class CoalescedOnlyBatch(BatchScheduler):
-    """Memoized, coalesced scheduling over the legacy execution shape —
+    """Blocked-set, coalesced scheduling over the legacy execution shape —
     isolates the scheduling fast path from the direct-timer change."""
 
     _direct_timers = False
@@ -80,9 +81,10 @@ class RestartKube(KubeScheduler):
                 break
             ordered = self.strategy.prioritize(list(self.pending), self)
             avoid = self._avoid_ids()
+            blocked = set()
             for pod in ordered:
                 key = (pod.cores, pod.gpus, pod.memory_gb)
-                if self._known_blocked(key):
+                if key in blocked:
                     continue
                 candidates = [
                     n
@@ -91,7 +93,7 @@ class RestartKube(KubeScheduler):
                     and n.fits(pod.cores, pod.gpus, pod.memory_gb)
                 ]
                 if not candidates:
-                    self._record_blocked(key)
+                    blocked.add(key)
                     continue
                 node = self.strategy.select_node(pod, candidates, self)
                 if node is None:
@@ -307,7 +309,7 @@ def run_kube(sched_cls, specs, env_setup=None, strategy=None, late_health=False)
 
 @pytest.mark.parametrize("seed", range(6))
 class TestBatchCoalescingDifferential:
-    """Coalesced, memoized scheduling == pass-per-wakeup scheduling,
+    """Coalesced, blocked-set scheduling == pass-per-wakeup scheduling,
     down to node identity."""
 
     def test_identical_decisions(self, seed):
@@ -317,8 +319,8 @@ class TestBatchCoalescingDifferential:
         assert coalesced == ref
 
     def test_identical_decisions_under_faults(self, seed):
-        """Node deaths exercise resilient retries and the memo
-        invalidation on recovery / quarantine release."""
+        """Node deaths exercise resilient retries, recovery and
+        quarantine release."""
         specs = batch_workload(seed, n_jobs=40)
 
         def inject(env, cluster, health):
@@ -364,8 +366,8 @@ class TestBatchDirectTimerDifferential:
 
 @pytest.mark.parametrize("seed", range(6))
 class TestKubeDifferential:
-    """The kube scheduler's only fast path is memoized coalesced
-    scheduling, so the differential is full identity."""
+    """The kube scheduler's only fast path is coalesced scheduling
+    with a blocked set, so the differential is full identity."""
 
     def test_identical_decisions(self, seed):
         specs = kube_workload(seed)
@@ -388,13 +390,11 @@ class TestKubeDifferential:
 
 @pytest.mark.parametrize("seed", range(6))
 class TestBatchPolicyDifferential:
-    """Every batch policy on the shared core: fair share, plain FIFO,
-    health installed after construction, and a growing and shrinking
-    avoid-set (a miss under it is memoized)."""
+    """Every batch policy on the shared core: plain FIFO, health
+    installed after construction, and a growing and shrinking avoid-set
+    (a miss under it goes into the pass's blocked set)."""
 
-    @pytest.mark.parametrize(
-        "policy", [dict(fair_share=True), dict(backfill=False)], ids=["fair", "fifo"]
-    )
+    @pytest.mark.parametrize("policy", [dict(backfill=False)], ids=["fifo"])
     def test_identical_decisions(self, seed, policy):
         specs = batch_workload(seed)
         coalesced = run_batch(CoalescedOnlyBatch, specs, **policy)
@@ -521,3 +521,107 @@ class TestFastPathFlagsExist:
         assert ReferenceBatch._memoize is False
         assert CoalescedOnlyBatch._direct_timers is False
         assert ReferenceKube._memoize is False
+
+
+def fit_checks_per_pass(sched_cls, monkeypatch, target, build):
+    """Run ``build`` on a counting subclass of ``sched_cls`` and return,
+    for each scheduling pass, how many times ``target`` (a ``(class,
+    name)`` method) was called during it."""
+    owner, name = target
+    original = getattr(owner, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    per_pass = []
+
+    class Counting(sched_cls):
+        def _try_schedule(self):
+            before = calls[0]
+            super()._try_schedule()
+            per_pass.append(calls[0] - before)
+
+    build(Counting)
+    return per_pass
+
+
+class TestPassLocalBlockedSet:
+    """Many pending units of one class that fits nowhere cost one fit
+    scan per pass, not one per unit, and nothing is remembered between
+    passes."""
+
+    @staticmethod
+    def kube_world(sched_cls):
+        env = Environment()
+        cluster = Cluster(env, pools=[(NodeSpec("k", cores=4, memory_gb=16), 3)])
+        sched = sched_cls(env, cluster)
+
+        def submitter():
+            for _ in range(4):
+                for _ in range(10):
+                    sched.submit(Pod(cores=8, duration=1.0))  # fits no node
+                yield env.timeout(1.0)
+
+        env.process(submitter(), name="submitter")
+        env.run()
+        assert len(sched.pending) == 40
+
+    def test_kube_one_candidate_scan_per_pass(self, monkeypatch):
+        fast = fit_checks_per_pass(
+            KubeScheduler, monkeypatch, (Node, "fits"), self.kube_world
+        )
+        # The start-up pass sees no pods; then one scan of the three
+        # nodes per pass, however many pods wait.
+        assert fast == [0, 3, 3, 3, 3]
+        monkeypatch.undo()
+        ref = fit_checks_per_pass(
+            ReferenceKube, monkeypatch, (Node, "fits"), self.kube_world
+        )
+        assert ref == [0, 30, 60, 90, 120]
+
+    @staticmethod
+    def batch_world(sched_cls):
+        env = Environment()
+        cluster = Cluster(env, pools=[(NodeSpec("n", cores=8, memory_gb=64), 4)])
+        sched = sched_cls(env, cluster)
+        # One node busy until t=100, so the 4-node head waits with a
+        # reservation and backfill walks the queue behind it.
+        sched.submit(Job(request=ResourceRequest(walltime_s=200), duration=100))
+        head = Job(request=ResourceRequest(nodes=4, walltime_s=200), duration=10)
+        sched.submit(head)
+
+        def submitter():
+            for _ in range(3):
+                yield env.timeout(1.0)
+                for _ in range(10):
+                    # No node has a GPU: this class fits nowhere.
+                    sched.submit(
+                        Job(
+                            request=ResourceRequest(gpus_per_node=1, walltime_s=5),
+                            duration=1,
+                        )
+                    )
+
+        env.process(submitter(), name="submitter")
+        env.run(until=50)
+        assert head.state == JobState.PENDING
+        assert sched.queue_length == 31
+
+    def test_batch_backfill_one_first_fit_per_pass(self, monkeypatch):
+        fast = fit_checks_per_pass(
+            BatchScheduler, monkeypatch, (FreeNodePool, "first_fit"), self.batch_world
+        )
+        # t=0: the first job starts and the head misses; the wake the
+        # submits left armed runs a second pass, where the head misses
+        # again.  Each later pass: the head misses, then the first GPU
+        # job misses outside the reservation and anywhere; the GPU jobs
+        # behind it cost nothing.
+        assert fast == [2, 1, 3, 3, 3]
+        monkeypatch.undo()
+        ref = fit_checks_per_pass(
+            ReferenceBatch, monkeypatch, (FreeNodePool, "first_fit"), self.batch_world
+        )
+        assert ref == [2, 1, 21, 41, 61]
