@@ -228,26 +228,78 @@ def write_chrome_trace(
         )
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: The one compact, key-sorted JSON encoder every JSONL record goes
+#: through (``json.dumps`` would build a new encoder per call).
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
 
 
-def span_record(span) -> dict:
-    """The JSONL record dict for one span (shared with the spill sink)."""
-    return {
-        "type": "span",
-        "id": span.span_id,
-        "parent": span.parent_id,
-        "name": span.name,
-        "cat": span.category,
-        "comp": span.component,
-        "t0": span.start,
-        "t1": span.end,
-        "tags": _safe_tags(span.tags),
-        "events": [
-            [t, name, _safe_tags(attrs)] for t, name, attrs in span.events
-        ],
-    }
+def _scalar(value) -> str:
+    """``_dumps(value)``, with the exact ``str``/``int``/finite ``float``
+    and ``None`` cases formatted by the functions ``json`` calls."""
+    cls = type(value)
+    if cls is str:
+        return _encode_str(value)
+    if cls is float and value - value == 0.0:  # finite
+        return _float_repr(value)
+    if cls is int:
+        return _int_repr(value)
+    if value is None:
+        return "null"
+    return _dumps(value)
+
+
+def _tags_json(tags: dict) -> str:
+    """``_dumps(_safe_tags(tags))`` without the intermediate dicts."""
+    if not tags:
+        return "{}"
+    safe = {}
+    for k, v in tags.items():  # a later key wins a str() collision
+        safe[str(k)] = v
+    parts = []
+    for k, v in sorted(safe.items()):
+        # _scalar(_json_safe(v)) inlined: this is the per-tag hot path.
+        cls = type(v)
+        if cls is str:
+            v = _encode_str(v)
+        elif cls is int:
+            v = _int_repr(v)
+        elif cls is float and v - v == 0.0:
+            v = _float_repr(v)
+        else:
+            v = _dumps(_json_safe(v))
+        parts.append(f"{_encode_str(k)}:{v}")
+    return "{" + ",".join(parts) + "}"
+
+
+def span_line(span) -> str:
+    """One span's JSONL record, without the trailing newline.
+
+    The one span encoder (:func:`to_jsonl` and the spill sink both call
+    it): byte-identical to ``_dumps`` of the record dict
+    ``{"type": "span", "id", "parent", "name", "cat", "comp", "t0",
+    "t1", "tags", "events"}`` with tags and event attrs through
+    :func:`_safe_tags`, written out in sorted key order.
+    """
+    events = (
+        _dumps([[t, name, _safe_tags(attrs)] for t, name, attrs in span.events])
+        if span.events
+        else "[]"
+    )
+    return (
+        f'{{"cat":{_scalar(span.category)},'
+        f'"comp":{_scalar(span.component)},'
+        f'"events":{events},'
+        f'"id":{_scalar(span.span_id)},'
+        f'"name":{_scalar(span.name)},'
+        f'"parent":{_scalar(span.parent_id)},'
+        f'"t0":{_scalar(span.start)},'
+        f'"t1":{_scalar(span.end)},'
+        f'"tags":{_tags_json(span.tags)},'
+        '"type":"span"}'
+    )
 
 
 def instant_record(inst) -> dict:
@@ -277,7 +329,7 @@ def to_jsonl(tracer: Tracer, include_metrics: bool = True) -> str:
     """
     lines: list[str] = []
     for span in tracer.spans:
-        lines.append(_dumps(span_record(span)))
+        lines.append(span_line(span))
     for inst in tracer.instants:
         lines.append(_dumps(instant_record(inst)))
     if include_metrics:

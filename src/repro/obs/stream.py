@@ -56,7 +56,7 @@ from repro.obs.export import (
     malformed,
     metric_from_record,
     metric_record,
-    span_record,
+    span_line,
     tracer_from_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry, P2Quantile, RunningStats
@@ -137,7 +137,8 @@ class SpanStub:
 
     @classmethod
     def from_record(cls, record: dict) -> "SpanStub":
-        """Build from one :func:`~repro.obs.export.span_record` dict."""
+        """Build from one span record (a parsed
+        :func:`~repro.obs.export.span_line`)."""
         end = record.get("t1")
         return cls(
             span_id=operator.index(record["id"]),
@@ -333,7 +334,8 @@ class JsonlSpillSink(SpanSink):
     """Spill finished spans to segmented JSONL files, crash-safely.
 
     Records are byte-identical to :func:`repro.obs.export.to_jsonl`
-    lines (same dict shapes, same compact JSON encoding), written in
+    lines (spans through the same :func:`~repro.obs.export.span_line`,
+    other records through the same compact JSON encoder), written in
     event order: a span's line lands when it *finishes*, instants when
     they occur.  ``close()`` drains still-open spans (``"t1": null``)
     and appends the metric registry, so concatenating the segments and
@@ -509,10 +511,13 @@ class JsonlSpillSink(SpanSink):
             )
 
     def _write(self, record: dict) -> None:
+        self._write_line(_dumps(record))
+
+    def _write_line(self, line: str) -> None:
         if self._closed:
             raise RuntimeError("JsonlSpillSink is closed")
         if self._suppress_remaining > 0:
-            self._hasher.update((_dumps(record) + "\n").encode())
+            self._hasher.update((line + "\n").encode())
             self.total_records += 1
             self._suppress_remaining -= 1
             if self._suppress_remaining == 0:
@@ -526,15 +531,14 @@ class JsonlSpillSink(SpanSink):
                 self._rotate()
         elif self._fh is None or self._records_in_segment >= self.segment_records:
             self._rotate()
-        self._fh.write(_dumps(record))
-        self._fh.write("\n")
+        self._fh.write(line + "\n")
         self._records_in_segment += 1
         self.total_records += 1
 
     # -- sink hooks ---------------------------------------------------------
 
     def on_finish(self, span) -> None:
-        self._write(span_record(span))
+        self._write_line(span_line(span))
 
     def on_instant(self, instant) -> None:
         self._write(instant_record(instant))
@@ -544,7 +548,7 @@ class JsonlSpillSink(SpanSink):
             return
         if self.tracer is not None:
             for span in self.tracer.open_spans():
-                self._write(span_record(span))
+                self._write_line(span_line(span))
             for (comp, _name), metric in self.tracer.metrics.items():
                 self._write(metric_record(comp, metric))
         self._finalize_active()

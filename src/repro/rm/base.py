@@ -165,7 +165,10 @@ class SchedulerCore:
     - **One coalesced wake.**  Submits, completions, quarantine releases
       and policy events ``_kick`` a single ``_wake`` event, so N
       triggers landing on one simulated instant run exactly one
-      scheduling pass.
+      scheduling pass.  The loop arms a fresh wake *before* each pass,
+      so only a kick after the pass started (or during it) runs
+      another; submits made before ``env.run()`` are handled by the
+      start-up pass alone.
     - **One negative-fit rule.**  Each pass keeps a plain ``blocked``
       set of the resource classes that found no fit, and skips a class
       once it is in there.  Exact: binds only shrink capacity within a
@@ -187,8 +190,10 @@ class SchedulerCore:
     _memoize = True
     #: Trace names, set by each policy: component (also naming the
     #: scheduling process and checkpoint probe), span category, and the
-    #: gauge tracking the queue length.  Each policy also defines its
-    #: own ``_scheduler_loop`` generator, which the core starts.
+    #: gauge tracking the queue length.  Each policy defines the pass,
+    #: ``_try_schedule``, and names the scheduling process: its
+    #: ``_scheduler_loop`` generator is ``yield from self._run_passes()``
+    #: (profilers count passes per policy by that generator's name).
     _component: str
     _category: str
     _queue_gauge: str
@@ -236,6 +241,12 @@ class SchedulerCore:
         return frozenset() if health is None else health.quarantined_ids()
 
     # -- wake ------------------------------------------------------------------
+
+    def _run_passes(self):
+        while True:
+            self._wake = self.env.event()
+            self._try_schedule()
+            yield self._wake
 
     def _kick(self) -> None:
         if not self._wake.triggered:

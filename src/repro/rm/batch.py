@@ -112,11 +112,7 @@ class BatchScheduler(SchedulerCore):
     # -- scheduling loop ------------------------------------------------------------
 
     def _scheduler_loop(self):
-        while True:
-            self._cancel_doomed()
-            self._try_schedule()
-            yield self._wake
-            self._wake = self.env.event()
+        yield from self._run_passes()
 
     def _dependency_state(self, job: Job) -> str:
         """'ready' | 'waiting' | 'doomed' for afterok dependencies."""
@@ -166,6 +162,7 @@ class BatchScheduler(SchedulerCore):
         return nodes
 
     def _try_schedule(self) -> None:
+        self._cancel_doomed()
         # FIFO order is queue order, so walk the indexed queue lazily
         # instead of materializing the eligible list every pass.
         # Dependency states cannot change mid-pass (completions arrive

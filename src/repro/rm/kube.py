@@ -183,10 +183,7 @@ class KubeScheduler(SchedulerCore):
     # -- scheduling loop ------------------------------------------------------------
 
     def _scheduler_loop(self):
-        while True:
-            self._try_schedule()
-            yield self._wake
-            self._wake = self.env.event()
+        yield from self._run_passes()
 
     def _try_schedule(self) -> None:
         if not self.pending:

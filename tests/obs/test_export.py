@@ -4,9 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Tracer, to_chrome_trace, to_jsonl
-from repro.obs.export import tracer_from_jsonl, write_chrome_trace, write_jsonl
+from repro.obs.export import (
+    span_line,
+    tracer_from_jsonl,
+    write_chrome_trace,
+    write_jsonl,
+)
+from repro.obs.tracer import Span
 
 from tests.obs.minirun import assert_chrome_trace_valid
 
@@ -234,3 +242,112 @@ class TestJsonlLoader:
     def test_empty_text_gives_empty_tracer(self):
         reloaded = tracer_from_jsonl("")
         assert reloaded.spans == [] and len(reloaded.metrics) == 0
+
+
+class Label(str):
+    """A str subclass whose repr and str lie; JSON writes its text."""
+
+    def __repr__(self):
+        return "Label!"
+
+    def __str__(self):
+        return "label!"
+
+
+class Seconds(float):
+    """A float subclass whose repr lies; JSON writes the float."""
+
+    def __repr__(self):
+        return "Seconds!"
+
+
+def reference_tags(tags):
+    """Tags as the exporters coerce them: ``str`` keys, a later key
+    winning a collision; JSON scalars kept, numpy scalars unwrapped,
+    anything else written as its repr."""
+    out = {}
+    for key, value in tags.items():
+        if isinstance(value, np.generic):
+            value = value.item()
+        elif not (value is None or isinstance(value, (bool, int, float, str))):
+            value = repr(value)
+        out[str(key)] = value
+    return out
+
+
+def reference_line(span):
+    """``json.dumps`` of the span record dict, built field by field."""
+    record = {
+        "type": "span",
+        "id": span.span_id,
+        "parent": span.parent_id,
+        "name": span.name,
+        "cat": span.category,
+        "comp": span.component,
+        "t0": span.start,
+        "t1": span.end,
+        "tags": reference_tags(span.tags),
+        "events": [[t, name, reference_tags(attrs)] for t, name, attrs in span.events],
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+_texts = st.text(
+    st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\n\té\u2603'),
+    max_size=6,
+)
+_times = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _times
+    | _texts
+    | _texts.map(Label)
+    | st.floats(allow_nan=False).map(Seconds)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats(width=32).map(np.float32)
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.tuples(inner, inner)
+    | st.lists(inner, max_size=2)
+    | st.dictionaries(_texts, inner, max_size=2),
+    max_leaves=4,
+)
+# Small key pools so that int 1 and str "1" collide after str().
+_keys = st.integers(-1, 2) | st.sampled_from(["-1", "0", "1", "a", 'q"', "é"]) | _texts
+_tags = st.lists(st.tuples(_keys, _values), max_size=5).map(dict)
+
+
+@st.composite
+def spans(draw):
+    name = draw(_texts | st.integers() | st.none())
+    span = Span(
+        Tracer(),
+        span_id=draw(st.integers(0, 2**70)),
+        name=name,
+        category=draw(_texts),
+        component=draw(_texts),
+        tags=draw(_tags),
+        start=draw(_times),
+        parent_id=draw(st.none() | st.integers(0, 2**40)),
+    )
+    span.end = draw(st.none() | _times)
+    span.events = draw(st.lists(st.tuples(_times, _texts, _tags), max_size=2))
+    return span
+
+
+class TestSpanLine:
+    """``span_line`` is byte-identical to ``json.dumps`` of the record."""
+
+    @given(spans())
+    @settings(max_examples=400, deadline=1000)
+    def test_matches_json_dumps_of_the_record(self, span):
+        assert span_line(span) == reference_line(span)
+
+    def test_key_collision_keeps_the_later_value(self):
+        span = Span(Tracer(), 0, "s", "c", "x", {1: "int", "1": "str"}, 0.0)
+        assert json.loads(span_line(span))["tags"] == {"1": "str"}
+        span.tags = {"1": "str", 1: "int"}
+        assert json.loads(span_line(span))["tags"] == {"1": "int"}

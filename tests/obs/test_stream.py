@@ -15,10 +15,15 @@ Equivalence contract:
   in ``tests/obs/test_online_stats.py``.
 """
 
+import functools
 import json
+import os
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import InMemorySink, Tracer, enable_tracing
 from repro.obs.alerts import Rule, evaluate_rules
@@ -30,6 +35,7 @@ from repro.obs.stream import (
     StreamingAnalytics,
     StubTrace,
     TeeSink,
+    scan_spill,
     tracer_from_segments,
 )
 from repro.simkernel import Environment
@@ -198,6 +204,82 @@ class TestRecordReader:
             tracer_from_jsonl("\n".join(lines))
         # The stub store skips instants, so it has nothing to reject.
         assert len(StubTrace.from_jsonl(lines).spans) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _spill_segments() -> tuple:
+    """``(name, bytes)`` of each segment of a small finished spill."""
+    with tempfile.TemporaryDirectory() as d:
+        sink = JsonlSpillSink(d, segment_records=15)
+        _, tracer = mini_entk_run(n_tasks=12, nodes=12, seed=3, sink=sink)
+        tracer.close()
+        segments = []
+        for path in sink.segments():
+            with open(path, "rb") as fh:
+                segments.append((os.path.basename(path), fh.read()))
+        return tuple(segments)
+
+
+_SPLICES = [b"", b"\xff", b"\xc3", b"\n", b'"', b"{", b"}", b"[", b"]",
+            b",", b":", b"0", b"-", b"e", b"null", b"true", b"\x00"]
+
+
+@st.composite
+def mutated_spills(draw):
+    """The segments with 1–3 byte edits in one of them, the last one
+    sometimes left as the active ``.part`` a crash leaves behind."""
+    segments = [list(seg) for seg in _spill_segments()]
+    target = draw(st.integers(0, len(segments) - 1))
+    data = segments[target][1]
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        i = draw(st.integers(0, len(data) - 1))
+        splice = draw(st.sampled_from(_SPLICES))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "truncate"]))
+        if op == "delete":
+            data = data[:i] + data[i + 1:]
+        elif op == "insert":
+            data = data[:i] + splice + data[i:]
+        elif op == "replace":
+            data = data[:i] + splice + data[i + 1:]
+        else:
+            data = data[:i]
+    segments[target][1] = data
+    if draw(st.booleans()):
+        segments[-1][0] += ".part"
+    return segments, target
+
+
+class TestSpillReaderGuard:
+    """A damaged spill directory yields a ``ValueError`` (a decode,
+    record or :class:`SpillCorruptionError`) from every reader, never
+    another exception and never a hang."""
+
+    def test_segments_cover_every_record_type(self):
+        text = b"".join(data for _, data in _spill_segments()).decode()
+        kinds = {json.loads(line)["type"] for line in text.splitlines()}
+        assert kinds == {"span", "instant", "metric"}
+        assert len(_spill_segments()) > 3
+
+    @given(mutated_spills())
+    @settings(max_examples=200, deadline=2000)
+    def test_mutated_segments_raise_only_value_errors(self, spill):
+        segments, target = spill
+        with tempfile.TemporaryDirectory() as d:
+            for name, data in segments:
+                with open(os.path.join(d, name), "wb") as fh:
+                    fh.write(data)
+            readers = (
+                lambda: tracer_from_segments(d, on_truncated=lambda info: None),
+                lambda: StubTrace.from_jsonl_path(os.path.join(d, segments[target][0])),
+                lambda: scan_spill(d),
+            )
+            for read in readers:
+                try:
+                    read()
+                except ValueError:
+                    pass
 
 
 #: Rules whose streaming value must equal the batch one exactly.

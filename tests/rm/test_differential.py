@@ -614,14 +614,33 @@ class TestPassLocalBlockedSet:
         fast = fit_checks_per_pass(
             BatchScheduler, monkeypatch, (FreeNodePool, "first_fit"), self.batch_world
         )
-        # t=0: the first job starts and the head misses; the wake the
-        # submits left armed runs a second pass, where the head misses
-        # again.  Each later pass: the head misses, then the first GPU
-        # job misses outside the reservation and anywhere; the GPU jobs
+        # t=0: one pass, where the first job starts and the head
+        # misses; the submits made before env.run() run no second one.
+        # Each later pass: the head misses, then the first GPU job
+        # misses outside the reservation and anywhere; the GPU jobs
         # behind it cost nothing.
-        assert fast == [2, 1, 3, 3, 3]
+        assert fast == [2, 3, 3, 3]
         monkeypatch.undo()
         ref = fit_checks_per_pass(
             ReferenceBatch, monkeypatch, (FreeNodePool, "first_fit"), self.batch_world
         )
-        assert ref == [2, 1, 21, 41, 61]
+        assert ref == [2, 21, 41, 61]
+
+    def test_kube_submits_before_run_take_one_pass(self):
+        pass_times = []
+
+        class Timed(KubeScheduler):
+            def _try_schedule(self):
+                pass_times.append(self.env.now)
+                super()._try_schedule()
+
+        env = Environment()
+        cluster = Cluster(env, pools=[(NodeSpec("k", cores=4, memory_gb=16), 2)])
+        sched = Timed(env, cluster)
+        for _ in range(3):
+            sched.submit(Pod(cores=4, duration=1.0))
+        env.run()
+        assert len(sched.finished) == 3
+        # One pass at t=0 binds two pods; the two releases at t=1 wake
+        # one pass for the third, whose release wakes one more at t=2.
+        assert pass_times == [0.0, 1.0, 2.0]
