@@ -5,11 +5,14 @@ with a bounded number of concurrently-open spans) through each span
 sink and reports, per sink mode:
 
 - ``spans_per_s`` — wall-clock span throughput (``time.perf_counter``)
-  of a storm run without ``tracemalloc``,
-- ``peak_mb`` — ``tracemalloc`` peak during a second, identical storm
+  of the fastest of :data:`REPEATS` storms run without ``tracemalloc``
+  (best-of-N, as ``harness --repeats`` keeps the best wall: one storm
+  lasts well under a second, so a single timing mostly measures
+  scheduler noise on a shared machine),
+- ``peak_mb`` — ``tracemalloc`` peak during one more, identical storm
   (tracing allocations slows the allocating modes most, so it never
   shares a pass with the timing),
-- ``wall_s`` (of the untraced storm) and the span count.
+- ``wall_s`` (of the fastest untraced storm) and the span count.
 
 Modes measured:
 
@@ -41,6 +44,9 @@ from pathlib import Path
 from typing import Optional
 
 BENCH_OBS_SCHEMA = "repro.obs-bench/v1"
+
+#: Untraced storms timed per mode; the fastest one is kept.
+REPEATS = 3
 
 # Storm shape: open spans cycle within a bounded window so the live-span
 # set stays small and the workload exercises start/finish symmetrically.
@@ -99,9 +105,9 @@ def _storm(make_tracer, n_spans: int) -> float:
 
 
 def _measure(make_tracer, n_spans: int) -> dict:
-    """Throughput from an untraced storm, then the allocation peak from
-    a second storm under ``tracemalloc``."""
-    wall = _storm(make_tracer, n_spans)
+    """Throughput from the fastest of :data:`REPEATS` untraced storms,
+    then the allocation peak from one more storm under ``tracemalloc``."""
+    wall = min(_storm(make_tracer, n_spans) for _ in range(REPEATS))
     tracemalloc.start()
     try:
         _storm(make_tracer, n_spans)

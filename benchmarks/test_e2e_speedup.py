@@ -1,11 +1,12 @@
 """Live end-to-end speedup gates for the scheduler fast path.
 
-The event-driven scheduler work (coalesced wakeups, negative-fit
-memoization, direct duration timers — see docs/PERFORMANCE.md) is only
-worth its complexity if the *end-to-end* scenarios actually got
-cheaper.  Raw jobs/s floors would drift with runner hardware, so these
-gates assert a machine-normalized quantity instead: each scenario's
-throughput divided by the same process's ``kernel_events`` events/s —
+The event-driven scheduler work (coalesced wakeups, a negative-fit
+set local to each pass, direct duration timers — see
+docs/PERFORMANCE.md) is only worth its complexity if the *end-to-end*
+scenarios actually got cheaper.  Raw jobs/s floors would drift with
+runner hardware, so these gates assert a machine-normalized quantity
+instead: each scenario's throughput divided by the same process's
+``kernel_events`` events/s —
 "how many end-to-end jobs does one unit of raw event-loop work buy".
 Dividing by the live kernel number cancels machine speed; what remains
 is the per-job overhead the fast path removed.

@@ -5,10 +5,12 @@ clocks or unseeded randomness in simulated code (DET), kernel processes
 that actually yield events and return their leases (KERNEL), spans that
 close and retries that go through RetryPolicy (OBS/RES).  Run it as::
 
-    python -m repro.lint [paths…] [--json]
+    python -m repro.lint [paths…] [--format human|json|sarif]
 
-Configuration (rule scoping, baseline, entry-point globs) lives in
-``[tool.simlint]`` in pyproject.toml; inline suppressions look like
+Configuration (default paths, rule scoping, entry-point globs) lives in
+``[tool.simlint]`` in pyproject.toml; an unknown key there is a
+:class:`~repro.lint.config.ConfigError`.  The only way to silence a
+finding is an inline suppression with a written reason:
 ``# simlint: disable=DET003 -- <required justification>``.  See
 docs/LINTING.md for the rule catalog.
 """

@@ -1,9 +1,9 @@
 """CLI: ``python -m repro.lint [paths…]``.
 
 Exit codes: 0 clean, 1 findings, 2 usage/internal error — so CI can
-gate on it directly.  ``--format json`` (alias: ``--json``) writes the
-machine-readable report to stdout (or ``--out FILE``) for artifact
-upload; ``--format sarif`` emits SARIF 2.1.0 for code-host ingestion.
+gate on it directly.  ``--format json`` writes the machine-readable
+report to stdout (or ``--out FILE``) for artifact upload;
+``--format sarif`` emits SARIF 2.1.0 for code-host ingestion.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import render_baseline_toml
 from repro.lint.config import find_project_root, load_config
 from repro.lint.engine import lint_paths
 from repro.lint.report import render_json, render_rule_catalog, render_text
@@ -31,49 +30,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--format",
         choices=("human", "json", "sarif"),
-        default=None,
+        default="human",
         help="report format (default: human)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="alias for --format json (kept for existing CI invocations)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help=(
-            "apply mechanically-safe autofixes in place before linting "
-            "(DET004 sorted() wrap, OBS002 print→logger); off by default"
-        ),
     )
     parser.add_argument("--out", metavar="FILE", help="also write the report to FILE")
     parser.add_argument(
         "--config", metavar="PYPROJECT", help="explicit pyproject.toml to read"
     )
     parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report baselined findings as live findings",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="emit a [tool.simlint] baseline snippet for current findings",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
     parser.add_argument(
-        "-v", "--verbose", action="store_true", help="also show suppressed/baselined"
+        "-v", "--verbose", action="store_true", help="also show suppressed findings"
     )
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = "json" if args.json else "human"
-    elif args.json and args.format != "json":
-        print("error: --json conflicts with --format " + args.format,
-              file=sys.stderr)
-        return 2
 
     if args.list_rules:
         print(render_rule_catalog())
@@ -103,19 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.fix:
-        from repro.lint.fix import fix_paths
-
-        for applied in fix_paths(paths, root=root, config=config):
-            print(f"fixed: {applied.render()}", file=sys.stderr)
-
-    result = lint_paths(
-        paths, root=root, config=config, use_baseline=not args.no_baseline
-    )
-
-    if args.write_baseline:
-        print(render_baseline_toml(result.findings), end="")
-        return 0
+    result = lint_paths(paths, root=root, config=config)
 
     if args.format == "json":
         report = render_json(result)

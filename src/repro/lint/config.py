@@ -8,7 +8,6 @@ scattered dotfiles.  The shape::
     disable = []                      # rule ids/families switched off
     enable = []                       # empty = everything registered
     entry-globs = ["*/__main__.py"]   # DET005 exemption (CLI surfaces)
-    baseline = []                     # grandfathered finding fingerprints
 
     [tool.simlint.scopes]
     # family or rule id -> path globs (fnmatch; '*' crosses '/')
@@ -20,12 +19,14 @@ family's, else the implicit "everywhere" scope.  Globs use
 :func:`fnmatch.fnmatch`, where ``*`` matches across path separators —
 ``src/repro/*`` covers the whole package tree.
 
-Every key under ``scopes``, ``enable`` and ``disable`` must name a
-registered rule id or family; anything else (a typo, a deleted rule) is
-a :class:`ConfigError` rather than a silently ignored setting.  So is
-a value of the wrong type: a list key that is not a list of strings
-(``paths = "src"`` is not read as ``["s", "r", "c"]``), a section or
-scope that is not a table.
+The section's keys are exactly the five above; any other key (a typo
+such as ``disabel``) is a :class:`ConfigError` rather than a silently
+ignored setting.  Every key under ``scopes``, ``enable`` and
+``disable`` must name a registered rule id or family; anything else (a
+typo, a deleted rule) is a :class:`ConfigError` too.  So is a value of
+the wrong type: a list key that is not a list of strings (``paths =
+"src"`` is not read as ``["s", "r", "c"]``), a section or scope that
+is not a table.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ class LintConfig:
     enable: list[str] = field(default_factory=list)
     disable: list[str] = field(default_factory=list)
     entry_globs: list[str] = field(default_factory=lambda: ["*/__main__.py"])
-    baseline: list[str] = field(default_factory=list)
     scopes: dict[str, dict[str, list[str]]] = field(
         default_factory=lambda: {k: dict(v) for k, v in _DEFAULT_SCOPES.items()}
     )
@@ -123,8 +123,13 @@ class LintConfig:
 
 
 class ConfigError(ValueError):
-    """``[tool.simlint]`` is malformed: a value of the wrong type, or a
-    key naming no registered rule id or family."""
+    """``[tool.simlint]`` is malformed: an unknown key, a value of the
+    wrong type, or a key naming no registered rule id or family."""
+
+
+#: The section keys holding lists of strings; ``scopes`` is the only
+#: other key.
+_LIST_KEYS = ("paths", "enable", "disable", "entry-globs")
 
 
 def _check_rule_keys(cfg: LintConfig) -> None:
@@ -157,12 +162,19 @@ def _table(where: str, value) -> dict:
 
 
 def config_from_pyproject(doc: dict) -> LintConfig:
-    """Config from a parsed pyproject document; a value of the wrong
-    type is a :class:`ConfigError`, never a silent default."""
+    """Config from a parsed pyproject document; an unknown key or a
+    value of the wrong type is a :class:`ConfigError`, never a silent
+    default."""
     cfg = LintConfig()
     tool = _table("tool", doc.get("tool", {}))
     section = _table("tool.simlint", tool.get("simlint", {}))
-    for key in ("paths", "enable", "disable", "entry-globs", "baseline"):
+    for key in section:
+        if key not in _LIST_KEYS and key != "scopes":
+            raise ConfigError(
+                f"[tool.simlint]: unknown key {key!r} (known: "
+                f"{', '.join(_LIST_KEYS)}, scopes)"
+            )
+    for key in _LIST_KEYS:
         if key in section:
             setattr(cfg, key.replace("-", "_"), _str_list(key, section[key]))
     scopes = _table("tool.simlint.scopes", section.get("scopes", {}))

@@ -1,10 +1,9 @@
 """The simlint engine: parse once, run every applicable rule, filter.
 
 Pipeline per file: parse → annotate parents → build the import map →
-run each enabled+scoped rule → drop inline-suppressed findings → drop
-baselined findings.  Files that fail to parse (or decode) produce an
-ERR001 finding rather than crashing the run (CI should fail loudly,
-not trace-back).
+run each enabled+scoped rule → drop inline-suppressed findings.
+Files that fail to parse (or decode) produce an ERR001 finding rather
+than crashing the run (CI should fail loudly, not trace-back).
 
 After the per-file pass, every successfully parsed file joins one
 **program pass**: :class:`ProgramRule` subclasses (the RACE family) see
@@ -23,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.lint import astutil, suppress
-from repro.lint.baseline import apply_baseline, stale_entry_findings
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.rules import ProgramRule, all_rules, known_ids
@@ -83,7 +81,6 @@ class ProgramContext:
 class LintResult:
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[tuple[Finding, Suppression]] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -95,7 +92,6 @@ def lint_source(
     source: str,
     relpath: str = "src/repro/module.py",
     config: Optional[LintConfig] = None,
-    use_baseline: bool = True,
 ) -> LintResult:
     """Lint one in-memory source blob (the unit-test entry point).
 
@@ -108,9 +104,6 @@ def lint_source(
     _run_program_pass(
         {relpath: parsed} if parsed is not None else {}, config, result
     )
-    if use_baseline and config.baseline:
-        kept, baselined, _stale = apply_baseline(result.findings, config.baseline)
-        result.findings, result.baselined = kept, baselined
     result.findings.sort()
     return result
 
@@ -119,7 +112,6 @@ def lint_paths(
     paths: Iterable[Path],
     root: Path,
     config: Optional[LintConfig] = None,
-    use_baseline: bool = True,
 ) -> LintResult:
     """Lint every ``*.py`` under ``paths`` (files or directories)."""
     config = config or LintConfig()
@@ -145,20 +137,6 @@ def lint_paths(
         if parsed is not None:
             parsed_files[relpath] = parsed
     _run_program_pass(parsed_files, config, result)
-    if use_baseline and config.baseline:
-        kept, baselined, stale = apply_baseline(result.findings, config.baseline)
-        result.findings, result.baselined = kept, baselined
-        # Only call out stale entries for files we actually scanned —
-        # a partial run must not invalidate the rest of the baseline.
-        scanned = {f.as_posix() for f in files} | {
-            p.resolve().relative_to(root.resolve()).as_posix()
-            for p in files
-            if p.resolve().is_relative_to(root.resolve())
-        }
-        relevant = [
-            e for e in stale if len(e.split("|", 2)) == 3 and e.split("|", 2)[1] in scanned
-        ]
-        result.findings.extend(stale_entry_findings(relevant))
     result.findings.sort()
     return result
 
@@ -209,7 +187,7 @@ def _lint_one(
     result.suppressed.extend(suppressed)
     # Directive hygiene is never suppressible and ignores scoping.
     result.findings.extend(directive_problems)
-    meta_ids = {"SUP001", "SUP002", "BASE001", "ERR001"}
+    meta_ids = {"SUP001", "SUP002", "ERR001"}
     result.findings.extend(
         suppress.unknown_rule_findings(
             suppressions, known_ids() | meta_ids, relpath, lines

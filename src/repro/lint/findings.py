@@ -2,9 +2,10 @@
 
 A :class:`Finding` is one rule violation at one source location.  Its
 *fingerprint* deliberately omits the line number: it is the rule id,
-the file path, and the stripped source text of the flagged line.  That
-makes baseline entries survive unrelated edits above the finding while
-still invalidating when the offending line itself changes.
+the file path, and the stripped source text of the flagged line.  The
+JSON report and SARIF ``partialFingerprints`` carry it, so a code host
+can track one finding across unrelated edits above it while treating
+an edit of the offending line itself as a new finding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class Finding:
     source_line: str = field(default="", compare=False)
 
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
+        """Stable identity across reports (line-number free)."""
         return f"{self.rule}|{self.path}|{self.source_line.strip()}"
 
     def render(self) -> str:

@@ -15,13 +15,10 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
             lines.append(
                 f"{finding.render()}  [suppressed: {sup.justification}]"
             )
-        for finding in result.baselined:
-            lines.append(f"{finding.render()}  [baselined]")
     summary = (
         f"{result.files_checked} files checked: "
         f"{len(result.findings)} finding(s), "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined"
+        f"{len(result.suppressed)} suppressed"
     )
     lines.append(summary if not lines else f"\n{summary}")
     return "\n".join(lines)
@@ -37,7 +34,6 @@ def render_json(result: LintResult) -> str:
             {**f.to_json(), "justification": s.justification}
             for f, s in result.suppressed
         ],
-        "baselined": [f.to_json() for f in result.baselined],
         "exit_code": result.exit_code,
     }
     return json.dumps(doc, indent=2, sort_keys=True)

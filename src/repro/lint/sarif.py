@@ -3,9 +3,9 @@
 SARIF (Static Analysis Results Interchange Format) is the OASIS
 standard that code-hosting UIs ingest for inline annotations — one
 ``run`` with the simlint tool descriptor and rule catalog, one
-``result`` per live finding.  Suppressed and baselined findings are
-included with SARIF's native ``suppressions`` property so the upload
-reflects the same triage state as the text/JSON reports.
+``result`` per live finding.  Inline-suppressed findings are included
+with SARIF's native ``suppressions`` property (``kind: inSource``) so
+the upload reflects the same triage state as the text/JSON reports.
 
 The rendering is byte-stable for a given result (sorted keys, no
 timestamps, no absolute paths): CI can diff two uploads directly.
@@ -46,7 +46,7 @@ def _location(finding) -> dict:
     }
 
 
-def _result(finding, suppression_kind: str = "", justification: str = "") -> dict:
+def _result(finding, suppression=None) -> dict:
     doc = {
         "ruleId": finding.rule,
         "level": "warning",
@@ -54,10 +54,11 @@ def _result(finding, suppression_kind: str = "", justification: str = "") -> dic
         "locations": [_location(finding)],
         "partialFingerprints": {"simlint/v1": finding.fingerprint()},
     }
-    if suppression_kind:
-        sup = {"kind": suppression_kind}
-        if justification:
-            sup["justification"] = justification
+    if suppression is not None:
+        # "inSource" = an inline disable directive next to the line.
+        sup = {"kind": "inSource"}
+        if suppression.justification:
+            sup["justification"] = suppression.justification
         doc["suppressions"] = [sup]
     return doc
 
@@ -65,12 +66,7 @@ def _result(finding, suppression_kind: str = "", justification: str = "") -> dic
 def render_sarif(result: LintResult) -> str:
     """Render ``result`` as a SARIF 2.1.0 log (byte-stable)."""
     results = [_result(f) for f in result.findings]
-    # "inSource" = an inline disable directive next to the line;
-    # "external" = the pyproject baseline entry.
-    results += [
-        _result(f, "inSource", s.justification) for f, s in result.suppressed
-    ]
-    results += [_result(f, "external") for f in result.baselined]
+    results += [_result(f, s) for f, s in result.suppressed]
     log = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

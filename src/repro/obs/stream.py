@@ -749,10 +749,15 @@ class OnlineConcurrency:
         return f"<OnlineConcurrency level={self._level} peak={self.peak}>"
 
 
+#: The duration quantiles every :class:`StreamingAnalytics` summary
+#: reports per category.
+SUMMARY_QUANTILES = (0.5, 0.9, 0.99)
+
+
 class OnlineDurationStats:
     """Per-category duration statistics in O(categories) memory."""
 
-    def __init__(self, quantiles: Iterable[float] = (0.5, 0.9, 0.99)):
+    def __init__(self, quantiles: Iterable[float] = SUMMARY_QUANTILES):
         self.quantiles = tuple(sorted(set(float(q) for q in quantiles)))
         self._cats: dict[str, tuple] = {}
 
@@ -801,10 +806,10 @@ class StreamingAnalytics(SpanSink):
     distinct categories — never by the number of spans:
 
     - per-category duration statistics (count/sum/mean/min/max + P²
-      quantiles) via :class:`OnlineDurationStats`, tracking the
-      constructor's ``quantiles`` plus every percentile a rule names;
-    - open-span concurrency (optionally restricted to one
-      category/component) via :class:`OnlineConcurrency`;
+      quantiles) via :class:`OnlineDurationStats`, tracking
+      :data:`SUMMARY_QUANTILES` plus every percentile a rule names;
+    - open-span concurrency over every span via
+      :class:`OnlineConcurrency`;
     - the run window, makespan and span/failure totals.
 
     :meth:`finalize_alerts` judges ``rules`` on that state through the
@@ -823,18 +828,13 @@ class StreamingAnalytics(SpanSink):
         self,
         rules: Iterable = (),
         context: Optional[dict] = None,
-        concurrency_category: Optional[str] = None,
-        concurrency_component: Optional[str] = None,
-        quantiles: Iterable[float] = (0.5, 0.9, 0.99),
     ):
         self.rules = list(rules)
         self.context = dict(context or {})
         self.durations = OnlineDurationStats(
-            quantiles=(*quantiles, *rule_percentiles(self.rules))
+            quantiles=(*SUMMARY_QUANTILES, *rule_percentiles(self.rules))
         )
         self.concurrency = OnlineConcurrency()
-        self._conc_cat = concurrency_category
-        self._conc_comp = concurrency_component
         self.n_started = 0
         self.n_finished = 0
         self.n_failed = 0
@@ -842,19 +842,11 @@ class StreamingAnalytics(SpanSink):
         self.t_first_finished: Optional[float] = None  # min start, finished
         self.t_last: Optional[float] = None  # max end
 
-    def _tracks(self, span) -> bool:
-        if self._conc_cat is not None and span.category != self._conc_cat:
-            return False
-        if self._conc_comp is not None and span.component != self._conc_comp:
-            return False
-        return True
-
     def on_start(self, span) -> None:
         self.n_started += 1
         if self.t_first is None or span.start < self.t_first:
             self.t_first = span.start
-        if self._tracks(span):
-            self.concurrency.step(span.start, +1.0)
+        self.concurrency.step(span.start, +1.0)
 
     def on_finish(self, span) -> None:
         self.n_finished += 1
@@ -865,8 +857,7 @@ class StreamingAnalytics(SpanSink):
         if is_failed(span):
             self.n_failed += 1
         self.durations.add(span.category, span.end - span.start)
-        if self._tracks(span):
-            self.concurrency.step(span.end, -1.0)
+        self.concurrency.step(span.end, -1.0)
 
     def close(self) -> None:
         # Batch failed_tasks reads the state tag of still-open spans too.

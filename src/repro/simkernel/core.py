@@ -568,9 +568,9 @@ def register_ckpt_probe(env, name: str, fn) -> None:
     ``fn()`` must return a JSON-able view of one component's semantic
     state; :mod:`repro.ckpt` hashes the probe outputs into the snapshot
     and re-verifies them at the same trigger point on resume.  Probes
-    must capture *decisions*, not caches: anything rebuilt lazily
-    (negative-fit memos, recycling pools) stays out so record and
-    resume agree.  A ``None`` probe name for an env without the probe
+    must capture *decisions*, not caches: anything rebuilt lazily or
+    scratch to one pass (a scheduler pass's negative-fit set,
+    recycling pools) stays out so record and resume agree.  A ``None`` probe name for an env without the probe
     list (``NaiveEnvironment``, test stubs) is silently a no-op —
     components register unconditionally and stay kernel-agnostic.
     """

@@ -1,4 +1,4 @@
-"""Config loading (pyproject round-trip), scoping, and the baseline."""
+"""Config loading (pyproject round-trip), scoping, and key validation."""
 
 import textwrap
 from pathlib import Path
@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint import LintConfig, lint_paths, lint_source, load_config
-from repro.lint.baseline import render_baseline_toml
+from repro.lint import LintConfig, load_config
 from repro.lint.config import ConfigError, config_from_pyproject
 from repro.lint.config import tomllib  # stdlib on 3.11+, tomli backport on 3.10
 
@@ -52,7 +51,6 @@ class TestConfig:
                 paths = ["lib"]
                 disable = ["DET004"]
                 entry-globs = ["lib/cli.py"]
-                baseline = ["DET002|lib/a.py|delay = random.random()"]
 
                 [tool.simlint.scopes]
                 DET = { include = ["lib/*"], exclude = [] }
@@ -65,7 +63,6 @@ class TestConfig:
         assert cfg.is_entry_point("lib/cli.py")
         assert cfg.rule_applies("DET002", "DET", "lib/a.py")
         assert not cfg.rule_applies("DET002", "DET", "src/repro/a.py")
-        assert cfg.baseline == ["DET002|lib/a.py|delay = random.random()"]
 
     @needs_toml
     @pytest.mark.parametrize(
@@ -79,6 +76,24 @@ class TestConfig:
     def test_unknown_rule_key_is_a_config_error(self, tmp_path: Path, body):
         (tmp_path / "pyproject.toml").write_text(f"[tool.simlint]\n{body}\n")
         with pytest.raises(ConfigError, match="DET01|KER007"):
+            load_config(tmp_path)
+
+    @needs_toml
+    @pytest.mark.parametrize(
+        "body",
+        [
+            'disabel = ["DET"]',
+            'path = ["lib"]',
+            "baseline = []",
+        ],
+        ids=["disabel", "path", "baseline"],
+    )
+    def test_unknown_section_key_is_a_config_error(self, tmp_path: Path, body):
+        # A misspelt key must not load with its setting silently ignored
+        # (`disabel` would leave DET enabled).
+        (tmp_path / "pyproject.toml").write_text(f"[tool.simlint]\n{body}\n")
+        key = body.split(" ", 1)[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             load_config(tmp_path)
 
     @needs_toml
@@ -163,70 +178,8 @@ def test_generated_sections_load_or_raise_config_error(section):
     except ConfigError:
         return
     assert isinstance(cfg, LintConfig)
-    for field_ in (cfg.paths, cfg.enable, cfg.disable, cfg.entry_globs, cfg.baseline):
+    for field_ in (cfg.paths, cfg.enable, cfg.disable, cfg.entry_globs):
         assert all(isinstance(v, str) for v in field_)
     for scope in cfg.scopes.values():
         assert all(isinstance(g, str) for part in scope.values() for g in part)
 
-
-class TestBaseline:
-    def test_baselined_finding_does_not_fail(self):
-        cfg = LintConfig(
-            baseline=["DET002|src/repro/fake_mod.py|delay = random.random()"]
-        )
-        result = lint_source(VIOLATION, relpath="src/repro/fake_mod.py", config=cfg)
-        assert result.findings == []
-        assert len(result.baselined) == 1
-        assert result.exit_code == 0
-
-    def test_baseline_invalidates_when_line_changes(self):
-        cfg = LintConfig(
-            baseline=["DET002|src/repro/fake_mod.py|delay = random.random()"]
-        )
-        edited = "import random\ndelay = 2 * random.random()\n"
-        result = lint_source(edited, relpath="src/repro/fake_mod.py", config=cfg)
-        assert [f.rule for f in result.findings] == ["DET002"]
-
-    @needs_toml
-    def test_write_baseline_round_trips(self, tmp_path: Path):
-        (tmp_path / "src" / "repro").mkdir(parents=True)
-        mod = tmp_path / "src" / "repro" / "dirty.py"
-        mod.write_text(VIOLATION)
-
-        first = lint_paths([tmp_path / "src"], root=tmp_path)
-        assert [f.rule for f in first.findings] == ["DET002"]
-
-        snippet = render_baseline_toml(first.findings)
-        entries = tomllib.loads(snippet)["baseline"]
-        cfg = LintConfig(baseline=entries)
-        second = lint_paths([tmp_path / "src"], root=tmp_path, config=cfg)
-        assert second.findings == []
-        assert len(second.baselined) == 1
-
-    def test_overlapping_paths_consume_baseline_once(self, tmp_path: Path):
-        # Overlapping targets must not lint the file twice — the second
-        # duplicate used to miss the (already consumed) baseline entry.
-        (tmp_path / "src" / "repro").mkdir(parents=True)
-        (tmp_path / "src" / "repro" / "dirty.py").write_text(VIOLATION)
-        cfg = LintConfig(baseline=["DET002|src/repro/dirty.py|delay = random.random()"])
-        result = lint_paths(
-            [tmp_path / "src", tmp_path / "src" / "repro"], root=tmp_path, config=cfg
-        )
-        assert result.findings == []
-        assert len(result.baselined) == 1
-        assert result.files_checked == 1
-
-    def test_stale_entry_reported_for_scanned_file(self, tmp_path: Path):
-        (tmp_path / "src" / "repro").mkdir(parents=True)
-        mod = tmp_path / "src" / "repro" / "clean.py"
-        mod.write_text("x = 1\n")
-        cfg = LintConfig(baseline=["DET002|src/repro/clean.py|delay = random.random()"])
-        result = lint_paths([tmp_path / "src"], root=tmp_path, config=cfg)
-        assert [f.rule for f in result.findings] == ["BASE001"]
-
-    def test_stale_entry_ignored_for_unscanned_file(self, tmp_path: Path):
-        (tmp_path / "src" / "repro").mkdir(parents=True)
-        (tmp_path / "src" / "repro" / "clean.py").write_text("x = 1\n")
-        cfg = LintConfig(baseline=["DET002|src/repro/elsewhere.py|delay = r()"])
-        result = lint_paths([tmp_path / "src"], root=tmp_path, config=cfg)
-        assert result.findings == []

@@ -5,7 +5,6 @@ from pathlib import Path
 from repro.lint.__main__ import main
 from repro.lint.config import LintConfig
 from repro.lint.engine import lint_paths, lint_source
-from repro.lint.fix import fix_paths
 from repro.lint.sarif import render_sarif
 
 BROKEN = "def broken(:\n    pass\n"
@@ -92,18 +91,3 @@ class TestUnreadableFiles:
         assert main([str(pkg)]) == 1
         assert "ERR001" in capsys.readouterr().out
 
-
-class TestFixerRobustness:
-    def test_fixer_skips_unreadable_and_broken_files(self, tmp_path):
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        bad_bytes = b"\xff\xfe garbage"
-        (pkg / "latin.py").write_bytes(bad_bytes)
-        (pkg / "broken.py").write_text(BROKEN)
-        ok = pkg / "ok.py"
-        ok.write_text("for x in {2, 1}:\n    use(x)\n")
-        applied = fix_paths([pkg], root=tmp_path, config=LintConfig())
-        assert [a.rule for a in applied] == ["DET004"]
-        assert (pkg / "latin.py").read_bytes() == bad_bytes
-        assert (pkg / "broken.py").read_text() == BROKEN
-        assert "sorted({2, 1})" in ok.read_text()

@@ -85,21 +85,6 @@ class TestCliFormat:
         assert log["version"] == "2.1.0"
         assert code == 1  # findings present
 
-    def test_json_alias_still_works(self, tmp_path, capsys, monkeypatch):
-        target = self._write(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        code = main(["--json", str(target)])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["tool"] == "simlint"
-        assert code == 1
-
-    def test_json_alias_conflicts_with_other_format(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        target = self._write(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert main(["--json", "--format", "sarif", str(target)]) == 2
-
     def test_out_writes_selected_format(self, tmp_path, capsys, monkeypatch):
         target = self._write(tmp_path)
         monkeypatch.chdir(tmp_path)

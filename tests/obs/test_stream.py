@@ -316,7 +316,6 @@ class TestStreamingAnalytics:
         analytics = StreamingAnalytics(
             rules=[Rule(e) for e in EXACT_RULES + SUM_RULES + QUANTILE_RULES],
             context=CONTEXT,
-            concurrency_category="entk.exec",
         )
         _, tracer = mini_entk_run(
             n_tasks=200, nodes=200, seed=5,
@@ -334,7 +333,7 @@ class TestStreamingAnalytics:
 
     def test_peak_concurrency_matches_batch(self, tee_run):
         tracer, analytics = tee_run
-        series = tracer.query().concurrency(category="entk.exec")
+        series = tracer.query().concurrency()
         analytics.concurrency.flush()
         assert analytics.concurrency.peak == max(series.values)
 
