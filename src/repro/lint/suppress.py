@@ -23,6 +23,10 @@ from typing import Iterable
 
 from repro.lint.findings import Finding
 
+#: A comment attempting a directive; one that then fails
+#: :data:`_DIRECTIVE` is malformed (SUP001).  A comment merely naming
+#: simlint is not an attempt.
+_ATTEMPT = re.compile(r"#\s*simlint\s*:")
 _DIRECTIVE = re.compile(
     r"#\s*simlint:\s*disable=(?P<rules>[A-Za-z0-9_,\s]+?)"
     r"(?:\s*--\s*(?P<why>.*\S))?\s*$"
@@ -55,7 +59,7 @@ def parse_suppressions(source: str, relpath: str) -> tuple[list[Suppression], li
     except (tokenize.TokenError, IndentationError, SyntaxError):
         return [], []  # the engine reports the parse error separately
     for tok in tokens:
-        if tok.type != tokenize.COMMENT or "simlint" not in tok.string:
+        if tok.type != tokenize.COMMENT or not _ATTEMPT.search(tok.string):
             continue
         line_no = tok.start[0]
         match = _DIRECTIVE.search(tok.string)

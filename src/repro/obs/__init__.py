@@ -71,7 +71,6 @@ from repro.obs.stream import (
     JsonlSpillSink,
     OnlineConcurrency,
     OnlineDurationStats,
-    SpanStub,
     StreamingAnalytics,
     StubTrace,
     TeeSink,
@@ -121,7 +120,6 @@ __all__ = [
     "Rule",
     "RuleError",
     "evaluate_rules",
-    "SpanStub",
     "StubTrace",
     "JsonlSpillSink",
     "TeeSink",

@@ -360,7 +360,8 @@ def malformed(lineno: int, kind: str, exc: Exception) -> ValueError:
 def iter_records(lines: Iterable[str]) -> Iterator[tuple[int, str, dict]]:
     """``(line number, type, record)`` per non-blank line of a JSONL trace.
 
-    The one record reader behind :func:`tracer_from_jsonl` and
+    The one record reader behind both trace loaders, the lossless
+    :func:`tracer_from_jsonl` and the compact
     :meth:`repro.obs.stream.StubTrace.from_jsonl`: a line that is not
     a JSON object, or whose ``type`` is not span/instant/metric, raises
     :class:`ValueError` naming its line number (as the loaders do for a

@@ -10,15 +10,12 @@ state.
 
 Two modes, two guarantees:
 
-- **Exact replay** (:class:`StubTrace`): spans are compacted to
-  :class:`SpanStub` records — the eight fields the report analyses
-  read, tags reduced to the terminal ``state`` — and the unchanged
-  batch analytics run over the stub store.  Verdicts are
-  **byte-identical** to the batch path (it *is* the batch code on the
-  same values); memory is one compact slot-record per span instead of
-  spans + tags + events + instants.  A live run gets a stub store by
-  spilling and reloading with :meth:`StubTrace.from_jsonl`, or from a
-  retained trace with :meth:`StubTrace.from_tracer`.
+- **Exact replay** (:class:`StubTrace`): a JSONL trace or spill is
+  read back line by line into a :class:`~repro.obs.tracer.Tracer` whose
+  spans keep only what the report analyses read (tags reduced to the
+  terminal ``state``; no events, no instants), and the unchanged batch
+  analytics run over it.  Verdicts are **byte-identical** to a lossless
+  reload (it *is* the batch code on the same values).
 - **Online analytics** (:class:`StreamingAnalytics`): one O(1) state
   per category — Welford stats and P² quantiles
   (:class:`OnlineDurationStats`), peak-concurrency tracking, the run
@@ -60,10 +57,9 @@ from repro.obs.export import (
     tracer_from_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry, P2Quantile, RunningStats
-from repro.obs.tracer import SpanSink, Tracer
+from repro.obs.tracer import Span, SpanSink, Tracer
 
 __all__ = [
-    "SpanStub",
     "StubTrace",
     "JsonlSpillSink",
     "SpillCorruptionError",
@@ -77,142 +73,52 @@ __all__ = [
 ]
 
 
-# -- compact span store (exact mode) ----------------------------------------------
+# -- compact trace reader (exact mode) --------------------------------------------
 
 
-class SpanStub:
-    """A finished (or drained-open) span compacted to its analysis fields.
+class StubTrace(Tracer):
+    """A :class:`~repro.obs.tracer.Tracer` read back compactly from JSONL.
 
-    Everything :mod:`repro.obs.analyze`, :mod:`repro.obs.alerts` and
-    :mod:`repro.report` read from a span survives: identity, hierarchy,
-    classification, interval, and the terminal ``state`` tag
-    (``failed_tasks`` counts it).  Free-form tags, point events and the
-    back-reference to the tracer are dropped — that is where the memory
-    goes in a real trace.
-    """
-
-    __slots__ = (
-        "span_id",
-        "parent_id",
-        "name",
-        "category",
-        "component",
-        "start",
-        "end",
-        "tags",
-    )
-
-    def __init__(
-        self,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-        category: str,
-        component: str,
-        start: float,
-        end: Optional[float],
-        state=None,
-    ):
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = sys.intern(name)
-        self.category = sys.intern(category)
-        self.component = sys.intern(component)
-        self.start = start
-        self.end = end
-        self.tags = {} if state is None else {"state": state}
-
-    @classmethod
-    def from_span(cls, span) -> "SpanStub":
-        return cls(
-            span_id=span.span_id,
-            parent_id=span.parent_id,
-            name=span.name,
-            category=span.category,
-            component=span.component,
-            start=span.start,
-            end=span.end,
-            state=span.tags.get("state"),
-        )
-
-    @classmethod
-    def from_record(cls, record: dict) -> "SpanStub":
-        """Build from one span record (a parsed
-        :func:`~repro.obs.export.span_line`)."""
-        end = record.get("t1")
-        return cls(
-            span_id=operator.index(record["id"]),
-            parent_id=record.get("parent"),
-            name=record["name"],
-            category=record.get("cat", ""),
-            component=record.get("comp", ""),
-            start=float(record["t0"]),
-            end=None if end is None else float(end),
-            state=(record.get("tags") or {}).get("state"),
-        )
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
-    def duration(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.start
-
-    def overlaps(self, t0: float, t1: float) -> bool:
-        end = self.end if self.end is not None else float("inf")
-        return self.start <= t1 and end >= t0
-
-    def __repr__(self) -> str:
-        dur = f"{self.duration:.3f}s" if self.end is not None else "open"
-        return (
-            f"<SpanStub #{self.span_id} {self.category}:{self.name!r} "
-            f"@{self.component} {dur}>"
-        )
-
-
-class StubTrace:
-    """A Tracer-shaped view over a :class:`SpanStub` store.
-
-    Quacks enough like a :class:`~repro.obs.tracer.Tracer` for
-    :class:`~repro.obs.query.TraceQuery` and everything built on it —
-    ``spans`` (id-ordered stubs), empty ``instants``, a metrics
-    registry — while ``enabled = False`` keeps post-hoc passes (alert
-    recording) from trying to write spans back.  This is how the
-    ``--stream`` report path runs the *unchanged* batch analytics and
-    still produces byte-identical verdicts.
+    Each span record becomes a :class:`~repro.obs.tracer.Span` holding
+    what :mod:`repro.obs.analyze`, :mod:`repro.obs.alerts` and
+    :mod:`repro.report` read: identity, hierarchy, classification
+    (interned strings), interval, and the terminal ``state`` tag
+    (``failed_tasks`` counts it).  Other tags, point events and
+    instants are dropped — that is where the memory goes in a real
+    trace.  Metric records land in the registry.  The unchanged batch
+    analytics run over it, so verdicts are byte-identical to a
+    lossless reload (:func:`~repro.obs.export.tracer_from_jsonl`);
+    ``enabled = False`` keeps post-hoc passes (alert recording) from
+    writing spans into a trace read from disk.
     """
 
     enabled = False
-    trace_kernel = False
-
-    def __init__(self, spans=None, metrics: Optional[MetricsRegistry] = None):
-        self.spans: list[SpanStub] = list(spans or [])
-        self.instants: list = []
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    @classmethod
-    def from_tracer(cls, tracer) -> "StubTrace":
-        """Compact a retained in-memory trace (shares its registry)."""
-        return cls(
-            spans=[SpanStub.from_span(s) for s in tracer.spans],
-            metrics=tracer.metrics,
-        )
 
     @classmethod
     def from_jsonl(cls, lines: Iterable[str]) -> "StubTrace":
-        """Stream-parse JSONL lines into a stub store.
-
-        Accepts any iterable of lines (an open file streams without
-        materializing the text); span records compact to stubs, metric
-        records land in the registry, instants are skipped (no report
-        analysis reads them).
-        """
+        """Stream-parse JSONL lines (an open file streams without
+        materializing the text) into a compact trace."""
         trace = cls()
+        spans = []
         for lineno, kind, record in iter_records(lines):
             try:
                 if kind == "span":
-                    trace.spans.append(SpanStub.from_record(record))
+                    state = (record.get("tags") or {}).get("state")
+                    # Positional: the reader's hot path, once per span.
+                    span = Span(
+                        trace,
+                        operator.index(record["id"]),
+                        sys.intern(record["name"]),
+                        sys.intern(record.get("cat", "")),
+                        sys.intern(record.get("comp", "")),
+                        None if state is None else {"state": state},
+                        record["t0"],
+                        record.get("parent"),
+                    )
+                    end = record.get("t1")
+                    if end is not None:
+                        span.end = float(end)
+                    spans.append(span)
                 elif kind == "metric":
                     trace.metrics.register(
                         metric_from_record(record),
@@ -220,24 +126,15 @@ class StubTrace:
                     )
             except RECORD_ERRORS as exc:
                 raise malformed(lineno, kind, exc) from exc
-        trace.spans.sort(key=lambda s: s.span_id)
+        spans.sort(key=lambda s: s.span_id)
+        for span in spans:
+            trace._adopt(span)
         return trace
 
     @classmethod
     def from_jsonl_path(cls, path) -> "StubTrace":
         with open(path) as fh:
             return cls.from_jsonl(fh)
-
-    def query(self):
-        from repro.obs.query import TraceQuery
-
-        return TraceQuery(self)
-
-    def open_spans(self) -> list:
-        return [s for s in self.spans if s.end is None]
-
-    def __repr__(self) -> str:
-        return f"<StubTrace spans={len(self.spans)} metrics={len(self.metrics)}>"
 
 
 # -- spill-to-disk sink ----------------------------------------------------------

@@ -245,24 +245,17 @@ def build_report(
     headline scalars as context.  Without a tracer, only headline
     metrics and scalar rules are evaluated.
 
-    ``stream=True`` runs the identical analyses over a compact
-    :class:`~repro.obs.stream.StubTrace` span store instead of full
-    spans — same code, same values, byte-identical verdicts — either
-    converting the given tracer or accepting a ``StubTrace`` directly
-    (see :func:`stream_report_from_jsonl`).  Dependency-aware critical
-    paths (``deps``) need the full span tags and are rejected in
-    stream mode.
+    ``stream=True`` marks a trace read back by the compact JSONL
+    reader (:class:`~repro.obs.stream.StubTrace`, see
+    :func:`stream_report_from_jsonl`); any tracer is analysed as it
+    is.  Such a trace keeps only each span's ``state`` tag, so
+    dependency-aware critical paths (``deps``) are rejected with it.
     """
-    if stream and tracer is not None:
-        if deps is not None:
-            raise ValueError(
-                "stream mode drops span tags; dependency-aware critical "
-                "paths (deps=...) need the batch path"
-            )
-        from repro.obs.stream import StubTrace
-
-        if not isinstance(tracer, StubTrace):
-            tracer = StubTrace.from_tracer(tracer)
+    if stream and deps is not None:
+        raise ValueError(
+            "stream mode drops span tags; dependency-aware critical "
+            "paths (deps=...) need the batch path"
+        )
     headline = dict(headline or {})
     query = TraceQuery(tracer) if tracer is not None else None
 
@@ -370,11 +363,11 @@ def stream_report_from_jsonl(
 ) -> RunReport:
     """Build a report from a JSONL trace without materializing spans.
 
-    The file is stream-parsed line by line into a
-    :class:`~repro.obs.stream.StubTrace` (compact stubs + metric
-    registry; tags, events and instants are never held), then
-    :func:`build_report` runs the unchanged analyses over it.  Output
-    is byte-identical to loading the full trace and reporting on it.
+    The file is parsed line by line into a compact
+    :class:`~repro.obs.stream.StubTrace` (tags reduced to ``state``;
+    events and instants are never held), then :func:`build_report`
+    runs the unchanged analyses over it.  Output is byte-identical to
+    loading the full trace and reporting on it.
     """
     from repro.obs.stream import StubTrace
 

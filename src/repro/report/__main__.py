@@ -16,11 +16,12 @@ machine-readable ``BENCH_<id>.json`` verdict under ``--out``, and
 exits non-zero when a ``severity=critical`` SLO rule is still firing
 at the end of the run — the contract the CI smoke job relies on.
 
-``--stream`` routes either mode through the constant-memory streaming
-pass (:mod:`repro.obs.stream`): trace files are parsed line by line
-into compact span stubs instead of full spans, and scenario runs are
-analyzed over the stub store.  Verdicts are identical to the batch
-path.
+A trace file is parsed line by line into a compact
+:class:`~repro.obs.stream.StubTrace` (no tags beyond ``state``, no
+events, no instants), so its verdict equals a lossless reload's while
+the store stays small; a scenario run is analysed from its own tracer.
+A trace file that cannot be read is a usage error (exit 2), like a
+bad rule or a missing file.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import pathlib
 import sys
 
 from repro.obs.alerts import Rule, RuleError
+from repro.obs.stream import StubTrace
 from repro.report import build_report, write_verdict
 from repro.report.scenarios import SCENARIOS, run_scenario
 
@@ -55,11 +57,6 @@ def _parse_args(argv):
         "--full",
         action="store_true",
         help="run the scenario at paper scale (slow) instead of reduced",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="use the constant-memory streaming pass (identical verdicts)",
     )
     parser.add_argument(
         "--resume",
@@ -165,7 +162,7 @@ def main(argv=None) -> int:
             return 0 if verdict.get("status") == "pass" else 1
         report = result.report
     elif args.bench:
-        report = run_scenario(args.bench, full=args.full, stream=args.stream)
+        report = run_scenario(args.bench, full=args.full)
         if extra:
             # User-supplied rules join the scenario's own; the tracer is
             # not retained on the report, so they evaluate against the
@@ -185,25 +182,17 @@ def main(argv=None) -> int:
             print(f"error: no such trace file: {path}", file=sys.stderr)
             return 2
         try:
-            if args.stream:
-                from repro.report import stream_report_from_jsonl
-
-                report = stream_report_from_jsonl(
-                    path,
-                    bench_id=args.name or path.stem.split(".")[0],
-                    title=f"trace {path.name}",
-                    rules=extra,
-                )
-            else:
-                from repro.obs.export import read_jsonl
-
-                tracer = read_jsonl(path)
-                report = build_report(
-                    args.name or path.stem.split(".")[0],
-                    tracer,
-                    title=f"trace {path.name}",
-                    rules=extra,
-                )
+            trace = StubTrace.from_jsonl_path(path)
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is one
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
+        try:
+            report = build_report(
+                args.name or path.stem.split(".")[0],
+                trace,
+                title=f"trace {path.name}",
+                rules=extra,
+            )
         except RuleError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -62,7 +62,7 @@ class Scenario:
     #: ``traced(**row) -> (outcome, tracer)``; ``tracer`` is ``None``
     #: for a run without a discrete-event trace.
     traced: Callable[..., tuple]
-    #: ``report(row, full, outcome, tracer, extra, stream) -> RunReport``.
+    #: ``report(row, full, outcome, tracer, extra) -> RunReport``.
     report: Callable[..., RunReport]
     #: ``extras(**row)``: the untraced run only the report needs.
     extras: Optional[Callable[..., Any]] = None
@@ -77,11 +77,11 @@ class Scenario:
         """The report's extra run at ``scale`` (``None`` if it has none)."""
         return self.extras(**self.scales[scale]) if self.extras else None
 
-    def run(self, full: bool = False, stream: bool = False) -> RunReport:
+    def run(self, full: bool = False) -> RunReport:
         scale = "full" if full else "reduced"
         extra = self.extra(scale)
         outcome, tracer = self.trace(scale)
-        return self.report(self.scales[scale], full, outcome, tracer, extra, stream)
+        return self.report(self.scales[scale], full, outcome, tracer, extra)
 
 
 # -- SLO rule sets ---------------------------------------------------------------
@@ -235,7 +235,7 @@ def _e1_extras(seeds):
     return makespan_experiment(seeds=seeds)
 
 
-def _e1_report(row, full, outcome, tracer, rows, stream) -> RunReport:
+def _e1_report(row, full, outcome, tracer, rows) -> RunReport:
     from repro.cws.experiment import summarize
 
     wf, makespan = outcome
@@ -262,7 +262,6 @@ def _e1_report(row, full, outcome, tracer, rows, stream) -> RunReport:
             f"{wf.name!r} under 'rank'",
             "paper: avg 10.8% makespan reduction, up to 25%",
         ],
-        stream=stream,
     )
 
 
@@ -323,7 +322,7 @@ def _stage3_run(
     return result, tracer
 
 
-def _e2_report(row, full, result, tracer, _extra, stream) -> RunReport:
+def _e2_report(row, full, result, tracer, _extra) -> RunReport:
     n_tasks, nodes = row["n_tasks"], row["nodes"]
     prof = result.profiles[0]
     headline = {
@@ -348,11 +347,10 @@ def _e2_report(row, full, result, tracer, _extra, stream) -> RunReport:
             + ("" if full else " (reduced scale; paper: 7875/8000)"),
             "paper: utilization 90%, OVH 85 s, OVH/runtime ~1%",
         ],
-        stream=stream,
     )
 
 
-def _e3_report(row, full, result, tracer, _extra, stream) -> RunReport:
+def _e3_report(row, full, result, tracer, _extra) -> RunReport:
     nodes = row["nodes"]
     prof = result.profiles[0]
     headline = {
@@ -373,7 +371,6 @@ def _e3_report(row, full, result, tracer, _extra, stream) -> RunReport:
             "paper: scheduling 269 tasks/s, launching 51 tasks/s, "
             f"plateau at {nodes // 8} concurrent tasks",
         ],
-        stream=stream,
     )
 
 
@@ -389,7 +386,7 @@ def _e4_traced(n_tasks, nodes, diverging):
     )
 
 
-def _e4_report(row, full, result, tracer, _extra, stream) -> RunReport:
+def _e4_report(row, full, result, tracer, _extra) -> RunReport:
     from repro.entk import TaskState
 
     prof = result.profiles[0]
@@ -416,7 +413,6 @@ def _e4_report(row, full, result, tracer, _extra, stream) -> RunReport:
             "one node killed at t=2000 s with delayed detection; "
             "paper: 8 tasks killed and resubmitted OK, 2 numerical failures",
         ],
-        stream=stream,
     )
 
 
@@ -433,7 +429,7 @@ def _e5_traced(n_files, max_instances):
     return result, tracer
 
 
-def _e5_report(row, full, result, tracer, _extra, stream) -> RunReport:
+def _e5_report(row, full, result, tracer, _extra) -> RunReport:
     from repro.atlas import table1
 
     n_files = row["n_files"]
@@ -459,7 +455,6 @@ def _e5_report(row, full, result, tracer, _extra, stream) -> RunReport:
             "paper: Salmon CPU 94%/100%, fasterq-dump iowait 26% mean, "
             "batch ~2.7 h, 0 failures",
         ],
-        stream=stream,
     )
 
 
@@ -477,7 +472,7 @@ def _e6_extras(n_files, slots):
     return run_experiment("cloud", n_files=n_files, seed=0, max_instances=slots)
 
 
-def _e6_report(row, full, hpc, tracer, cloud, stream) -> RunReport:
+def _e6_report(row, full, hpc, tracer, cloud) -> RunReport:
     from repro.atlas import compare_cloud_hpc
 
     by_step = {r.step: r for r in compare_cloud_hpc(cloud.records, hpc.records)}
@@ -502,7 +497,6 @@ def _e6_report(row, full, hpc, tracer, cloud, stream) -> RunReport:
             "paper: prefetch 87% slower on HPC, fasterq 30% / salmon 19% "
             "faster, DESeq2 no difference",
         ],
-        stream=stream,
     )
 
 
@@ -582,7 +576,7 @@ def _e7_extras(samples, chain, nodes):
     return _jgi_run(parse_wdl(jgi_wdl(samples, chain)), nodes)
 
 
-def _e7_report(row, full, outcome, tracer, baseline, stream) -> RunReport:
+def _e7_report(row, full, outcome, tracer, baseline) -> RunReport:
     fused, fusions = outcome
     samples = row["samples"]
     time_cut = 1 - fused.makespan / baseline.makespan
@@ -608,7 +602,6 @@ def _e7_report(row, full, outcome, tracer, baseline, stream) -> RunReport:
             + ("" if full else " (reduced scale; paper anecdote: 25)"),
             "trace covers the fused run; paper: -70% time, -71% shards",
         ],
-        stream=stream,
     )
 
 
@@ -668,7 +661,7 @@ def _e8_canonical(outcome) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _e8_report(row, full, outcome, tracer, recovery_run, stream) -> RunReport:
+def _e8_report(row, full, outcome, tracer, recovery_run) -> RunReport:
     result, tree = outcome
     recovery, tree2 = recovery_run
     headline = {
@@ -689,7 +682,6 @@ def _e8_report(row, full, outcome, tracer, recovery_run, stream) -> RunReport:
         headline=headline,
         rules=e8_rules(),
         notes=["no discrete-event trace; scalar SLOs only"],
-        stream=stream,
     )
 
 
@@ -818,16 +810,10 @@ def scenario_id(bench_id: str) -> str:
     return key
 
 
-def run_scenario(
-    bench_id: str, full: bool = False, stream: bool = False
-) -> RunReport:
-    """Run one named scenario and return its report.
-
-    ``stream=True`` routes the analyses through the constant-memory
-    :class:`~repro.obs.stream.StubTrace` pass; verdicts are identical
-    to the batch path (asserted in ``tests/report/test_stream_mode.py``).
-    """
-    return SCENARIOS[scenario_id(bench_id)].run(full=full, stream=stream)
+def run_scenario(bench_id: str, full: bool = False) -> RunReport:
+    """Run one named scenario and return its report, analysed from
+    the run's own tracer."""
+    return SCENARIOS[scenario_id(bench_id)].run(full=full)
 
 
 def golden_trace(bench_id: str) -> str:

@@ -73,6 +73,18 @@ class TestSuppression:
         assert result.findings == []
         assert result.suppressed == []
 
+    def test_comment_naming_simlint_is_not_a_directive(self, lint):
+        src = """
+            # simlint keeps the simulator deterministic
+            x = 1  # rules are configured under [tool.simlint]
+        """
+        result = lint(src)
+        assert result.findings == []
+        assert result.suppressed == []
+        # A real directive attempt is still checked for its reason.
+        result = lint("x = 1  # simlint: disable=DET002\n")
+        assert [f.rule for f in result.findings] == ["SUP001"]
+
     def test_suppression_only_covers_named_rule(self, lint):
         src = """
             import time

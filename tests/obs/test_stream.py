@@ -5,7 +5,7 @@ Equivalence contract:
 - **byte-identical**: a spill-sink run concatenated and reloaded
   produces exactly the bytes :func:`repro.obs.export.to_jsonl` writes
   for the same-seed in-memory run (segments are the trace);
-- **exact**: stub-store analytics equal the batch numbers (they are
+- **exact**: analytics over the compact reader's trace equal the batch numbers (they are
   the batch code), and so do the online counts, min/max, failed spans,
   makespan, window and peak concurrency, because the collapse and
   window conventions are ports of the batch code;
@@ -31,7 +31,6 @@ from repro.obs.export import to_jsonl, tracer_from_jsonl
 from repro.obs.stream import (
     JsonlSpillSink,
     OnlineConcurrency,
-    SpanStub,
     StreamingAnalytics,
     StubTrace,
     TeeSink,
@@ -113,21 +112,49 @@ class TestJsonlSpillSink:
         tracer.close()
 
 
+def _analysed_fields(span) -> tuple:
+    return (span.span_id, span.parent_id, span.name, span.category,
+            span.component, span.start, span.end, span.tags.get("state"))
+
+
 class TestStubStore:
-    def test_stub_trace_matches_from_tracer_and_from_jsonl(self, batch_run):
+    def test_from_jsonl_keeps_every_analysed_field(self, batch_run):
         tracer, text = batch_run
-        via_tracer = StubTrace.from_tracer(tracer)
-        via_jsonl = StubTrace.from_jsonl(text.splitlines())
-        assert len(via_tracer.spans) == len(via_jsonl.spans) == len(tracer.spans)
-        for a, b in zip(via_tracer.spans, via_jsonl.spans):
-            assert (a.span_id, a.parent_id, a.name, a.category, a.component,
-                    a.start, a.end, a.tags) == (
-                b.span_id, b.parent_id, b.name, b.category, b.component,
-                b.start, b.end, b.tags)
+        stub = StubTrace.from_jsonl(text.splitlines())
+        assert isinstance(stub, Tracer) and not stub.enabled
+        assert [_analysed_fields(s) for s in stub.spans] == [
+            _analysed_fields(s) for s in tracer.spans
+        ]
+        assert any(s.tags for s in stub.spans)  # the state tag survives
+        assert all(set(s.tags) <= {"state"} and not s.events for s in stub.spans)
+        assert stub.instants == [] and tracer.instants
+
+    def test_drained_open_spans_come_back_open(self, tmp_path):
+        env = Environment()
+        sink = JsonlSpillSink(tmp_path)
+        tracer = enable_tracing(env, sink=sink)
+        tracer.span("done", category="x", t=0.0).finish(t=1.0)
+        tracer.span("open", category="x", t=0.5)  # drained at close
+        tracer.close()
+        stub = StubTrace.from_jsonl(sink.read_text().splitlines())
+        assert [(s.name, s.end) for s in stub.open_spans()] == [("open", None)]
+        assert [s.name for s in stub.spans] == ["done", "open"]
+
+    def test_alert_recording_adds_no_span(self, batch_run):
+        _, text = batch_run
+        stub = StubTrace.from_jsonl(text.splitlines())
+        n = len(stub.spans)
+        report = evaluate_rules(
+            [Rule("count(entk.exec) >= 1000000", name="never")],
+            trace=stub,
+            record=True,
+        )
+        assert report.alerts  # there was an alert to record
+        assert len(stub.spans) == n
 
     def test_query_api_works_over_stubs(self, batch_run):
-        tracer, _ = batch_run
-        stub = StubTrace.from_tracer(tracer)
+        tracer, text = batch_run
+        stub = StubTrace.from_jsonl(text.splitlines())
         assert stub.query().count(category="entk.exec") == tracer.query().count(
             category="entk.exec"
         )
@@ -202,7 +229,7 @@ class TestRecordReader:
         lines = [json.dumps(r) for r in (SPAN, edited(INSTANT, drop="t"))]
         with pytest.raises(ValueError, match="^line 2: malformed instant "):
             tracer_from_jsonl("\n".join(lines))
-        # The stub store skips instants, so it has nothing to reject.
+        # The compact reader skips instants, so it has nothing to reject.
         assert len(StubTrace.from_jsonl(lines).spans) == 1
 
 
