@@ -21,9 +21,7 @@ Modes measured:
 - ``memory`` — the default :class:`~repro.obs.tracer.InMemorySink`
   (every span retained; memory grows linearly),
 - ``spill`` — :class:`~repro.obs.stream.JsonlSpillSink` with a small
-  retention window (segments rotate to disk; memory stays flat),
-- ``streaming`` — :class:`~repro.obs.stream.StreamingAnalytics`
-  (online stats only; nothing retained).
+  retention window (segments rotate to disk; memory stays flat).
 
 Run::
 
@@ -123,12 +121,7 @@ def _measure(make_tracer, n_spans: int) -> dict:
 
 
 def _make_modes(workdir: Path) -> dict:
-    from repro.obs import (
-        JsonlSpillSink,
-        NullTracer,
-        StreamingAnalytics,
-        Tracer,
-    )
+    from repro.obs import JsonlSpillSink, NullTracer, Tracer
 
     def null():
         return NullTracer(), lambda: None
@@ -147,15 +140,7 @@ def _make_modes(workdir: Path) -> dict:
 
         return tracer, cleanup
 
-    def streaming():
-        return Tracer(clock=None, sink=StreamingAnalytics()), lambda: None
-
-    return {
-        "null": null,
-        "memory": memory,
-        "spill": spill,
-        "streaming": streaming,
-    }
+    return {"null": null, "memory": memory, "spill": spill}
 
 
 def run_bench(n_spans: int = 200_000, workdir: Optional[Path] = None) -> dict:
@@ -212,7 +197,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     doc = run_bench(args.spans)
     for name, m in doc["modes"].items():
         print(
-            f"[obs-bench] {name:>9}: {m['spans_per_s']:>9} spans/s  "
+            f"[obs-bench] {name:>6}: {m['spans_per_s']:>9} spans/s  "
             f"peak={m['peak_mb']:.3f} MB  "
             f"({m['relative_to_null']}x of null)",
             flush=True,

@@ -2,19 +2,17 @@
 
 Streams a high-span-count synthetic storm (see
 :func:`benchmarks.perf.obs_bench.span_storm`) through the
-constant-memory pipeline — a :class:`~repro.obs.stream.TeeSink` of a
-rotating :class:`~repro.obs.stream.JsonlSpillSink` and a
-:class:`~repro.obs.stream.StreamingAnalytics` sink — under
-``tracemalloc``, and fails (exit 1) if the traced-allocation peak
-exceeds ``--gate-mb``, or if the analytics lost spans: every span must
-reach ``StreamingAnalytics`` and its ``count(entk.exec) >= 1`` rule
-must not fire.
+constant-memory pipeline, a rotating
+:class:`~repro.obs.stream.JsonlSpillSink`, under ``tracemalloc``.  It
+fails (exit 1) if the traced-allocation peak exceeds ``--gate-mb``, or
+if the spill lost records: the sink must have written one record per
+span plus one per metric (the storm records no instants).
 
-This is the enforcement half of the streaming-observability contract:
-span count must not appear in the memory complexity of a streaming
-run.  The in-memory sink at the same span count allocates hundreds of
-MB; the gate is set far below that, so a regression that quietly
-re-introduces span retention on the streaming path trips CI.
+This is the enforcement half of the constant-memory contract: span
+count must not appear in the memory complexity of a spilled run.  The
+in-memory sink at the same span count allocates hundreds of MB; the
+gate is set far below that, so a regression that quietly
+re-introduces span retention on the spill path trips CI.
 
 Run (as CI does)::
 
@@ -32,7 +30,7 @@ import tracemalloc
 from pathlib import Path
 from typing import Optional
 
-OBS_SMOKE_SCHEMA = "repro.obs-smoke/v1"
+OBS_SMOKE_SCHEMA = "repro.obs-smoke/v2"
 
 
 def run_smoke(
@@ -42,8 +40,7 @@ def run_smoke(
 ) -> dict:
     """Run the storm under tracemalloc; returns the result document."""
     from benchmarks.perf.obs_bench import span_storm
-    from repro.obs import JsonlSpillSink, StreamingAnalytics, TeeSink, Tracer
-    from repro.obs.alerts import Rule
+    from repro.obs import JsonlSpillSink, Tracer
 
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="obs-smoke-")
@@ -55,10 +52,7 @@ def run_smoke(
         spill = JsonlSpillSink(
             workdir / "spill", segment_records=100_000, retain_segments=3
         )
-        analytics = StreamingAnalytics(
-            rules=[Rule("count(entk.exec) >= 1", severity="warning")],
-        )
-        tracer = Tracer(sink=TeeSink(spill, analytics))
+        tracer = Tracer(sink=spill)
 
         tracemalloc.start()
         t0 = time.perf_counter()
@@ -69,8 +63,7 @@ def run_smoke(
         tracemalloc.stop()
 
         peak_mb = peak / 1e6
-        summary = analytics.summary()
-        rules_firing = len(analytics.finalize_alerts().active())
+        expected = n_spans + len(tracer.metrics)  # the storm has no instants
         return {
             "schema": OBS_SMOKE_SCHEMA,
             "python": platform.python_version(),
@@ -80,15 +73,10 @@ def run_smoke(
             "spans_per_s": round(n_spans / wall) if wall > 0 else None,
             "peak_mb": round(peak_mb, 3),
             "gate_mb": gate_mb,
-            "ok": (
-                peak_mb <= gate_mb
-                and summary["spans_finished"] == n_spans
-                and rules_firing == 0
-            ),
+            "ok": peak_mb <= gate_mb and spill.total_records == expected,
             "segments_on_disk": len(spill.segments()),
-            "spans_finished": summary["spans_finished"],
-            "rules_firing": rules_firing,
-            "makespan": summary["makespan"],
+            "records": spill.total_records,
+            "expected_records": expected,
         }
     finally:
         if tmp is not None:
@@ -100,13 +88,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.perf.obs_memory_smoke",
-        description="Streaming-observability memory gate (CI).",
+        description="Constant-memory observability gate (CI).",
     )
     parser.add_argument(
         "--spans",
         type=int,
         default=1_000_000,
-        help="span count to stream (default: %(default)s)",
+        help="span count to spill (default: %(default)s)",
     )
     parser.add_argument(
         "--gate-mb",
@@ -134,14 +122,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if doc["peak_mb"] > doc["gate_mb"]:
             print(
                 f"OBS MEMORY GATE FAILED: peak {doc['peak_mb']} MB > "
-                f"gate {doc['gate_mb']} MB — the streaming pipeline is "
+                f"gate {doc['gate_mb']} MB — the spill pipeline is "
                 "retaining per-span state",
             )
         else:
             print(
-                f"OBS ANALYTICS GATE FAILED: {doc['spans_finished']} of "
-                f"{doc['spans']} spans finished, {doc['rules_firing']} "
-                "rule(s) firing — the streaming analytics dropped spans",
+                f"OBS SPILL GATE FAILED: {doc['records']} of "
+                f"{doc['expected_records']} records written — the spill "
+                "dropped records",
             )
         return 1
     print("obs memory gate ok")

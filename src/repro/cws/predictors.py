@@ -24,7 +24,7 @@ from typing import Optional
 from repro.cws.provenance import TaskTrace
 
 
-class _RunningStats:
+class _Welford:
     """Welford online mean/variance."""
 
     __slots__ = ("n", "mean", "_m2")
@@ -59,7 +59,7 @@ class LotaruLikePredictor:
     """
 
     def __init__(self):
-        self._stats: dict[str, _RunningStats] = defaultdict(_RunningStats)
+        self._stats: dict[str, _Welford] = defaultdict(_Welford)
 
     def observe(self, trace: TaskTrace) -> None:
         if not trace.succeeded:
@@ -94,7 +94,7 @@ class NaiveMeanPredictor:
     """Heterogeneity-blind baseline: plain mean of observed runtimes."""
 
     def __init__(self):
-        self._stats: dict[str, _RunningStats] = defaultdict(_RunningStats)
+        self._stats: dict[str, _Welford] = defaultdict(_Welford)
 
     def observe(self, trace: TaskTrace) -> None:
         if not trace.succeeded:

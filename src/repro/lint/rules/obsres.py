@@ -147,7 +147,7 @@ class DirectSpanAccessRule(Rule):
     rationale = (
         "tracer.spans is the in-memory sink's retained list; touching it "
         "directly couples callers to one sink and raises at runtime on "
-        "constant-memory runs (spill/streaming sinks retain nothing).  "
+        "constant-memory runs (spill sinks retain nothing).  "
         "Go through tracer.query() / repro.obs.stream so the same code "
         "works under every sink.  Scoped to src/repro/* with repro.obs "
         "itself excluded (pyproject [tool.simlint.scopes])."
@@ -166,7 +166,7 @@ class DirectSpanAccessRule(Rule):
                     ctx,
                     node,
                     "direct tracer.spans access is sink-specific (raises "
-                    "under spill/streaming sinks); use tracer.query() or "
+                    "under spill sinks); use tracer.query() or "
                     "the repro.obs.stream APIs",
                 )
 

@@ -19,8 +19,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
-    P2Quantile,
-    RunningStats,
     UtilizationTracker,
 )
 from repro.obs.tracer import (
@@ -49,7 +47,6 @@ from repro.obs.analyze import (
     PHASES,
     CriticalPath,
     IdleGap,
-    OnlineIdleGaps,
     OverheadDecomposition,
     PathSegment,
     Straggler,
@@ -62,16 +59,12 @@ from repro.obs.analyze import (
 from repro.obs.alerts import (
     Alert,
     AlertReport,
-    OnlineViolations,
     Rule,
     RuleError,
     evaluate_rules,
 )
 from repro.obs.stream import (
     JsonlSpillSink,
-    OnlineConcurrency,
-    OnlineDurationStats,
-    StreamingAnalytics,
     StubTrace,
     TeeSink,
     tracer_from_segments,
@@ -81,8 +74,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "P2Quantile",
-    "RunningStats",
     "UtilizationTracker",
     "Instant",
     "Span",
@@ -113,18 +104,13 @@ __all__ = [
     "find_idle_gaps",
     "find_stragglers",
     "pilot_components",
-    "OnlineIdleGaps",
     "Alert",
     "AlertReport",
-    "OnlineViolations",
     "Rule",
     "RuleError",
     "evaluate_rules",
     "StubTrace",
     "JsonlSpillSink",
     "TeeSink",
-    "OnlineConcurrency",
-    "OnlineDurationStats",
-    "StreamingAnalytics",
     "tracer_from_segments",
 ]

@@ -21,12 +21,10 @@ Every alert is recorded back into the trace as a span (category
 verdicts, the WfBench "benchmarks must emit machine-readable
 performance verdicts" requirement.
 
-There is one judge.  :func:`evaluate_rules` resolves quantities from a
-retained trace (exact: nearest-rank percentiles and sums over the
-sorted sample); :meth:`repro.obs.stream.StreamingAnalytics.finalize_alerts`
-resolves them from its constant-memory state (P² percentiles, sums and
-means in finish order).  Both hand the quantities to the same grammar
-dispatch and the same outcome builder.
+Quantities are exact: percentiles are nearest-rank and sums add the
+sorted sample, so a verdict depends only on the span set.  A trace read
+back from disk (:class:`repro.obs.stream.StubTrace`) is judged by the
+same code and gets the same verdict.
 
 Left-hand-side grammar::
 
@@ -211,16 +209,6 @@ def is_failed(span) -> bool:
     return str(span.tags.get("state", "")).upper() == "FAILED"
 
 
-def rule_percentiles(rules) -> set:
-    """The quantiles (``p99`` → 0.99) the rules' aggregates name."""
-    out = set()
-    for rule in rules:
-        agg = _AGG_RE.match(rule.parts[0])
-        if agg and agg.group("fn").startswith("p"):
-            out.add(float(agg.group("fn")[1:]) / 100.0)
-    return out
-
-
 class _SortedSample:
     """Exact aggregates over one category's sorted span durations."""
 
@@ -245,13 +233,10 @@ class _SortedSample:
 
 
 class _TraceQuantities:
-    """Rule quantities over a retained trace, computed exactly.
+    """Rule quantities over a trace, computed exactly.
 
-    The batch side of the quantity protocol :func:`_judge` reads
-    (``stats``/``quantile``/``metrics``/``makespan``/``failed_tasks``/
-    ``window``); :class:`repro.obs.stream.StreamingAnalytics` is the
-    online side.  Sums add the sorted sample and percentiles are
-    nearest-rank on it, so verdicts depend only on the span set.
+    Sums add the sorted sample and percentiles are nearest-rank on it,
+    so verdicts depend only on the span set.
     """
 
     def __init__(self, query: TraceQuery):
@@ -301,10 +286,9 @@ def _resolve(lhs: str, context: dict, source):
     if agg:
         fn, arg = agg.group("fn"), agg.group("arg").strip()
         stats = source.stats(arg)
-        n = stats.n if stats is not None else 0
         if fn == "count":
-            return float(n)
-        if not n:
+            return float(stats.n)
+        if not stats.n:
             raise RuleError(f"no finished spans in category {arg!r}")
         if fn == "sum":
             return float(stats.total)
@@ -316,7 +300,7 @@ def _resolve(lhs: str, context: dict, source):
     if series:
         arg = series.group("arg").strip()
         comp, _, name = arg.rpartition("/")
-        if source.metrics is None or (comp, name) not in source.metrics:
+        if (comp, name) not in source.metrics:
             raise RuleError(f"no metric {arg!r} in the trace registry")
         return source.metrics.get(name, component=comp)
 
@@ -331,69 +315,37 @@ def _resolve(lhs: str, context: dict, source):
     )
 
 
-class OnlineViolations:
-    """Single-pass sustained-violation detector over a streamed series.
-
-    Feed the ``(t, value)`` change points of a step signal in time
-    order; :meth:`result` returns exactly what :func:`_violations`
-    computes on the full series (the batch walker *is* this class fed
-    from the retained gauge).  Memory is O(violations found).
-    """
-
-    def __init__(self, ok, threshold: float, t_end: float, for_s: float):
-        self._ok = ok
-        self._threshold = float(threshold)
-        self._t_end = float(t_end)
-        self._for_s = float(for_s)
-        self._open_at: Optional[float] = None
-        self._worst: Optional[float] = None
-        self._out: list[tuple] = []
-        self._done = False  # a point at/past t_end has been processed
-        self._last_t: Optional[float] = None
-
-    def feed(self, t: float, value: float) -> None:
-        t, value = float(t), float(value)
-        # The tail check below spans the *whole* series extent, points
-        # past t_end included, so track last_t unconditionally.
-        self._last_t = t
-        if self._done:
-            return
-        if not self._ok(value):
-            if self._open_at is None:
-                self._open_at = t
-                self._worst = value
-            elif abs(value - self._threshold) > abs(self._worst - self._threshold):
-                self._worst = value
-        elif self._open_at is not None:
-            if t - self._open_at >= self._for_s:
-                self._out.append((self._open_at + self._for_s, t, self._worst))
-            self._open_at = None
-        if t >= self._t_end:
-            self._done = True
-
-    def result(self) -> list:
-        """``(fired_at, resolved_at_or_None, worst)`` triples so far."""
-        out = list(self._out)
-        if self._open_at is not None and self._last_t is not None:
-            if max(self._t_end, self._last_t) - self._open_at >= self._for_s:
-                out.append((self._open_at + self._for_s, None, self._worst))
-        return out
-
-
 def _violations(
     gauge: Gauge, ok, threshold: float, t_end: float, for_s: float
 ) -> list:
     """Maximal sustained intervals where ``ok(value)`` is false.
 
-    Returns ``(fired_at, resolved_at_or_None, worst_value)`` triples;
-    the worst value is the violating sample farthest from the
-    threshold.  Implemented as :class:`OnlineViolations` fed from the
-    retained series, so batch and streaming evaluation agree exactly.
+    Walks the series' change points up to the first one at or past
+    ``t_end``.  Returns ``(fired_at, resolved_at_or_None, worst_value)``
+    triples; the worst value is the violating sample farthest from the
+    threshold.  A violation still open after the walk is judged over
+    the whole series extent (points past ``t_end`` included).
     """
-    walker = OnlineViolations(ok, threshold, t_end, for_s)
-    for t, v in zip(gauge.times, gauge.values):
-        walker.feed(t, v)
-    return walker.result()
+    threshold, t_end, for_s = float(threshold), float(t_end), float(for_s)
+    out = []
+    open_at = worst = None
+    for t, value in zip(gauge.times, gauge.values):
+        t, value = float(t), float(value)
+        if not ok(value):
+            if open_at is None:
+                open_at, worst = t, value
+            elif abs(value - threshold) > abs(worst - threshold):
+                worst = value
+        elif open_at is not None:
+            if t - open_at >= for_s:
+                out.append((open_at + for_s, t, worst))
+            open_at = None
+        if t >= t_end:
+            break
+    if open_at is not None:
+        if max(t_end, float(gauge.times[-1])) - open_at >= for_s:
+            out.append((open_at + for_s, None, worst))
+    return out
 
 
 def _outcome(rule: Rule, quantity, t_end: float) -> RuleOutcome:
@@ -431,26 +383,6 @@ def _outcome(rule: Rule, quantity, t_end: float) -> RuleOutcome:
     return RuleOutcome(rule=rule, ok=ok, value=value, alerts=alerts)
 
 
-def _judge(rules: list, context: dict, source) -> AlertReport:
-    """Evaluate rules against a quantity source (or context alone).
-
-    The one verdict path: :func:`evaluate_rules` passes a
-    :class:`_TraceQuantities`,
-    :meth:`repro.obs.stream.StreamingAnalytics.finalize_alerts` passes
-    itself.
-    """
-    window = source.window if source is not None else (0.0, 0.0)
-    outcomes = []
-    for rule in rules:
-        lhs = rule.parts[0]
-        if source is None and lhs not in context:
-            raise RuleError(
-                f"rule {rule.expr!r} needs a trace or a context value"
-            )
-        outcomes.append(_outcome(rule, _resolve(lhs, context, source), window[1]))
-    return AlertReport(outcomes=outcomes, window=window)
-
-
 def evaluate_rules(
     rules: list,
     trace: Union[Tracer, TraceQuery, None] = None,
@@ -464,11 +396,21 @@ def evaluate_rules(
     ``record=True`` (default) writes each alert back into the tracer as
     an ``obs.alert`` span with firing/resolution times and tags.
     """
+    context = dict(context or {})
     source = None
     if trace is not None:
         query = trace if isinstance(trace, TraceQuery) else TraceQuery(trace)
         source = _TraceQuantities(query)
-    report = _judge(rules, dict(context or {}), source)
+    window = source.window if source is not None else (0.0, 0.0)
+    outcomes = []
+    for rule in rules:
+        lhs = rule.parts[0]
+        if source is None and lhs not in context:
+            raise RuleError(
+                f"rule {rule.expr!r} needs a trace or a context value"
+            )
+        outcomes.append(_outcome(rule, _resolve(lhs, context, source), window[1]))
+    report = AlertReport(outcomes=outcomes, window=window)
     if record and source is not None and source.query.tracer.enabled:
         _record_alert_spans(source.query.tracer, report, report.window[1])
     return report

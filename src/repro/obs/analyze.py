@@ -494,94 +494,6 @@ class IdleGap:
         }
 
 
-class OnlineIdleGaps:
-    """Single-pass idle-gap finder over a streamed step signal.
-
-    Feed the ``(t, value)`` change points of a busy/concurrency series
-    in time order; :meth:`result` returns exactly what
-    :func:`find_idle_gaps` computes on the full series (the batch
-    function *is* this class applied to a retained gauge — the
-    equivalence is by construction, not approximation).  Each fed point
-    is resolved once its right edge is known (the next point, or the
-    window end at :meth:`result`), so memory is O(gaps found), never
-    O(points).
-    """
-
-    def __init__(
-        self,
-        threshold: float = 0.0,
-        t0: Optional[float] = None,
-        t1: Optional[float] = None,
-        min_duration: float = 0.0,
-    ):
-        self.threshold = float(threshold)
-        self.min_duration = float(min_duration)
-        self._lo = None if t0 is None else float(t0)
-        self._hi = None if t1 is None else float(t1)
-        self._pending: Optional[tuple[float, float]] = None
-        self._last_t: Optional[float] = None
-        self._open_at: Optional[float] = None
-        self._worst = 0.0
-        self._gaps: list[IdleGap] = []
-        self._done = False  # a point at/past the window end was seen
-
-    def feed(self, t: float, value: float) -> None:
-        t, value = float(t), float(value)
-        if self._lo is None:
-            self._lo = t
-        self._last_t = t
-        prev, self._pending = self._pending, (t, value)
-        if prev is not None and not self._done:
-            self._step(prev[0], prev[1], seg_hi=t)
-
-    def _step(self, t: float, v: float, seg_hi: float) -> None:
-        seg_lo = max(t, self._lo)
-        if self._hi is not None:
-            seg_hi = min(seg_hi, self._hi)
-        if seg_hi <= seg_lo:
-            if self._hi is not None and t >= self._hi:
-                self._done = True
-            return
-        if v <= self.threshold:
-            if self._open_at is None:
-                self._open_at = seg_lo
-                self._worst = v
-            else:
-                self._worst = max(self._worst, v)
-        elif self._open_at is not None:
-            self._gaps.append(IdleGap(t0=self._open_at, t1=seg_lo, level=self._worst))
-            self._open_at = None
-
-    def result(self) -> list:
-        """The gaps found so far, closed at the window end.
-
-        Non-destructive: the finder can keep feeding afterwards (live
-        dashboards poll this mid-run).
-        """
-        if self._lo is None:
-            return []
-        hi = self._hi if self._hi is not None else self._last_t
-        if hi is None or hi <= self._lo:
-            return []
-        gaps = list(self._gaps)
-        open_at, worst = self._open_at, self._worst
-        if self._pending is not None and not self._done:
-            t, v = self._pending
-            seg_lo = max(t, self._lo)
-            if hi > seg_lo:
-                if v <= self.threshold:
-                    if open_at is None:
-                        open_at, worst = seg_lo, v
-                    else:
-                        worst = max(worst, v)
-                elif open_at is not None:
-                    gaps.append(IdleGap(t0=open_at, t1=seg_lo, level=worst))
-                    open_at = None
-        if open_at is not None:
-            gaps.append(IdleGap(t0=open_at, t1=hi, level=worst))
-        return [g for g in gaps if g.duration > self.min_duration]
-
-
 def find_idle_gaps(
     series: Union[Gauge, UtilizationTracker],
     threshold: float = 0.0,
@@ -596,18 +508,41 @@ def find_idle_gaps(
     :class:`~repro.obs.metrics.UtilizationTracker` whose ``.busy``
     gauge is used).  Holes in a node/core timeline show up here: a gap
     means the tracked capacity was doing nothing at all (or no more
-    than ``threshold`` units) for the whole interval.
-
-    This is the single-pass :class:`OnlineIdleGaps` fed from the
-    retained series, so batch and streaming analyses agree exactly.
+    than ``threshold`` units) for the whole interval.  The window
+    defaults to the series' own extent, and gaps are clipped to it.
     """
     gauge = series.busy if isinstance(series, UtilizationTracker) else series
-    finder = OnlineIdleGaps(
-        threshold=threshold, t0=t0, t1=t1, min_duration=min_duration
-    )
-    for t, v in zip(gauge.times, gauge.values):
-        finder.feed(t, v)
-    return finder.result()
+    times, values = gauge.times, gauge.values
+    if not times:
+        return []
+    lo = float(times[0] if t0 is None else t0)
+    hi = float(times[-1] if t1 is None else t1)
+    if hi <= lo:
+        return []
+    threshold = float(threshold)
+    gaps = []
+    open_at, worst = None, 0.0
+    for i, (t, v) in enumerate(zip(times, values)):
+        t, v = float(t), float(v)
+        if t >= hi:
+            break
+        # Each change point holds its value until the next one (the
+        # last one until the window end), clipped to the window.
+        seg_lo = max(t, lo)
+        seg_hi = min(float(times[i + 1]), hi) if i + 1 < len(times) else hi
+        if seg_hi <= seg_lo:
+            continue
+        if v <= threshold:
+            if open_at is None:
+                open_at, worst = seg_lo, v
+            else:
+                worst = max(worst, v)
+        elif open_at is not None:
+            gaps.append(IdleGap(t0=open_at, t1=seg_lo, level=worst))
+            open_at = None
+    if open_at is not None:
+        gaps.append(IdleGap(t0=open_at, t1=hi, level=worst))
+    return [g for g in gaps if g.duration > min_duration]
 
 
 # -- EnTK overhead decomposition -------------------------------------------------

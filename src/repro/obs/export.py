@@ -414,9 +414,13 @@ def tracer_from_jsonl(text: str) -> Tracer:
                     span.end = float(record["t1"])
                     latest[0] = max(latest[0], span.end)
                 latest[0] = max(latest[0], span.start)
-                for t, name, attrs in record.get("events", ()):
-                    span.events.append((float(t), name, dict(attrs)))
-                    latest[0] = max(latest[0], float(t))
+                events = [
+                    (float(t), name, dict(attrs))
+                    for t, name, attrs in record.get("events", ())
+                ]
+                if events:
+                    span.events = events
+                    latest[0] = max(latest[0], max(e[0] for e in events))
                 spans.append(span)
             elif kind == "instant":
                 tracer.instant(

@@ -16,20 +16,11 @@ record into one family of metric objects that a
   fixed capacity (the Fig 4 "resource utilization").
 - :class:`MetricsRegistry` — per-component, get-or-create store of the
   above, exportable as plain dicts.
-
-Alongside the retained time-series above, this module provides the two
-**online** (constant-memory) statistics primitives that
-:class:`repro.obs.stream.OnlineDurationStats` builds on:
-:class:`RunningStats` (Welford count/mean/variance/min/max plus a
-running sum) and :class:`P2Quantile` (the Jain & Chlamtac P² estimator
-— any quantile in O(1) memory).  Neither retains samples; both are
-deterministic functions of the observation sequence.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Optional
 
 import numpy as np
@@ -319,152 +310,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"<MetricsRegistry metrics={len(self._metrics)}>"
-
-
-# -- online (constant-memory) primitives ------------------------------------------
-
-
-class RunningStats:
-    """Welford-style running count/mean/variance/min/max.
-
-    O(1) memory, numerically stable, and deterministic for a given
-    observation order.  ``variance`` is the population variance; use
-    ``sample_variance`` for the n-1 denominator.
-    """
-
-    __slots__ = ("n", "mean", "_m2", "min", "max", "total")
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.total = 0.0
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        self.n += 1
-        self.total += x
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.n if self.n else 0.0
-
-    @property
-    def sample_variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean if self.n else 0.0,
-            "std": self.std,
-            "min": self.min if self.n else 0.0,
-            "max": self.max if self.n else 0.0,
-            "total": self.total,
-        }
-
-    def __repr__(self) -> str:
-        return f"<RunningStats n={self.n} mean={self.mean:.4g}>"
-
-
-class P2Quantile:
-    """Online quantile estimation via the P² algorithm.
-
-    Jain & Chlamtac (CACM 1985): five markers track the running
-    quantile without storing observations.  Below five samples the
-    estimate is exact (computed from the sorted retained handful);
-    beyond that, markers move by piecewise-parabolic interpolation.
-    Accuracy is excellent for smooth distributions and documented to a
-    few percent of the span for adversarial ones — see
-    ``tests/obs/test_online_stats.py`` for the tolerance contract.
-    """
-
-    __slots__ = ("p", "_q", "_n", "_np", "_dn", "_count")
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = float(p)
-        self._q: list[float] = []  # marker heights
-        self._n = [0, 1, 2, 3, 4]  # marker positions (int)
-        self._np = [0.0, 2 * p, 4 * p, 2 + 2 * p, 4.0]  # desired positions
-        self._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]  # position increments
-        self._count = 0
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        self._count += 1
-        if len(self._q) < 5:
-            bisect.insort(self._q, x)
-            return
-        q, n = self._q, self._n
-        # Find the cell k with q[k] <= x < q[k+1], adjusting extremes.
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            self._np[i] += self._dn[i]
-        # Adjust interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            d = self._np[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (
-                d <= -1 and n[i - 1] - n[i] < -1
-            ):
-                d = 1 if d > 0 else -1
-                candidate = self._parabolic(i, d)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:  # parabolic left the bracket: fall back to linear
-                    q[i] = q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
-                n[i] += d
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    @property
-    def n(self) -> int:
-        return self._count
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (0.0 before any sample)."""
-        if not self._q:
-            return 0.0
-        if len(self._q) < 5 or self._count <= 5:
-            # Exact nearest-rank on the retained handful, matching the
-            # batch percentile convention in repro.obs.alerts.
-            idx = min(
-                len(self._q) - 1,
-                max(0, round(self.p * len(self._q)) - 1),
-            )
-            return self._q[idx]
-        return self._q[2]
-
-    def __repr__(self) -> str:
-        return f"<P2Quantile p={self.p} n={self._count} value={self.value:.4g}>"

@@ -1,36 +1,28 @@
-"""Constant-memory streaming observability.
+"""Constant-memory observability: spill to disk, then report exactly.
 
 The in-memory :class:`~repro.obs.tracer.InMemorySink` retains every
-span for the life of the run — exactly right for the paper-scale
-scenarios, and an OOM at the million-task open-arrival scale the
-roadmap targets.  This module is the other half of the
-:class:`~repro.obs.tracer.SpanSink` protocol: sinks and analyses that
-observe the span stream *as it happens* and keep only constant-size
-state.
+span for the life of the run, which is right for the paper-scale
+scenarios.  This module is the constant-memory path of the
+:class:`~repro.obs.tracer.SpanSink` protocol, and it has one guarantee:
+exact verdicts.
 
-Two modes, two guarantees:
+- :class:`JsonlSpillSink` spills every finished span to segmented
+  JSONL files (rotation + retention), byte-compatible with
+  :func:`repro.obs.export.to_jsonl` records, so a constant-memory run
+  still leaves a trace that :func:`repro.obs.export.tracer_from_jsonl`
+  reloads losslessly (:func:`tracer_from_segments` reads a spill
+  directory).
+- :class:`StubTrace` reads a JSONL trace or spill back line by line
+  into a :class:`~repro.obs.tracer.Tracer` whose spans keep only what
+  the report analyses read (tags reduced to the terminal ``state``; no
+  events, no instants), and the unchanged batch analytics run over it.
+  Verdicts are **byte-identical** to a lossless reload (it *is* the
+  batch code on the same values).
 
-- **Exact replay** (:class:`StubTrace`): a JSONL trace or spill is
-  read back line by line into a :class:`~repro.obs.tracer.Tracer` whose
-  spans keep only what the report analyses read (tags reduced to the
-  terminal ``state``; no events, no instants), and the unchanged batch
-  analytics run over it.  Verdicts are **byte-identical** to a lossless
-  reload (it *is* the batch code on the same values).
-- **Online analytics** (:class:`StreamingAnalytics`): one O(1) state
-  per category — Welford stats and P² quantiles
-  (:class:`OnlineDurationStats`), peak-concurrency tracking, the run
-  window — from which SLO rules are judged by the same code as batch,
-  with documented tolerances (``tests/obs/test_stream.py``).  This is
-  what the ≥1M-span memory gate in CI runs.  Stragglers (median+MAD)
-  and the critical path have no exact online port and exist only in
-  :mod:`repro.obs.analyze`.
-
-:class:`JsonlSpillSink` spills every finished span to segmented JSONL
-files (rotation + retention), byte-compatible with
-:func:`repro.obs.export.to_jsonl` records, so a constant-memory run
-still leaves a trace that :func:`repro.obs.export.tracer_from_jsonl`
-reloads losslessly.  :class:`TeeSink` fans the stream out to several
-sinks (spill to disk *and* analyze online, in one pass).
+A run is reported on after it ends, from a trace that fits in memory
+in this compact form; a run whose compact trace does not fit can still
+be spilled, but not reported on.  :class:`TeeSink` fans the stream out
+to several sinks in one pass.
 """
 
 from __future__ import annotations
@@ -44,7 +36,6 @@ import sys
 import warnings
 from typing import Iterable, Optional
 
-from repro.obs.alerts import _judge, is_failed, rule_percentiles
 from repro.obs.export import (
     RECORD_ERRORS,
     _dumps,
@@ -56,7 +47,6 @@ from repro.obs.export import (
     span_line,
     tracer_from_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry, P2Quantile, RunningStats
 from repro.obs.tracer import Span, SpanSink, Tracer
 
 __all__ = [
@@ -65,15 +55,12 @@ __all__ = [
     "SpillCorruptionError",
     "SpillResumeMismatch",
     "TeeSink",
-    "OnlineConcurrency",
-    "OnlineDurationStats",
-    "StreamingAnalytics",
     "scan_spill",
     "tracer_from_segments",
 ]
 
 
-# -- compact trace reader (exact mode) --------------------------------------------
+# -- compact trace reader --------------------------------------------------------
 
 
 class StubTrace(Tracer):
@@ -567,259 +554,3 @@ class TeeSink(SpanSink):
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
-
-
-# -- online analytics ------------------------------------------------------------
-
-
-class OnlineConcurrency:
-    """Constant-memory open-span concurrency tracking.
-
-    Feed ``step(t, +1)`` at span start and ``step(t, -1)`` at span end,
-    in time order.  Same-time deltas merge before sampling (the batch
-    :meth:`~repro.obs.query.TraceQuery.concurrency` collapse), so
-    ``peak`` / ``first_peak`` / ``last_peak`` match the batch series'
-    ``peak_times`` convention exactly; the running integral gives
-    time-averaged concurrency without retaining change points.
-    """
-
-    def __init__(self):
-        self._level = 0.0
-        self._pending_t: Optional[float] = None
-        self._committed_t: Optional[float] = None
-        self._committed_level = 0.0
-        self._integral = 0.0
-        self.t0: Optional[float] = None
-        self.peak = 0.0
-        self.first_peak: Optional[float] = None
-        self.last_peak: Optional[float] = None
-
-    def step(self, t: float, delta: float) -> None:
-        t = float(t)
-        if self._pending_t is not None and t < self._pending_t:
-            raise ValueError(
-                f"non-monotonic step: t={t} < pending t={self._pending_t}"
-            )
-        if self._pending_t is None:
-            self.t0 = t
-        elif t > self._pending_t:
-            self._commit()
-        self._pending_t = t
-        self._level += delta
-
-    def _commit(self) -> None:
-        t, level = self._pending_t, self._level
-        if self._committed_t is not None:
-            self._integral += self._committed_level * (t - self._committed_t)
-        self._committed_t = t
-        self._committed_level = level
-        if level > self.peak:
-            self.peak = level
-            self.first_peak = t
-            self.last_peak = t
-        elif level == self.peak and self.peak > 0:
-            self.last_peak = t
-
-    def flush(self) -> None:
-        """Commit the trailing same-time batch (call before reading)."""
-        if self._pending_t is not None and (
-            self._committed_t is None or self._pending_t > self._committed_t
-        ):
-            self._commit()
-
-    @property
-    def current(self) -> float:
-        return self._level
-
-    def time_average(self, t_end: Optional[float] = None) -> float:
-        self.flush()
-        if self._committed_t is None or self.t0 is None:
-            return 0.0
-        integral = self._integral
-        t_end = self._committed_t if t_end is None else float(t_end)
-        if t_end > self._committed_t:
-            integral += self._committed_level * (t_end - self._committed_t)
-        span = t_end - self.t0
-        return integral / span if span > 0 else self._committed_level
-
-    def __repr__(self) -> str:
-        return f"<OnlineConcurrency level={self._level} peak={self.peak}>"
-
-
-#: The duration quantiles every :class:`StreamingAnalytics` summary
-#: reports per category.
-SUMMARY_QUANTILES = (0.5, 0.9, 0.99)
-
-
-class OnlineDurationStats:
-    """Per-category duration statistics in O(categories) memory."""
-
-    def __init__(self, quantiles: Iterable[float] = SUMMARY_QUANTILES):
-        self.quantiles = tuple(sorted(set(float(q) for q in quantiles)))
-        self._cats: dict[str, tuple] = {}
-
-    def add(self, category: str, duration: float) -> None:
-        entry = self._cats.get(category)
-        if entry is None:
-            entry = self._cats[category] = (
-                RunningStats(),
-                {p: P2Quantile(p) for p in self.quantiles},
-            )
-        stats, ests = entry
-        stats.add(duration)
-        for est in ests.values():
-            est.add(duration)
-
-    def stats(self, category: str) -> Optional[RunningStats]:
-        entry = self._cats.get(category)
-        return entry[0] if entry is not None else None
-
-    def quantile(self, category: str, p: float) -> Optional[float]:
-        entry = self._cats.get(category)
-        if entry is None:
-            return None
-        est = entry[1].get(float(p))
-        return est.value if est is not None else None
-
-    def to_dict(self) -> dict:
-        out = {}
-        for category in sorted(self._cats):
-            stats, ests = self._cats[category]
-            doc = stats.to_dict()
-            for p, est in ests.items():
-                doc[f"p{int(round(p * 100))}"] = est.value
-            out[category] = doc
-        return out
-
-    def __repr__(self) -> str:
-        return f"<OnlineDurationStats categories={len(self._cats)}>"
-
-
-class StreamingAnalytics(SpanSink):
-    """One-pass run analytics as a span sink.
-
-    Attach (alone or in a :class:`TeeSink`) and every quantity below is
-    maintained incrementally, in memory bounded by the number of
-    distinct categories — never by the number of spans:
-
-    - per-category duration statistics (count/sum/mean/min/max + P²
-      quantiles) via :class:`OnlineDurationStats`, tracking
-      :data:`SUMMARY_QUANTILES` plus every percentile a rule names;
-    - open-span concurrency over every span via
-      :class:`OnlineConcurrency`;
-    - the run window, makespan and span/failure totals.
-
-    :meth:`finalize_alerts` judges ``rules`` on that state through the
-    judge :func:`~repro.obs.alerts.evaluate_rules` uses, with the same
-    conventions: makespan over finished spans, FAILED counted on every
-    span (``close()`` adds the still-open ones).  ``count``/``min``/
-    ``max``/``makespan``/``failed_tasks``/``series(...)`` equal batch
-    exactly; ``sum``/``mean`` add in finish order (within float rounding
-    of the batch sorted sum); percentiles carry the P² tolerance.
-
-    ``summary()`` returns the whole state as a JSON-ready dict — the
-    payload the CI memory-smoke artifact uploads.
-    """
-
-    def __init__(
-        self,
-        rules: Iterable = (),
-        context: Optional[dict] = None,
-    ):
-        self.rules = list(rules)
-        self.context = dict(context or {})
-        self.durations = OnlineDurationStats(
-            quantiles=(*SUMMARY_QUANTILES, *rule_percentiles(self.rules))
-        )
-        self.concurrency = OnlineConcurrency()
-        self.n_started = 0
-        self.n_finished = 0
-        self.n_failed = 0
-        self.t_first: Optional[float] = None  # min start, every span
-        self.t_first_finished: Optional[float] = None  # min start, finished
-        self.t_last: Optional[float] = None  # max end
-
-    def on_start(self, span) -> None:
-        self.n_started += 1
-        if self.t_first is None or span.start < self.t_first:
-            self.t_first = span.start
-        self.concurrency.step(span.start, +1.0)
-
-    def on_finish(self, span) -> None:
-        self.n_finished += 1
-        if self.t_last is None or span.end > self.t_last:
-            self.t_last = span.end
-        if self.t_first_finished is None or span.start < self.t_first_finished:
-            self.t_first_finished = span.start
-        if is_failed(span):
-            self.n_failed += 1
-        self.durations.add(span.category, span.end - span.start)
-        self.concurrency.step(span.end, -1.0)
-
-    def close(self) -> None:
-        # Batch failed_tasks reads the state tag of still-open spans too.
-        if self.tracer is not None:
-            self.n_failed += sum(1 for s in self.tracer.open_spans() if is_failed(s))
-
-    # -- rule quantities (the protocol the alerts judge reads) -------------
-
-    def stats(self, category: str):
-        return self.durations.stats(category)
-
-    def quantile(self, category: str, p: float) -> Optional[float]:
-        return self.durations.quantile(category, p)
-
-    @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        return self.tracer.metrics if self.tracer is not None else None
-
-    @property
-    def failed_tasks(self) -> int:
-        return self.n_failed
-
-    @property
-    def makespan(self) -> float:
-        if self.t_first_finished is None:
-            return 0.0
-        return self.t_last - self.t_first_finished
-
-    @property
-    def window(self) -> tuple:
-        t0 = self.t_first if self.t_first is not None else 0.0
-        return (t0, self.t_last if self.t_last is not None else t0)
-
-    def finalize_alerts(self, context: Optional[dict] = None):
-        """End-of-run :class:`~repro.obs.alerts.AlertReport`.
-
-        ``context`` merges over the constructor's.
-        """
-        return _judge(self.rules, {**self.context, **(context or {})}, self)
-
-    def summary(self) -> dict:
-        self.concurrency.flush()
-        doc = {
-            "spans_started": self.n_started,
-            "spans_finished": self.n_finished,
-            "failed": self.n_failed,
-            "window": list(self.window),
-            "makespan": self.makespan,
-            "concurrency": {
-                "peak": self.concurrency.peak,
-                "first_peak": self.concurrency.first_peak,
-                "last_peak": self.concurrency.last_peak,
-                "time_average": self.concurrency.time_average(self.t_last),
-            },
-            "categories": self.durations.to_dict(),
-        }
-        if self.rules:
-            try:
-                doc["alerts"] = self.finalize_alerts().to_dict()
-            except Exception as exc:  # unresolvable rule: report, don't die
-                doc["alerts"] = {"error": str(exc)}
-        return doc
-
-    def __repr__(self) -> str:
-        return (
-            f"<StreamingAnalytics started={self.n_started} "
-            f"finished={self.n_finished}>"
-        )

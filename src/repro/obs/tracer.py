@@ -136,7 +136,9 @@ class Span:
         self.start = float(start)
         self.end: Optional[float] = None
         #: Point events inside the span: ``(t, name, attrs)`` tuples.
-        self.events: list[tuple] = []
+        #: The shared empty tuple until the first :meth:`event`, so
+        #: spans that never get one (most) allocate no list.
+        self.events: list[tuple] | tuple = ()
 
     # -- recording -----------------------------------------------------------
 
@@ -147,9 +149,11 @@ class Span:
 
     def event(self, name: str, t: Optional[float] = None, **attrs) -> "Span":
         """Record a point event inside the span."""
-        self.events.append(
-            (self._tracer.now() if t is None else float(t), name, attrs)
-        )
+        entry = (self._tracer.now() if t is None else float(t), name, attrs)
+        if self.events:
+            self.events.append(entry)
+        else:
+            self.events = [entry]
         return self
 
     def finish(self, t: Optional[float] = None) -> "Span":

@@ -351,3 +351,17 @@ class TestSpanLine:
         assert json.loads(span_line(span))["tags"] == {"1": "str"}
         span.tags = {"1": "str", 1: "int"}
         assert json.loads(span_line(span))["tags"] == {"1": "int"}
+
+    def test_events_list_is_made_on_first_event(self):
+        tracer = Tracer()
+        quiet = tracer.start("s", category="c", component="x", t=1.0).finish(t=2.0)
+        assert quiet.events == ()
+        assert span_line(quiet) == (
+            '{"cat":"c","comp":"x","events":[],"id":0,"name":"s",'
+            '"parent":null,"t0":1.0,"t1":2.0,"tags":{},"type":"span"}'
+        )
+        fresh = tracer.start("e", t=0.0)
+        fresh.event("mark", t=0.5, detail="d")
+        fresh.event("again", t=0.75)
+        assert fresh.events == [(0.5, "mark", {"detail": "d"}), (0.75, "again", {})]
+        assert quiet.events == ()  # the first event() gave only `fresh` a list

@@ -1,18 +1,12 @@
-"""The streaming span pipeline: sinks, spill segments, online analytics.
+"""The constant-memory span pipeline: sinks, spill segments, exact replay.
 
 Equivalence contract:
 
 - **byte-identical**: a spill-sink run concatenated and reloaded
   produces exactly the bytes :func:`repro.obs.export.to_jsonl` writes
   for the same-seed in-memory run (segments are the trace);
-- **exact**: analytics over the compact reader's trace equal the batch numbers (they are
-  the batch code), and so do the online counts, min/max, failed spans,
-  makespan, window and peak concurrency, because the collapse and
-  window conventions are ports of the batch code;
-- **rounding**: online sums and means add in finish order, the batch
-  ones over the sorted sample (``rel=1e-12``);
-- **approximate**: P²-backed quantiles carry the tolerance documented
-  in ``tests/obs/test_online_stats.py``.
+- **exact**: analytics over the compact reader's trace equal the batch
+  numbers, because they are the batch code on the same values.
 """
 
 import functools
@@ -30,8 +24,6 @@ from repro.obs.alerts import Rule, evaluate_rules
 from repro.obs.export import to_jsonl, tracer_from_jsonl
 from repro.obs.stream import (
     JsonlSpillSink,
-    OnlineConcurrency,
-    StreamingAnalytics,
     StubTrace,
     TeeSink,
     scan_spill,
@@ -309,143 +301,25 @@ class TestSpillReaderGuard:
                     pass
 
 
-#: Rules whose streaming value must equal the batch one exactly.
-EXACT_RULES = [
-    "count(entk.exec) >= 1",
-    "min(entk.exec) >= 700",
-    "max(entk.task) <= 9000",
-    "makespan <= 9000",
-    "failed_tasks <= 0",
-    "utilization >= 0.8",
-    "series(entk-pilot-0/executing) <= 20",
-    "series(entk-pilot-0/cores) <= 8000",
-]
-#: Sums and means: equal up to the order the durations are added in.
-SUM_RULES = [
-    "sum(entk.exec) <= 1e5",
-    "sum(entk.task) >= 1",
-    "mean(entk.exec) <= 1000",
-    "mean(entk.task) >= 1",
-]
-#: P² estimates: within the quantile tolerance below.
-QUANTILE_RULES = [
-    "p50(entk.exec) <= 1000",
-    "p99(entk.exec) <= 1400",
-    "p95(entk.task) <= 8000",
-]
-CONTEXT = {"utilization": 0.75}
-
-
-class TestStreamingAnalytics:
-    @pytest.fixture(scope="class")
-    def tee_run(self):
-        """A live run teed into a retained store and online analytics."""
-        analytics = StreamingAnalytics(
-            rules=[Rule(e) for e in EXACT_RULES + SUM_RULES + QUANTILE_RULES],
-            context=CONTEXT,
-        )
-        _, tracer = mini_entk_run(
-            n_tasks=200, nodes=200, seed=5,
-            sink=TeeSink(InMemorySink(), analytics),
-        )
-        tracer.close()
-        return tracer, analytics
-
-    def test_counts_and_window_are_exact(self, tee_run):
-        tracer, analytics = tee_run
-        assert analytics.n_started == len(tracer.spans)
-        assert analytics.n_failed == len(
-            tracer.query().spans(tags={"state": "FAILED"})
-        )
-
-    def test_peak_concurrency_matches_batch(self, tee_run):
-        tracer, analytics = tee_run
-        series = tracer.query().concurrency()
-        analytics.concurrency.flush()
-        assert analytics.concurrency.peak == max(series.values)
-
-    def test_quantiles_within_tolerance(self, tee_run):
-        tracer, analytics = tee_run
-        durations = sorted(tracer.query().durations(category="entk.exec"))
-        exact_p50 = durations[max(0, min(len(durations) - 1,
-                                         round(0.5 * len(durations)) - 1))]
-        est = analytics.durations.quantile("entk.exec", 0.5)
-        assert est == pytest.approx(exact_p50, rel=0.10)
-
-    def test_rules_match_batch(self, tee_run):
-        tracer, analytics = tee_run
-        online = analytics.finalize_alerts()
-        batch = evaluate_rules(
-            analytics.rules, tracer, context=CONTEXT, record=False
-        )
-        assert online.window == batch.window
-        pairs = {o.rule.expr: (o, b)
-                 for o, b in zip(online.outcomes, batch.outcomes)}
-        for expr in EXACT_RULES:
-            o, b = pairs[expr]
-            assert o.to_dict() == b.to_dict(), expr
-        # The series rules really walk violations, not just a scalar.
-        assert pairs["series(entk-pilot-0/executing) <= 20"][0].alerts
-        for expr in SUM_RULES:
-            o, b = pairs[expr]
-            assert o.value == pytest.approx(b.value, rel=1e-12), expr
-            assert o.ok == b.ok, expr
-        for expr in QUANTILE_RULES:
-            o, b = pairs[expr]
-            assert o.value == pytest.approx(b.value, rel=0.10), expr
-
-    def test_rule_percentiles_are_tracked(self, tee_run):
-        _, analytics = tee_run
-        # p95 is not a default quantile: the rule adds it to every category.
-        assert analytics.durations.quantile("entk.task", 0.95) is not None
-
-    def test_summary_is_json_ready(self, tee_run):
-        _, analytics = tee_run
-        doc = analytics.summary()
-        json.dumps(doc)
-        assert "stragglers" not in doc
-        assert doc["alerts"]["window"] == list(analytics.window)
-
-
 class TestOpenSpansAtClose:
-    """Streaming makespan/failed_tasks follow the batch conventions
-    when spans are still open at close: makespan over finished spans,
-    FAILED counted on every span."""
+    """Rules over a trace with spans still open at close follow the
+    batch conventions (makespan over finished spans, FAILED counted on
+    every span), and the spill read back judges them the same."""
 
-    def test_matches_batch(self):
+    def test_matches_batch(self, tmp_path):
         rules = [Rule("makespan <= 1"), Rule("failed_tasks <= 0")]
-        analytics = StreamingAnalytics(rules=rules)
-        tracer = Tracer(sink=TeeSink(InMemorySink(), analytics))
+        spill = JsonlSpillSink(tmp_path)
+        tracer = Tracer(sink=TeeSink(InMemorySink(), spill))
         tracer.span("pilot", t=0.0)
         a = tracer.span("a", t=5.0)
         tracer.span("b", t=6.0).tag(state="FAILED")
         a.finish(t=10.0)
         tracer.close()
-        online = analytics.finalize_alerts()
         batch = evaluate_rules(rules, tracer, record=False)
-        assert [o.value for o in online.outcomes] == [5.0, 1.0]
-        assert online.to_dict() == batch.to_dict()
-        assert online.window == (0.0, 10.0)
-
-
-class TestOnlineConcurrency:
-    def test_same_time_deltas_collapse(self):
-        conc = OnlineConcurrency()
-        # +2 then -1 at t=1.0 must commit as a single level change.
-        conc.step(0.0, +1)
-        conc.step(1.0, +1)
-        conc.step(1.0, +1)
-        conc.step(1.0, -1)
-        conc.step(2.0, -1)
-        conc.flush()
-        assert conc.peak == 2.0
-        assert conc.first_peak == 1.0
-
-    def test_rejects_time_travel(self):
-        conc = OnlineConcurrency()
-        conc.step(5.0, +1)
-        with pytest.raises(ValueError):
-            conc.step(4.0, +1)
+        assert [o.value for o in batch.outcomes] == [5.0, 1.0]
+        assert batch.window == (0.0, 10.0)
+        stub = StubTrace.from_jsonl(spill.read_text().splitlines())
+        assert evaluate_rules(rules, stub).to_dict() == batch.to_dict()
 
 
 class TestTeeAndMemory:
@@ -453,22 +327,22 @@ class TestTeeAndMemory:
         from benchmarks.perf.obs_bench import span_storm
 
         n_spans = 4000
-        spill = JsonlSpillSink(
-            tmp_path, segment_records=500, retain_segments=2
+        rotating = JsonlSpillSink(
+            tmp_path / "a", segment_records=500, retain_segments=2
         )
-        analytics = StreamingAnalytics()
+        single = JsonlSpillSink(tmp_path / "b", segment_records=n_spans)
         env = Environment()
-        tracer = enable_tracing(env, sink=TeeSink(spill, analytics))
+        tracer = enable_tracing(env, sink=TeeSink(rotating, single))
         tracemalloc.start()
         span_storm(tracer, n_spans)
         tracer.close()
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert analytics.n_finished == n_spans
-        assert spill.total_records >= n_spans  # spans + metrics
-        assert len(spill.segments()) == 2
+        expected = n_spans + len(tracer.metrics)  # the storm has no instants
+        assert rotating.total_records == single.total_records == expected
+        assert len(rotating.segments()) == 2
         # An in-memory sink at this span count allocates ~2 MB
-        # (~500 bytes/span); the streaming tee stays far under it.
+        # (~500 bytes/span); the spilling tee stays far under it.
         assert peak < 1_000_000
 
 
@@ -478,7 +352,7 @@ class TestBenchHarness:
 
         doc = run_bench(n_spans=1500, workdir=tmp_path)
         assert doc["schema"] == BENCH_OBS_SCHEMA
-        assert set(doc["modes"]) == {"null", "memory", "spill", "streaming"}
+        assert set(doc["modes"]) == {"null", "memory", "spill"}
         for metrics in doc["modes"].values():
             assert metrics["spans"] == 1500
             assert metrics["spans_per_s"] > 0
@@ -489,8 +363,7 @@ class TestBenchHarness:
 
         doc = run_smoke(n_spans=3000, gate_mb=16.0, workdir=tmp_path)
         assert doc["ok"] is True
-        assert doc["spans_finished"] == 3000
-        assert doc["rules_firing"] == 0
+        assert doc["records"] == doc["expected_records"] >= 3000
         assert doc["peak_mb"] < 16.0
 
     def test_memory_smoke_fails_a_sink_that_drops_spans(
@@ -498,8 +371,7 @@ class TestBenchHarness:
     ):
         from benchmarks.perf.obs_memory_smoke import run_smoke
 
-        monkeypatch.setattr(StreamingAnalytics, "on_finish", lambda self, span: None)
+        monkeypatch.setattr(JsonlSpillSink, "on_finish", lambda self, span: None)
         doc = run_smoke(n_spans=300, gate_mb=16.0, workdir=tmp_path)
-        assert doc["spans_finished"] == 0
-        assert doc["rules_firing"] == 1
+        assert doc["records"] < doc["expected_records"]
         assert doc["ok"] is False
