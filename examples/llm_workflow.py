@@ -25,6 +25,7 @@ from repro.llm import (
     PhyloflowAdapters,
     make_synthetic_vcf,
 )
+from repro.resilience import TRANSIENT_ONLY, RetryPolicy
 
 
 def part1_function_calling(vcf: str) -> None:
@@ -66,7 +67,8 @@ def part2_agents(vcf: str) -> None:
     # A transient failure the debugger can retry through.
     adapters = PhyloflowAdapters(files={"tumor.vcf": vcf})
     adapters.inject_failure("pyclone_vi_from_futures", times=2)
-    engine = AgentWorkflowEngine(adapters, debugger=Debugger(max_retries=3))
+    debugger = Debugger(RetryPolicy(max_retries=3, retry_on=TRANSIENT_ONLY))
+    engine = AgentWorkflowEngine(adapters, debugger=debugger)
     report = engine.run("Build the phylogeny for tumor.vcf with 3 clusters")
     print("\nscenario A: transient executor failures (debugger retries)")
     for outcome in report.outcomes:
@@ -85,7 +87,9 @@ def part2_agents(vcf: str) -> None:
         return "abort"
 
     engine2 = AgentWorkflowEngine(
-        adapters2, debugger=Debugger(max_retries=1), human=operator
+        adapters2,
+        debugger=Debugger(RetryPolicy(max_retries=1, retry_on=TRANSIENT_ONLY)),
+        human=operator,
     )
     report2 = engine2.run("Build the phylogeny for tumor.vcf")
     print("\nscenario B: persistent failure (escalates to the human)")

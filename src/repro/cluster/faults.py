@@ -71,10 +71,9 @@ class FaultInjector:
     Failed nodes recover after ``downtime`` simulated seconds (set
     ``downtime=None`` to keep them down forever).
 
-    ``observe=True`` records ``fault.node`` / ``fault.slowdown`` spans
-    and a ``<cluster>/nodes_down`` gauge into the environment's tracer.
-    It defaults off so fault-injecting runs recorded before this layer
-    existed keep byte-identical traces.
+    What was injected is logged in :attr:`failures` and
+    :attr:`gray_faults`; the tasks a crash kills show up in the trace
+    as retried attempts of their runtime.
     """
 
     def __init__(
@@ -86,27 +85,18 @@ class FaultInjector:
         downtime: Optional[float] = 600.0,
         rng: Optional[np.random.Generator] = None,
         slowdowns: Optional[Sequence[tuple]] = None,
-        observe: bool = False,
     ):
         if mtbf is not None and mtbf <= 0:
             raise ValueError("mtbf must be positive")
         self.env = env
         self.cluster = cluster
         self.downtime = downtime
-        self.observe = observe
         self.rng = rng if rng is not None else np.random.default_rng(0)
         #: Chronological log of injected failures.
         self.failures: list[NodeFailure] = []
         #: Chronological log of injected slowdowns.
         self.gray_faults: list[GrayFault] = []
         self._recovery_times: dict[str, float] = {}
-        self._down_gauge = (
-            env.tracer.metrics.gauge(
-                "nodes_down", component=cluster.name, t0=env.now
-            )
-            if observe
-            else None
-        )
         for time, node_id in self._validated(schedule or (), arity=2):
             env.process(
                 self._scheduled_failure(time, node_id),
@@ -202,28 +192,12 @@ class FaultInjector:
                 recovered_at=recovered_at,
             )
         )
-        if self.observe:
-            self.env.tracer.instant(
-                "node-down",
-                category="fault.node",
-                component=self.cluster.name,
-                tags={"node": node.id, "victims": len(victims)},
-            )
-            self._down_gauge.increment(self.env.now, +1)
         if self.downtime is not None:
             self.env.process(self._recover_later(node), name=f"recover:{node.id}")
 
     def _recover_later(self, node: Node):
         yield self.env.timeout(self.downtime)
         node.recover()
-        if self.observe:
-            self.env.tracer.instant(
-                "node-up",
-                category="fault.node",
-                component=self.cluster.name,
-                tags={"node": node.id},
-            )
-            self._down_gauge.increment(self.env.now, -1)
 
     # -- gray injection ------------------------------------------------------
 
@@ -237,22 +211,12 @@ class FaultInjector:
         self.gray_faults.append(
             GrayFault(time=self.env.now, node_id=node_id, factor=factor, until=until)
         )
-        span = None
-        if self.observe:
-            span = self.env.tracer.start(
-                node_id,
-                category="fault.slowdown",
-                component=self.cluster.name,
-                tags={"factor": factor},
-            )
         if duration is not None:
             yield self.env.timeout(duration)
             # Only lift our own degradation (a crash/recovery in the
             # window already reset the node to full speed).
             if node.slowdown == factor:
                 node.slowdown = 1.0
-        if span is not None:
-            span.finish()
 
     # -- accounting ----------------------------------------------------------
 

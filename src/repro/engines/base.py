@@ -132,27 +132,20 @@ class Outcome(NamedTuple):
 class RetryingEngine:
     """Base of the engines that retry failed tasks themselves.
 
-    ``retry_policy`` defaults to retrying any failure ``max_retries``
-    times without backoff.  ``node_health`` is fed task outcomes, and
-    the scheduler avoids the nodes it quarantines.
+    ``retry_policy`` defaults to retrying any failure twice without
+    backoff.  ``node_health`` is fed task outcomes, and the scheduler
+    avoids the nodes it quarantines.
     """
 
     def __init__(
         self,
         env,
         scheduler,
-        max_retries: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy = RetryPolicy(),
         node_health: Optional[NodeHealth] = None,
     ):
         self.env = env
         self.scheduler = scheduler
-        #: True when the caller opted into the resilience layer; gates
-        #: the extra retry.* observability so default runs trace
-        #: byte-identically to the pre-resilience engine.
-        self._resilient = retry_policy is not None or node_health is not None
-        if retry_policy is None:
-            retry_policy = RetryPolicy.legacy(max_retries)
         self.retry_policy = retry_policy
         self.node_health = node_health
         if node_health is not None:
@@ -234,19 +227,13 @@ class DagDriver:
                                 ready.append(child)
                         continue
                     record.failure_causes.append(out.cause)
-                    fclass = policy.classify(out.cause)
                     if health is not None and out.node_id is not None:
                         health.record_failure(out.node_id, cause=out.cause)
                     if not policy.should_retry(record.attempts, out.cause):
                         record.state = "failed"
                         raise EngineError(
                             f"Task {name!r} failed {record.attempts} times "
-                            f"({fclass.value}): {out.cause!r}"
-                        )
-                    if engine._resilient:
-                        env.tracer.instant(
-                            name, category="retry.task", component=engine.engine_name,
-                            tags={"attempt": record.attempts, "class": fclass.value},
+                            f"({policy.classify(out.cause).value}): {out.cause!r}"
                         )
                     delay = policy.backoff_s(record.attempts, key=name)
                     if delay > 0:

@@ -41,11 +41,10 @@ class AirflowLikeEngine(RetryingEngine):
         env: Environment,
         scheduler: KubeScheduler,
         workers: Optional[int] = None,
-        max_retries: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy = RetryPolicy(),
         node_health: Optional[NodeHealth] = None,
     ):
-        super().__init__(env, scheduler, max_retries, retry_policy, node_health)
+        super().__init__(env, scheduler, retry_policy, node_health)
         self.workers = workers
 
     def run(self, workflow: Workflow) -> WorkflowRun:

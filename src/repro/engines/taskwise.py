@@ -35,7 +35,7 @@ class NextflowLikeEngine(RetryingEngine):
         Fixed startup cost added to every task (container pull/start);
         Argo's profile sets this higher.
 
-    ``max_retries``, ``retry_policy`` and ``node_health`` are those of
+    ``retry_policy`` and ``node_health`` are those of
     :class:`~repro.engines.base.RetryingEngine`.
     """
 
@@ -46,15 +46,14 @@ class NextflowLikeEngine(RetryingEngine):
         env: Environment,
         scheduler: KubeScheduler,
         cwsi=None,
-        max_retries: int = 2,
         pod_overhead_s: float = 0.0,
         right_size_memory: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy = RetryPolicy(),
         node_health: Optional[NodeHealth] = None,
     ):
         if right_size_memory and cwsi is None:
             raise ValueError("right_size_memory requires a CWSI")
-        super().__init__(env, scheduler, max_retries, retry_policy, node_health)
+        super().__init__(env, scheduler, retry_policy, node_health)
         self.cwsi = cwsi
         self.pod_overhead_s = pod_overhead_s
         #: Replace user memory requests with CWSI peak predictions
@@ -135,6 +134,5 @@ class ArgoLikeEngine(NextflowLikeEngine):
 
     engine_name = "argo-like"
 
-    def __init__(self, env, scheduler, cwsi=None, max_retries: int = 2,
-                 pod_overhead_s: float = 3.0):
-        super().__init__(env, scheduler, cwsi, max_retries, pod_overhead_s)
+    def __init__(self, env, scheduler, cwsi=None, pod_overhead_s: float = 3.0):
+        super().__init__(env, scheduler, cwsi, pod_overhead_s)

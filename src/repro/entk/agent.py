@@ -49,14 +49,12 @@ class AgentConfig:
     bootstrap_s: float = 85.0      # one-time agent startup overhead
     fail_detect_s: float = 10.0    # time for a dead-node launch to error out
     node_strikes: int = 1          # task failures before a node is blacklisted
-    max_task_retries: int = 3      # resubmission waves per stage
-    #: Opt-in resilience layer: a full retry policy (classification,
-    #: backoff) instead of the bare wave count, and a quarantine spec
-    #: that puts repeatedly-failing nodes on probation instead of the
-    #: permanent blacklist.  ``None``/``None`` keeps legacy behaviour
-    #: exactly (the golden E4 trace depends on it).
-    retry_policy: Optional["RetryPolicy"] = None
-    quarantine: Optional["QuarantineSpec"] = None
+    #: Resubmission waves per stage (``max_retries``), which failure
+    #: classes to retry and the backoff between waves.
+    retry_policy: RetryPolicy = RetryPolicy(max_retries=3)
+    #: Optional probation for repeatedly-failing nodes, on top of the
+    #: permanent ``node_strikes`` blacklist.
+    quarantine: Optional[QuarantineSpec] = None
 
     def __post_init__(self):
         if self.schedule_rate <= 0 or self.launch_rate <= 0:
@@ -65,8 +63,6 @@ class AgentConfig:
             raise ValueError("delays must be non-negative")
         if self.node_strikes < 1:
             raise ValueError("node_strikes must be >= 1")
-        if self.max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
 
 
 class PilotAgent:
@@ -120,15 +116,7 @@ class PilotAgent:
             raise ValueError("PilotAgent needs at least one node")
         self.config = config or AgentConfig()
         self.name = name
-        self._resilient = (
-            self.config.retry_policy is not None
-            or self.config.quarantine is not None
-        )
-        self.retry_policy = (
-            self.config.retry_policy
-            if self.config.retry_policy is not None
-            else RetryPolicy.legacy(self.config.max_task_retries)
-        )
+        self.retry_policy = self.config.retry_policy
         #: Optional NodeHealth circuit breaker built from the config's
         #: QuarantineSpec; its quarantine set extends the blacklist.
         self.health: Optional[NodeHealth] = (
@@ -216,8 +204,8 @@ class PilotAgent:
     def run_stage(self, tasks: list):
         """Process generator: run a set of independent tasks to completion.
 
-        Retries failed tasks in order-preserving waves up to
-        ``max_task_retries`` times.  Returns ``(done, failed)`` lists.
+        Retries failed tasks in order-preserving waves as the config's
+        ``retry_policy`` allows.  Returns ``(done, failed)`` lists.
         """
         tasks = list(tasks)
         for task in tasks:
@@ -272,16 +260,6 @@ class PilotAgent:
                 cause = t.failure_causes[-1] if t.failure_causes else None
                 if not self.retry_policy.should_retry(t.attempts, cause):
                     continue  # permanent/over-budget: stays FAILED
-                if self._resilient:
-                    self.env.tracer.instant(
-                        t.name,
-                        category="retry.task",
-                        component=self.name,
-                        tags={
-                            "attempt": t.attempts,
-                            "class": self.retry_policy.classify(cause).value,
-                        },
-                    )
                 t.reset_for_retry()
                 retryable.append(t)
             if retryable:

@@ -2,9 +2,10 @@
 
 Every rule is a subclass of :class:`Rule` decorated with
 :func:`register`.  A rule declares its id (``<FAMILY><NNN>``), a
-one-line summary, a rationale, and bad/good example snippets (rendered
-by ``--list-rules`` and quoted in ``docs/LINTING.md``), plus a
-``check(ctx)`` generator yielding :class:`~repro.lint.findings.Finding`.
+one-line summary, a rationale (``--list-rules`` prints the id,
+summary and rationale), bad/good example snippets for the reader of
+the rule, plus a ``check(ctx)`` generator yielding
+:class:`~repro.lint.findings.Finding`.
 
 Importing this package imports the rule modules, so the registry is
 always fully populated after ``from repro.lint import rules``.

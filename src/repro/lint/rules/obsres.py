@@ -186,7 +186,7 @@ class SwallowedExceptRule(Rule):
     bad = "try:\n    transfer()\nexcept Exception:\n    pass"
     good = (
         "try:\n    transfer()\nexcept TransferError as exc:\n"
-        "    policy.on_failure(classify_failure(exc))"
+        "    if not policy.should_retry(attempts, exc):\n        raise"
     )
 
     _BROAD = {"Exception", "BaseException"}
@@ -253,11 +253,15 @@ class HandRolledRetryRule(Rule):
         "        break\n    except Exception:\n        attempt += 1"
     )
     good = (
-        "policy = RetryPolicy.legacy()\n"
-        "while policy.should_retry(task.record):\n    submit(task)"
+        "policy = RetryPolicy(max_retries=3)\n"
+        "while not submit(task):\n"
+        "    if not policy.should_retry(task.attempts, task.cause):\n"
+        "        break\n"
+        "    yield env.timeout(policy.backoff_s(task.attempts, key=task.name))"
     )
 
-    _POLICY_API = {"should_retry", "next_delay", "on_failure", "record_attempt"}
+    #: The RetryPolicy methods whose call marks a loop as policy-driven.
+    _POLICY_API = {"should_retry", "backoff_s"}
 
     def check(self, ctx) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -119,15 +119,12 @@ class Debugger:
     """
 
     def __init__(
-        self, max_retries: int = 2, retry_policy: Optional[RetryPolicy] = None
+        self,
+        retry_policy: RetryPolicy = RetryPolicy(
+            max_retries=2, retry_on=TRANSIENT_ONLY
+        ),
     ):
-        # RetryPolicy owns max_retries validation (shared across engines).
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_retries=max_retries, retry_on=TRANSIENT_ONLY)
-        )
-        self.max_retries = self.retry_policy.max_retries
+        self.retry_policy = retry_policy
 
     def diagnose(
         self, outcome: StepOutcome, adapters: PhyloflowAdapters

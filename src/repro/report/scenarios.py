@@ -376,10 +376,13 @@ def _e3_report(row, full, result, tracer, _extra) -> RunReport:
 
 def _e4_traced(n_tasks, nodes, diverging):
     from repro.entk import AgentConfig
+    from repro.resilience import RetryPolicy
 
     # Delayed failure propagation: the agent keeps handing the dead node
     # out until it collects 8 strikes, one failed task each.
-    agent = AgentConfig(node_strikes=8, fail_detect_s=15.0, max_task_retries=2)
+    agent = AgentConfig(
+        node_strikes=8, fail_detect_s=15.0, retry_policy=RetryPolicy(max_retries=2)
+    )
     extra = [numerical_failure_task(name, at) for name, at in diverging]
     return _stage3_run(
         n_tasks, nodes, agent=agent, extra_tasks=extra, fault_at=2000.0

@@ -2,16 +2,15 @@
 
 The paper's E4 result (§4.3) — eight tasks killed by one Frontier node
 failure, all automatically resubmitted to a clean finish — only works
-because the runtime absorbs node loss.  Before this package each engine
-hand-rolled its own ``max_retries`` loop with no backoff, no failure
-classification, and no memory of which nodes are flaky.  The pieces:
+because the runtime absorbs node loss.  Every runtime (the EnTK agent,
+the WMS engines, the LLM debugger) takes one :class:`RetryPolicy` and
+may track node health.  The pieces:
 
 - :class:`RetryPolicy` — attempt budget, exponential backoff with
   deterministic seeded jitter, and a failure classifier
   (transient infrastructure loss vs. permanent payload error vs.
-  walltime) deciding retry-vs-abort.  The default policy reproduces the
-  legacy engine loops bit-for-bit (retry everything, zero backoff) so
-  traces stay byte-identical until a caller opts in.
+  walltime) deciding retry-vs-abort.  The default retries everything
+  with zero backoff.
 - :class:`NodeHealth` — a per-node circuit breaker: repeated failures
   quarantine a node, quarantined nodes feed an avoid-set into
   :class:`~repro.rm.batch.BatchScheduler` /
@@ -24,9 +23,9 @@ classification, and no memory of which nodes are flaky.  The pieces:
   "quarantined nodes", "resubmission storm") usable from
   :mod:`repro.report`.
 
-Everything here defaults *off/neutral*: engines built without an
-explicit policy or health tracker behave exactly as before, down to the
-event ordering the golden trace digests pin.
+Retries show in the results as ``TaskRecord.attempts`` /
+``WorkflowRun.retried_tasks()`` and in the trace as the ``attempt``
+tag of the ``entk.exec`` and ``engine.task`` spans.
 """
 
 from repro.resilience.policy import (

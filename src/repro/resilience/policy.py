@@ -10,11 +10,10 @@ A failure's *class* decides what to do with it:
 - ``WALLTIME`` — the surrounding job hit its limit; the task itself is
   fine but needs a fresh job to finish in.
 
-The default :class:`RetryPolicy` reproduces the legacy per-engine
-loops exactly — retry every class, zero backoff — so adopting the
-shared policy changes nothing until a caller opts into classification
-or backoff.  All jitter is drawn from seeded generators keyed on
-``(seed, attempt, key)`` so identical runs stay identical.
+Every runtime takes its retry budget as one :class:`RetryPolicy`; the
+default retries every class twice with zero backoff.  All jitter is
+drawn from seeded generators keyed on ``(seed, attempt, key)`` so
+identical runs stay identical.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ def classify_failure(cause: Any) -> FailureClass:
     return FailureClass.PERMANENT
 
 
-#: Retry-everything: the legacy engine behaviour.
+#: Retry-everything: the default policy.
 ALL_CLASSES: FrozenSet[FailureClass] = frozenset(FailureClass)
 #: Retry only infrastructure loss — the E4-faithful policy.
 TRANSIENT_ONLY: FrozenSet[FailureClass] = frozenset(
@@ -98,13 +97,12 @@ class RetryPolicy:
     ----------
     max_retries:
         Resubmissions after the first attempt (``max_retries=0`` means
-        one attempt total).  The single home of the ``>= 0`` check the
-        engines used to duplicate.
+        one attempt total).
     backoff_base_s / backoff_factor / backoff_max_s:
         Exponential backoff: retry *n* waits
         ``min(backoff_max_s, backoff_base_s * backoff_factor**(n-1))``
         seconds.  The default base of 0 disables backoff entirely (no
-        timeout event is even scheduled), matching the legacy loops.
+        timeout event is even scheduled).
     jitter:
         Fractional jitter: the delay is scaled by a deterministic
         uniform draw from ``1 - jitter`` to ``1 + jitter`` seeded on
@@ -112,9 +110,9 @@ class RetryPolicy:
         concurrent retries of different tasks desynchronize (no
         resubmission storms landing on one scheduler tick).
     retry_on:
-        Failure classes worth retrying.  Defaults to *all* classes
-        (legacy semantics); pass ``TRANSIENT_ONLY`` to abort fast on
-        payload errors, the behaviour the chaos matrix asserts.
+        Failure classes worth retrying.  Defaults to *all* classes;
+        pass ``TRANSIENT_ONLY`` to abort fast on payload errors, the
+        behaviour the chaos matrix asserts.
     classifier:
         Override the cause → :class:`FailureClass` mapping.
     """
@@ -185,11 +183,6 @@ class RetryPolicy:
         return raw * (1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0))
 
     # -- canned profiles -----------------------------------------------------
-
-    @classmethod
-    def legacy(cls, max_retries: int) -> "RetryPolicy":
-        """The pre-resilience engine loop: retry anything, no backoff."""
-        return cls(max_retries=max_retries)
 
     @classmethod
     def resilient(

@@ -6,6 +6,7 @@ from repro.cluster import Cluster, FaultInjector, NodeSpec
 from repro.core import TaskSpec, Workflow
 from repro.data import File
 from repro.engines import AirflowLikeEngine
+from repro.resilience import RetryPolicy
 from repro.rm import KubeScheduler
 from repro.simkernel import Environment
 
@@ -26,7 +27,7 @@ class TestWorkerDeath:
         env = Environment()
         cluster = Cluster(env, pools=[(NodeSpec("n", cores=4, memory_gb=32), 3)])
         sched = KubeScheduler(env, cluster)
-        engine = AirflowLikeEngine(env, sched, max_retries=3)
+        engine = AirflowLikeEngine(env, sched, retry_policy=RetryPolicy(max_retries=3))
         run = engine.run(wide_workflow())
         FaultInjector(env, cluster, schedule=[(30.0, "n-00000")], downtime=None)
         env.run(until=run.done)
@@ -42,7 +43,7 @@ class TestWorkerDeath:
         env = Environment()
         cluster = Cluster(env, pools=[(NodeSpec("n", cores=4, memory_gb=32), 3)])
         sched = KubeScheduler(env, cluster)
-        engine = AirflowLikeEngine(env, sched, max_retries=3)
+        engine = AirflowLikeEngine(env, sched, retry_policy=RetryPolicy(max_retries=3))
         run = engine.run(wide_workflow())
         FaultInjector(env, cluster, schedule=[(30.0, "n-00001")], downtime=None)
         env.run(until=run.done)

@@ -15,6 +15,7 @@ from repro.cluster import Cluster, FaultInjector, NodeSpec
 from repro.core import TaskSpec, Workflow
 from repro.engines import AirflowLikeEngine, NextflowLikeEngine, WorkflowRun
 from repro.engines.base import DagDriver, Outcome, RetryingEngine
+from repro.resilience import RetryPolicy
 from repro.rm import KubeScheduler
 from repro.simkernel import Environment
 from repro.workloads.synthetic import fork_join
@@ -123,7 +124,10 @@ def test_airflow_retry_is_relaunched_at_the_failure_instant():
         wf.add_task(TaskSpec(f"w{i}", runtime_s=60), after=["src"])
     env = Environment()
     cluster = Cluster(env, pools=[(NodeSpec("n", cores=4, memory_gb=32), 3)])
-    run = AirflowLikeEngine(env, KubeScheduler(env, cluster), max_retries=3).run(wf)
+    engine = AirflowLikeEngine(
+        env, KubeScheduler(env, cluster), retry_policy=RetryPolicy(max_retries=3)
+    )
+    run = engine.run(wf)
     submits = []
     for record in run.records.values():
         real = record.mark_submitted

@@ -6,7 +6,8 @@ from repro.cluster import Cluster, FaultInjector, NodeSpec
 from repro.core import TaskSpec, Workflow
 from repro.data import File
 from repro.engines import AirflowLikeEngine, ArgoLikeEngine, NextflowLikeEngine
-from repro.resilience import NodeHealth
+from repro.obs import enable_tracing
+from repro.resilience import NodeHealth, RetryPolicy
 from repro.rm import KubeScheduler
 from repro.simkernel import Environment
 
@@ -77,8 +78,9 @@ class TestNextflowLikeEngine:
 
     def test_retry_on_node_failure(self):
         env = Environment()
+        tracer = enable_tracing(env)
         cluster, sched = world(env, nodes=2, cores=4)
-        engine = NextflowLikeEngine(env, sched, max_retries=2)
+        engine = NextflowLikeEngine(env, sched, retry_policy=RetryPolicy(max_retries=2))
         wf = Workflow("lone")
         wf.add_task(t("only", runtime=100))
         run = engine.run(wf)
@@ -88,11 +90,14 @@ class TestNextflowLikeEngine:
         assert run.succeeded
         assert run.records["only"].attempts == 2
         assert run.retried_tasks() == ["only"]
+        # The retry is visible in the trace as a second attempt span.
+        spans = tracer.query().spans(category="engine.task", name="only")
+        assert [s.tags["attempt"] for s in spans] == [1, 2]
 
     def test_aborts_after_max_retries(self):
         env = Environment()
         cluster, sched = world(env, nodes=1, cores=4)
-        engine = NextflowLikeEngine(env, sched, max_retries=0)
+        engine = NextflowLikeEngine(env, sched, retry_policy=RetryPolicy(max_retries=0))
         wf = Workflow("lone")
         wf.add_task(t("only", runtime=100))
         run = engine.run(wf)
@@ -103,10 +108,8 @@ class TestNextflowLikeEngine:
         assert run.records["only"].state == "failed"
 
     def test_invalid_retry_count(self):
-        env = Environment()
-        _, sched = world(env)
         with pytest.raises(ValueError):
-            NextflowLikeEngine(env, sched, max_retries=-1)
+            RetryPolicy(max_retries=-1)
 
 
 class TestEngineInstalledHealth:

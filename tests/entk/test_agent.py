@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import Cluster, FaultInjector, NodeSpec
 from repro.cluster.node import NodeFailureCause
 from repro.entk import AgentConfig, EnTask, PilotAgent, TaskState
+from repro.obs import enable_tracing
+from repro.resilience import RetryPolicy
 from repro.simkernel import Environment
 from tests.entk.test_executor_differential import _as_work
 
@@ -162,6 +164,7 @@ class TestWorkPayload:
 class TestNodeFailures:
     def test_task_killed_by_node_failure_is_retried(self):
         env = Environment()
+        tracer = enable_tracing(env)
         cluster, agent = make_agent(env, n_nodes=4, bootstrap_s=0.0)
         tasks = [EnTask(duration=100, name=f"t{i}") for i in range(4)]
         FaultInjector(env, cluster, schedule=[(20.0, "n-00000")], downtime=None)
@@ -171,6 +174,10 @@ class TestNodeFailures:
         # The failed node is blacklisted after its strike.
         assert "n-00000" in agent._blacklist
         assert agent.usable_nodes == 3
+        # The retry is visible in the trace as a second exec attempt.
+        [retried] = [t for t in tasks if t.attempts > 1]
+        spans = tracer.query().spans(category="entk.exec", tags={"task": retried.name})
+        assert [s.tags["attempt"] for s in spans] == [1, 2]
 
     def test_detection_lag_cascades_failures(self):
         """With node_strikes > 1, a dead node keeps poisoning launches —
@@ -197,7 +204,11 @@ class TestNodeFailures:
     def test_exhausted_retries_reports_failed(self):
         env = Environment()
         cluster, agent = make_agent(
-            env, n_nodes=1, bootstrap_s=0.0, max_task_retries=1, node_strikes=99
+            env,
+            n_nodes=1,
+            bootstrap_s=0.0,
+            retry_policy=RetryPolicy(max_retries=1),
+            node_strikes=99,
         )
         # The only node dies and is never blacklisted -> all retries fail.
         FaultInjector(env, cluster, schedule=[(5.0, "n-00000")], downtime=None)
@@ -315,7 +326,7 @@ class TestTimedExecutor:
             bootstrap_s=0.0,
             schedule_rate=4.0,
             launch_rate=2.0,
-            max_task_retries=0,
+            retry_policy=RetryPolicy(max_retries=0),
         )
         # Launched at 0.25 + 0.5 = 0.75 onto n-00001; due to end at 10.75,
         # the very instant the node fails.
@@ -343,7 +354,7 @@ class TestTimedExecutor:
             bootstrap_s=0.0,
             schedule_rate=4.0,
             launch_rate=2.0,
-            max_task_retries=0,
+            retry_policy=RetryPolicy(max_retries=0),
         )
         node = cluster.nodes[1]
 

@@ -193,14 +193,30 @@ class TestRES002HandRolledRetry:
     def test_silent_on_policy_driven_loop(self, check):
         src = """
             def run(task, policy):
-                while policy.should_retry(task.record):
+                while True:
                     try:
                         submit(task)
                         break
                     except Exception as exc:
-                        policy.on_failure(task.record, exc)
+                        if not policy.should_retry(task.attempts, exc):
+                            raise
         """
         assert check(src, rule="RES002") == []
+
+    def test_fires_on_counter_loop_calling_an_unrelated_on_failure(self, check):
+        # Only RetryPolicy's own methods exempt a loop.
+        src = """
+            def run(task, tracker):
+                attempt = 0
+                while attempt < 3:
+                    try:
+                        submit(task)
+                        break
+                    except Exception as exc:
+                        tracker.on_failure(exc)
+                        attempt += 1
+        """
+        assert len(check(src, rule="RES002")) == 1
 
     def test_silent_on_plain_iteration_named_entries(self, check):
         # "entries" must not token-match "tries".

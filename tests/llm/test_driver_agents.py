@@ -13,6 +13,11 @@ from repro.llm import (
 )
 from repro.llm.adapters import AdapterError
 from repro.llm.protocol import FunctionCall, FunctionSchema, Message
+from repro.resilience import TRANSIENT_ONLY, RetryPolicy
+
+
+def transient_debugger(retries):
+    return Debugger(RetryPolicy(max_retries=retries, retry_on=TRANSIENT_ONLY))
 
 
 VCF = make_synthetic_vcf(n_mutations=60, n_clones=3, depth=500, seed=7)
@@ -190,7 +195,7 @@ class TestAgents:
     def test_debugger_retries_transient_failure(self):
         adapters = make_adapters()
         adapters.inject_failure("pyclone_vi_from_futures", times=2)
-        engine = AgentWorkflowEngine(adapters, debugger=Debugger(max_retries=3))
+        engine = AgentWorkflowEngine(adapters, debugger=transient_debugger(3))
         report = engine.run("Build the phylogeny for tumor.vcf")
         assert report.succeeded
         pyclone = next(
@@ -220,7 +225,7 @@ class TestAgents:
             return "abort"
 
         engine = AgentWorkflowEngine(
-            adapters, debugger=Debugger(max_retries=1), human=operator
+            adapters, debugger=transient_debugger(1), human=operator
         )
         report = engine.run("Build the phylogeny for tumor.vcf")
         assert not report.succeeded
@@ -234,7 +239,7 @@ class TestAgents:
         # until the injected failures run out.
         engine = AgentWorkflowEngine(
             adapters,
-            debugger=Debugger(max_retries=1),
+            debugger=transient_debugger(1),
             human=lambda outcome, reason: "retry",
         )
         report = engine.run("Build the phylogeny for tumor.vcf")

@@ -365,6 +365,8 @@ class TestBenchHarness:
         assert doc["ok"] is True
         assert doc["records"] == doc["expected_records"] >= 3000
         assert doc["peak_mb"] < 16.0
+        # Throughput under tracemalloc says nothing about the sink.
+        assert "spans_per_s" not in doc and "wall_s" not in doc
 
     def test_memory_smoke_fails_a_sink_that_drops_spans(
         self, tmp_path, monkeypatch

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.cluster import Cluster, NodeSpec
 from repro.cluster.node import NodeFailureCause
 from repro.data.transfer import TransferError
+from repro.engines import AirflowLikeEngine, ArgoLikeEngine, NextflowLikeEngine
+from repro.entk import AgentConfig
+from repro.llm import Debugger
 from repro.resilience import (
     ALL_CLASSES,
     RECOVERABLE,
@@ -12,6 +16,8 @@ from repro.resilience import (
     RetryPolicy,
     classify_failure,
 )
+from repro.rm import KubeScheduler
+from repro.simkernel import Environment
 
 
 class TestClassifyFailure:
@@ -43,32 +49,11 @@ class TestClassifyFailure:
 
 
 class TestValidation:
-    """Satellite: the single shared home of max_retries validation."""
+    """RetryPolicy is the one place a retry budget is validated."""
 
     def test_negative_max_retries_rejected_with_shared_message(self):
         with pytest.raises(ValueError, match="max_retries must be >= 0"):
             RetryPolicy(max_retries=-1)
-
-    def test_engines_inherit_the_shared_check(self):
-        # Every engine builds a legacy policy from its max_retries arg,
-        # so the same constructor raises the same error everywhere.
-        from repro.llm.agents import Debugger
-        from repro.rm.kube import KubeScheduler
-        from repro.engines.taskwise import NextflowLikeEngine
-        from repro.engines.bigworker import AirflowLikeEngine
-        from repro.simkernel import Environment
-        from repro.cluster import Cluster, NodeSpec
-
-        env = Environment()
-        cluster = Cluster(env, pools=[(NodeSpec("a", cores=4), 2)])
-        sched = KubeScheduler(env, cluster)
-        for build in (
-            lambda: NextflowLikeEngine(env, sched, max_retries=-1),
-            lambda: AirflowLikeEngine(env, sched, max_retries=-1),
-            lambda: Debugger(max_retries=-1),
-        ):
-            with pytest.raises(ValueError, match="max_retries must be >= 0"):
-                build()
 
     def test_other_fields_validated(self):
         with pytest.raises(ValueError):
@@ -81,6 +66,32 @@ class TestValidation:
             RetryPolicy(retry_on=frozenset())
 
 
+def _engine_policy(engine_cls):
+    env = Environment()
+    cluster = Cluster(env, pools=[(NodeSpec("a", cores=4), 2)])
+    return engine_cls(env, KubeScheduler(env, cluster)).retry_policy
+
+
+@pytest.mark.parametrize(
+    "default, expected",
+    [
+        (lambda: AgentConfig().retry_policy, RetryPolicy(max_retries=3)),
+        (lambda: _engine_policy(NextflowLikeEngine), RetryPolicy(max_retries=2)),
+        (lambda: _engine_policy(ArgoLikeEngine), RetryPolicy(max_retries=2)),
+        (lambda: _engine_policy(AirflowLikeEngine), RetryPolicy(max_retries=2)),
+        (
+            lambda: Debugger().retry_policy,
+            RetryPolicy(max_retries=2, retry_on=TRANSIENT_ONLY),
+        ),
+    ],
+    ids=["agent", "nextflow", "argo", "airflow", "debugger"],
+)
+def test_runtime_default_retry_policy(default, expected):
+    """The frozen benchmark suite builds these runtimes with no retry
+    argument, so their defaults are part of what it measures."""
+    assert default() == expected
+
+
 class TestShouldRetry:
     def test_budget(self):
         p = RetryPolicy(max_retries=2)
@@ -89,8 +100,8 @@ class TestShouldRetry:
         assert not p.should_retry(3)
         assert p.max_attempts == 3
 
-    def test_legacy_retries_every_class(self):
-        p = RetryPolicy.legacy(2)
+    def test_default_retries_every_class(self):
+        p = RetryPolicy(max_retries=2)
         assert p.retry_on == ALL_CLASSES
         assert p.should_retry(1, ValueError("payload bug"))
         assert p.should_retry(1, "walltime")
@@ -109,7 +120,7 @@ class TestShouldRetry:
 
 class TestBackoff:
     def test_zero_base_means_zero_delay(self):
-        p = RetryPolicy.legacy(3)
+        p = RetryPolicy(max_retries=3)
         assert p.backoff_s(1) == 0.0
         assert p.backoff_s(3) == 0.0
 

@@ -13,6 +13,7 @@ from repro.core import TaskSpec, Workflow
 from repro.cws import CWSI
 from repro.data import File, FileCatalog, GB, MB, StorageSite, TransferService
 from repro.engines import AirflowLikeEngine, ArgoLikeEngine, NextflowLikeEngine
+from repro.resilience import RetryPolicy
 from repro.rm import BatchScheduler, KubeScheduler
 from repro.simkernel import Environment
 from repro.workloads import bioinformatics_like, montage_like
@@ -66,7 +67,7 @@ class TestFaultsAcrossTheStack:
         env = Environment()
         cluster = Cluster(env, pools=[(NodeSpec("n", cores=4, memory_gb=32), 6)])
         sched = KubeScheduler(env, cluster)
-        engine = NextflowLikeEngine(env, sched, max_retries=5)
+        engine = NextflowLikeEngine(env, sched, retry_policy=RetryPolicy(max_retries=5))
         run = engine.run(bioinformatics_like(samples=6, seed=0))
         FaultInjector(
             env, cluster, mtbf=150.0, downtime=60.0,
@@ -81,7 +82,9 @@ class TestFaultsAcrossTheStack:
         cluster = Cluster(env, pools=[(NodeSpec("n", cores=4, memory_gb=32), 2)])
         sched = KubeScheduler(env, cluster)
         cwsi = CWSI(env, sched, strategy="fifo")
-        engine = NextflowLikeEngine(env, sched, cwsi=cwsi, max_retries=3)
+        engine = NextflowLikeEngine(
+            env, sched, cwsi=cwsi, retry_policy=RetryPolicy(max_retries=3)
+        )
         wf = Workflow("frag")
         wf.add_task(TaskSpec("only", runtime_s=200))
         run = engine.run(wf)
