@@ -96,7 +96,6 @@ class FaultInjector:
         self.failures: list[NodeFailure] = []
         #: Chronological log of injected slowdowns.
         self.gray_faults: list[GrayFault] = []
-        self._recovery_times: dict[str, float] = {}
         for time, node_id in self._validated(schedule or (), arity=2):
             env.process(
                 self._scheduled_failure(time, node_id),
@@ -132,10 +131,18 @@ class FaultInjector:
         state = _json.dumps(
             self.rng.bit_generator.state, sort_keys=True, default=str
         )
+        # Nodes still DOWN whose recovery is scheduled.
+        pending = {
+            f.node_id
+            for f in self.failures
+            if f.recovered_at is not None
+            and f.recovered_at >= self.env.now
+            and not self.cluster.node(f.node_id).is_up
+        }
         return {
             "failures": len(self.failures),
             "gray_faults": len(self.gray_faults),
-            "pending_recoveries": sorted(self._recovery_times),
+            "pending_recoveries": sorted(pending),
             "rng_sha": hashlib.sha256(state.encode()).hexdigest(),
         }
 

@@ -6,6 +6,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.simkernel.events import URGENT
+
 
 class NodeState(enum.Enum):
     """Lifecycle of a node as seen by the resource manager."""
@@ -111,7 +113,7 @@ class Node:
         #: Occupants to interrupt if this node fails — registered by
         #: whatever runtime placed work here (pilot agent, kubelet, ...).
         #: Any object with ``is_alive`` and ``interrupt(cause)``: a
-        #: kernel process, or the pilot agent's timer-driven executor.
+        #: kernel process, or a :class:`TimedOccupant`.
         self.occupants: dict[Any, "object"] = {}
         #: Cumulative counters for provenance / tracing.
         self.total_allocations = 0
@@ -191,10 +193,14 @@ class Node:
         """Register an occupant to interrupt if this node fails.
 
         ``process`` is any object with an ``is_alive`` flag and an
-        ``interrupt(cause)`` method — a kernel :class:`Process`, or an
-        executor handle that delivers the interrupt itself.  On
-        :meth:`fail`, every live occupant gets ``interrupt(cause=
-        NodeFailureCause(node_id))`` in registration order.
+        ``interrupt(cause)`` method: a kernel :class:`Process`, or a
+        :class:`TimedOccupant` that delivers the interrupt itself.  The
+        timed occupants are the pilot agent's ``duration=`` task
+        executor (registered under itself) and the batch scheduler's
+        ``duration=`` job handle (registered under the job id, as the
+        job's ``run:`` process was).  On :meth:`fail`, every live
+        occupant gets ``interrupt(cause=NodeFailureCause(node_id))`` in
+        registration order.
         """
         self.occupants[key] = process
 
@@ -238,6 +244,70 @@ class Node:
             f"free={self.free_cores}c/{self.free_gpus}g/"
             f"{self.free_memory_gb:g}GiB>"
         )
+
+
+class TimedOccupant:
+    """A node occupant that runs off one kernel timer, not a process.
+
+    The base of the runtimes' fixed-duration executors.  It reproduces
+    the event sequence of the generator process it replaces, minus that
+    process's end event (which had no waiter and no callbacks):
+
+    - *Start.*  Construction schedules one URGENT event at the current
+      instant, exactly where ``env.process`` put the process's
+      ``Initialize``.  Its callback runs ``_start`` (the prologue),
+      which calls :meth:`_arm` to schedule the one timer.
+    - *Finish.*  The timer's callback ends the occupant in the dispatch
+      where the process used to be resumed, with the timer's value as
+      the failure cause (``None`` is success).
+    - *Interrupts.*  ``interrupt(cause)`` schedules an URGENT event at
+      ``now``, as ``Process.interrupt`` does.  Its delivery is a no-op
+      once the occupant has ended, or when :meth:`_absorbs` keeps it
+      running on the same timer.  Otherwise it tombstones the timer's
+      callback slot (the orphaned timer still fires as a no-op, like
+      the abandoned timeout of an interrupted process) and ends the
+      occupant with ``cause``, which must not be ``None`` (that means
+      success; a node failure passes a :class:`NodeFailureCause`).  An
+      interrupt issued at the timer's instant, before the timer is
+      dispatched, is URGENT and so wins, as it did against the process.
+
+    Subclasses define ``_start`` and ``_finish(cause)``, and a ``name``
+    that labels their dispatch units in sanitizer reports.
+    """
+
+    __slots__ = ("env", "timer", "is_alive")
+
+    def __init__(self, env):
+        self.env = env
+        self.timer = None
+        self.is_alive = True
+        start = env.event()
+        start.callbacks.append(self._start)
+        start.succeed(priority=URGENT)
+
+    def _arm(self, delay: float, cause=None) -> None:
+        """Schedule the timer that ends the occupant with ``cause``."""
+        self.timer = self.env.timeout(delay, cause)
+        self.timer.callbacks.append(self._end)
+
+    def _absorbs(self, cause) -> bool:
+        """Whether the occupant survives the interrupt ``cause``."""
+        return False
+
+    def interrupt(self, cause=None) -> None:
+        """End the occupant with ``cause`` at the current instant."""
+        event = self.env.event()
+        event.callbacks.append(self._interrupted)
+        event.succeed(cause, priority=URGENT)
+
+    def _interrupted(self, event) -> None:
+        if self.is_alive and not self._absorbs(event.value):
+            self.timer.callbacks[0] = None  # tombstone: the timer fires as a no-op
+            self._end(event)
+
+    def _end(self, event) -> None:
+        self.is_alive = False
+        self._finish(event.value)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.cluster.node import Node
+from repro.cluster.node import Node, TimedOccupant
 from repro.entk.pst import EnTask, TaskState
 from repro.resilience import NodeHealth, QuarantineSpec, RetryPolicy
 from repro.simkernel import (
@@ -37,7 +37,6 @@ from repro.simkernel import (
     TimeSeriesMonitor,
     UtilizationTracker,
 )
-from repro.simkernel.events import URGENT
 
 
 @dataclass(frozen=True)
@@ -70,34 +69,20 @@ class PilotAgent:
 
     **Direct executor timers.**  A task with a fixed ``duration`` needs
     no generator of its own: the launcher hands it to a
-    :class:`_TimedExec`, which reproduces the event sequence of the
-    ``exec:`` process it replaces minus one event.  Exactness, event by
-    event:
-
-    - *Start.*  The handle schedules one URGENT event at the launch
-      instant, exactly where ``env.process`` put the process's
-      ``Initialize``.  Its callback runs the shared prologue
-      (:meth:`_begin`) at the same position within the instant and
-      schedules the ``fail_detect_s`` or ``duration / min(speed)``
-      timer with the same sequence number relative to the launcher's
-      own ``timeout(period)``.
-    - *Finish.*  The timer's single callback runs the shared epilogue
-      (:meth:`_finish`) in the dispatch where the process used to be
-      resumed, so the node-freed pulse and the task's terminal event are
-      scheduled at the same instant in the same order.
-    - *Interrupts.*  ``interrupt(cause)`` schedules an URGENT event at
-      ``now``, as ``Process.interrupt`` does.  Its delivery is a no-op
-      once the task has finished; otherwise it tombstones the timer's
-      callback slot — the orphaned timer still fires as a no-op, like
-      the abandoned timeout of an interrupted process — and runs the
-      epilogue with the cause.  An interrupt issued at the timer's
-      instant, before the timer is dispatched, is URGENT and so wins,
-      as it did against the process.
-    - *Removed.*  Only the process-end event, which had no waiter and no
-      callbacks.  Every other event keeps its instant, priority and
-      relative order, so traces and outcomes are unchanged.  With
-      ``trace_kernel=True`` the per-task ``exec:`` ``kernel.process``
-      spans disappear as well.
+    :class:`_TimedExec`, a :class:`~repro.cluster.node.TimedOccupant`
+    that reproduces the event sequence of the ``exec:`` process it
+    replaces minus that process's end event.  Its URGENT start runs the
+    shared prologue (:meth:`_begin`) at the same position within the
+    launch instant and schedules the ``fail_detect_s`` or
+    ``duration / min(speed)`` timer with the same sequence number
+    relative to the launcher's own ``timeout(period)``.  The timer's
+    callback runs the shared epilogue (:meth:`_finish`) where the
+    process used to be resumed, so the node-freed pulse and the task's
+    terminal event are scheduled at the same instant in the same order.
+    A node failure's interrupt tombstones the timer and runs the
+    epilogue with the cause.  Traces and outcomes are unchanged; with
+    ``trace_kernel=True`` the per-task ``exec:`` ``kernel.process``
+    spans disappear.
 
     ``work=`` tasks keep the process (:meth:`_execute`): their generator
     yields arbitrary events.
@@ -529,28 +514,22 @@ class PilotAgent:
         return self.core_util.utilization(t_start, t_end)
 
 
-class _TimedExec:
+class _TimedExec(TimedOccupant):
     """Executor of a fixed-``duration`` task: one kernel timer, no process.
 
-    Implements the :meth:`Node.register_occupant
-    <repro.cluster.node.Node.register_occupant>` contract (``is_alive``
-    and ``interrupt(cause)``) and is its own occupant key.  See
-    :class:`PilotAgent` for why the event sequence matches the process
-    it replaces.
+    A :class:`~repro.cluster.node.TimedOccupant`, registered with its
+    nodes as its own occupant key.  See :class:`PilotAgent` for why the
+    event sequence matches the process it replaces.
     """
 
-    __slots__ = ("agent", "task", "nodes", "span", "timer", "is_alive")
+    __slots__ = ("agent", "task", "nodes", "span")
 
     def __init__(self, agent: PilotAgent, task: EnTask, nodes: list):
         self.agent = agent
         self.task = task
         self.nodes = nodes
         self.span = None
-        self.timer = None
-        self.is_alive = True
-        start = agent.env.event()
-        start.callbacks.append(self._start)
-        start.succeed(priority=URGENT)
+        super().__init__(agent.env)
 
     @property
     def name(self) -> str:
@@ -561,24 +540,9 @@ class _TimedExec:
         agent, task, nodes = self.agent, self.task, self.nodes
         self.span, dead = agent._begin(task, nodes, self)
         if dead is None:
-            delay = task.duration / min(n.effective_speed for n in nodes)
+            self._arm(task.duration / min(n.effective_speed for n in nodes))
         else:
-            delay = agent.config.fail_detect_s
-        # The timer's value is the outcome: None (DONE) or the dead-node cause.
-        self.timer = agent.env.timeout(delay, dead)
-        self.timer.callbacks.append(self._end)
+            self._arm(agent.config.fail_detect_s, dead)
 
-    def interrupt(self, cause=None) -> None:
-        """Fail the task with ``cause`` at the current instant."""
-        event = self.agent.env.event()
-        event.callbacks.append(self._interrupted)
-        event.succeed(cause, priority=URGENT)
-
-    def _interrupted(self, event) -> None:
-        if self.is_alive:
-            self.timer.callbacks[0] = None  # tombstone: the timer fires as a no-op
-            self._end(event)
-
-    def _end(self, event) -> None:
-        self.is_alive = False
-        self.agent._finish(self.task, self.nodes, self, self.span, event.value)
+    def _finish(self, cause) -> None:
+        self.agent._finish(self.task, self.nodes, self, self.span, cause)

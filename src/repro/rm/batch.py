@@ -12,6 +12,7 @@ from typing import Optional
 
 from repro.simkernel import Environment, Interrupt
 from repro.cluster import Cluster, Node
+from repro.cluster.node import TimedOccupant
 from repro.rm.base import Job, JobState, ResourceRequest, SchedulerCore
 from repro.rm.util import OrderedSet
 
@@ -36,19 +37,26 @@ class BatchScheduler(SchedulerCore):
     holds the :attr:`~repro.rm.base.ResourceRequest.placement_class` of
     every request that found no fit.  On top:
 
-    - Duration-only jobs complete off a single kernel timer instead of
-      a payload process racing a walltime timeout (``_direct_timers``);
-      the walltime verdict is decided arithmetically up front, which
-      matches the event-order outcome of the race, ties included.
-      Exactness scope: every job's start/end time, state and failure
-      cause is preserved.  Because the timer resumes the job process
-      without the race's process-end/condition hops, jobs finishing at
-      the *same instant* may return their nodes to the pool in a
-      different within-instant order, which can permute *which* of
-      several equally free nodes a same-instant scheduling pass grants
-      (never whether, when, or how many — see
-      ``tests/rm/test_differential.py``; all golden scenario digests
-      are byte-identical with the fast path on).
+    - A duration-only job runs off a single kernel timer held by a
+      :class:`_TimedJob` handle (``_direct_timers``), with no process
+      of its own: no ``run:`` process and no payload process racing a
+      walltime timeout.  The walltime verdict is decided
+      arithmetically up front, which matches the outcome of the race,
+      ties included.  Exactness scope: every job's start/end time,
+      state and failure cause is preserved, except against a
+      same-instant event scheduled after the job's timer.  The handle
+      ends the job at its timer; the race ends it two dispatch rounds
+      later in the same instant (the payload's end event, then the
+      race condition's).  So jobs finishing at the *same instant* may
+      return their nodes to the pool in a different within-instant
+      order, which can permute *which* of several equally free nodes a
+      same-instant scheduling pass grants (never whether, when, or how
+      many — see ``tests/rm/test_differential.py``); and a node
+      failure at the job's end instant whose timer was armed after the
+      job's finds the job COMPLETED, where the race would still fail
+      it (``tests/rm/test_timed_job.py``).  All golden scenario digests
+      are byte-identical with the handle on.  ``work=`` jobs keep the
+      ``run:`` process (:meth:`_run_job`).
     """
 
     #: Differential-test knob: the reference subclass turns this off to
@@ -268,107 +276,63 @@ class BatchScheduler(SchedulerCore):
             )
             for node in nodes
         ]
-        self.env.process(self._run_job(job, allocs), name=f"run:{job.job_id}")
+        if job.work is None and self._direct_timers:
+            _TimedJob(self, job, allocs)
+        else:
+            self.env.process(self._run_job(job, allocs), name=f"run:{job.job_id}")
 
     def _run_job(self, job: Job, allocs):
+        """The ``run:`` process of a ``work=`` job (and, with
+        ``_direct_timers`` off, of every job): a payload process raced
+        against a walltime timeout.  This is also the reference
+        semantics :class:`_TimedJob` reproduces."""
         request = job.request
-        if len(job.nodes) == 1:  # the overwhelmingly common shape
-            only = job.nodes[0]
-            spec = only.spec
-            tracked_cores, tracked_gpus = spec.cores, spec.gpus
-        else:
-            only = None
-            tracked_cores = sum(n.spec.cores for n in job.nodes)
-            tracked_gpus = sum(n.spec.gpus for n in job.nodes)
+        tracked_cores, tracked_gpus = _whole_node_totals(job.nodes)
         self.cluster.track_acquire(cores=tracked_cores, gpus=tracked_gpus)
 
         me = self.env.active_process
         for node in job.nodes:
             node.register_occupant(job.job_id, me)
 
-        failure_cause = None
+        payload = self.env.process(self._payload(job), name=f"payload:{job.job_id}")
+        walltime = self.env.timeout(request.walltime_s)
         try:
-            if job.work is None and self._direct_timers:
-                # Fast path: a duration job's outcome is pure
-                # arithmetic — the payload timer either beats the
-                # walltime or it does not — so run it off ONE kernel
-                # timer instead of a payload process racing a walltime
-                # timeout through any_of.  The strict `<` matches the
-                # event-order tie-break of the race: at run_s ==
-                # walltime the walltime timeout was scheduled first
-                # and fired first, killing the job.  The timer is
-                # never recomputed on node loss, exactly like the
-                # legacy payload's one-shot timeout.
-                if only is not None:
-                    speed = only.spec.speed / only.slowdown
-                else:
-                    speed = min(n.effective_speed for n in job.nodes)
-                run_s = job.duration / speed
-                beats_walltime = run_s < request.walltime_s
-                timer = self.env.timeout(min(run_s, request.walltime_s))
-                # simlint: disable=RES002 -- not a retry: resilient jobs absorb node-death interrupts and keep waiting on the same timer
-                while True:
-                    try:
-                        yield timer
-                        if beats_walltime:
-                            job.state = JobState.COMPLETED
-                        else:
-                            job.state = JobState.FAILED
-                            failure_cause = "walltime"
-                    except Interrupt as intr:
-                        if job.resilient:
-                            job.nodes = [n for n in job.nodes if n.is_up]
-                            continue
-                        job.state = JobState.FAILED
-                        failure_cause = intr.cause
+            # simlint: disable=RES002 -- not a retry: pilot jobs absorb node-death interrupts and keep waiting on the survivors; task-level retries go through RetryPolicy in the engines
+            while True:
+                try:
+                    yield self.env.any_of([payload, walltime])
+                except Interrupt as intr:
+                    # A node under this job died.  Resilient (pilot)
+                    # jobs shrug and keep running on the survivors;
+                    # plain jobs fail.
+                    if job.resilient and payload.is_alive:
+                        job.nodes = [n for n in job.nodes if n.is_up]
+                        continue
+                    job.state = JobState.FAILED
+                    job.failure_cause = intr.cause
+                    if payload.is_alive:
+                        payload.interrupt(cause=intr.cause)
                     break
-            else:
-                yield from self._run_payload_race(job, request)
-                failure_cause = job.failure_cause
+                if payload.is_alive:  # walltime fired first
+                    payload.interrupt(cause="walltime")
+                    job.state = JobState.FAILED
+                    job.failure_cause = "walltime"
+                elif payload.ok:
+                    job.state = JobState.COMPLETED
+                else:
+                    job.state = JobState.FAILED
+                    job.failure_cause = payload.value
+                break
         except BaseException as exc:  # payload raised (propagated via any_of)
             job.state = JobState.FAILED
-            failure_cause = exc
+            job.failure_cause = exc
         finally:
             for node in job.nodes:
                 node.unregister_occupant(job.job_id)
             for alloc in allocs:
                 alloc.release()
             self.cluster.track_release(cores=tracked_cores, gpus=tracked_gpus)
-            job.failure_cause = failure_cause
             self._retire(job)
-
-    def _run_payload_race(self, job: Job, request: ResourceRequest):
-        """Legacy execution shape: a payload process raced against a
-        walltime timeout (kept for ``work=`` jobs, and as the reference
-        semantics the direct-timer fast path must reproduce)."""
-        payload = self.env.process(self._payload(job), name=f"payload:{job.job_id}")
-        walltime = self.env.timeout(request.walltime_s)
-        # simlint: disable=RES002 -- not a retry: pilot jobs absorb node-death interrupts and keep waiting on the survivors; task-level retries go through RetryPolicy in the engines
-        while True:
-            try:
-                yield self.env.any_of([payload, walltime])
-            except Interrupt as intr:
-                # A node under this job died.  Resilient (pilot)
-                # jobs shrug and keep running on the survivors;
-                # plain jobs fail.
-                if job.resilient and payload.is_alive:
-                    job.nodes = [n for n in job.nodes if n.is_up]
-                    continue
-                job.state = JobState.FAILED
-                job.failure_cause = intr.cause
-                if payload.is_alive:
-                    payload.interrupt(cause=intr.cause)
-                break
-            if payload.is_alive:  # walltime fired first
-                payload.interrupt(cause="walltime")
-                job.state = JobState.FAILED
-                job.failure_cause = "walltime"
-            elif payload.ok:
-                job.state = JobState.COMPLETED
-            else:
-                job.state = JobState.FAILED
-                job.failure_cause = payload.value
-            break
 
     def _payload(self, job: Job):
         """The job's actual work, scaled by the slowest granted node."""
@@ -393,3 +357,78 @@ class BatchScheduler(SchedulerCore):
                 except BaseException:
                     pass
             return
+
+
+def _whole_node_totals(nodes: list) -> tuple[int, int]:
+    """(cores, gpus) of whole-node grants on ``nodes``."""
+    if len(nodes) == 1:  # the overwhelmingly common shape
+        spec = nodes[0].spec
+        return spec.cores, spec.gpus
+    return sum(n.spec.cores for n in nodes), sum(n.spec.gpus for n in nodes)
+
+
+class _TimedJob(TimedOccupant):
+    """The run of a fixed-``duration`` job: one kernel timer, no process.
+
+    A duration job's outcome is pure arithmetic: the payload either
+    ends by the walltime or it does not.  So the handle arms ONE timer
+    at ``min(run_s, walltime_s)``, with the verdict decided up front.
+    ``run_s <= walltime_s`` completes the job, as the reference race
+    does at a tie: its walltime timeout fires first, but the job
+    process only looks once that condition's own event is dispatched,
+    and by then the payload has returned too.  The timer is never
+    recomputed on node loss, exactly like the reference payload's
+    one-shot timeout.  Registered with its nodes under the job id; see
+    :class:`BatchScheduler` for the exactness scope.
+    """
+
+    __slots__ = ("sched", "job", "allocs", "cores", "gpus")
+
+    def __init__(self, sched: BatchScheduler, job: Job, allocs: list):
+        self.sched = sched
+        self.job = job
+        self.allocs = allocs
+        super().__init__(sched.env)
+
+    @property
+    def name(self) -> str:
+        """Label of this job's dispatch units in sanitizer reports."""
+        return f"run:{self.job.job_id}"
+
+    def _start(self, _event) -> None:
+        job = self.job
+        nodes = job.nodes
+        self.cores, self.gpus = _whole_node_totals(nodes)
+        self.sched.cluster.track_acquire(cores=self.cores, gpus=self.gpus)
+        for node in nodes:
+            node.register_occupant(job.job_id, self)
+        if len(nodes) == 1:
+            only = nodes[0]
+            speed = only.spec.speed / only.slowdown
+        else:
+            speed = min(n.effective_speed for n in nodes)
+        run_s = job.duration / speed
+        walltime_s = job.request.walltime_s
+        if run_s <= walltime_s:
+            self._arm(run_s)
+        else:
+            self._arm(walltime_s, "walltime")
+
+    def _absorbs(self, cause) -> bool:
+        # A resilient job absorbs a node death and keeps waiting on the
+        # same timer with the survivors.
+        job = self.job
+        if job.resilient:
+            job.nodes = [n for n in job.nodes if n.is_up]
+        return job.resilient
+
+    def _finish(self, cause) -> None:
+        job = self.job
+        job.state = JobState.COMPLETED if cause is None else JobState.FAILED
+        for node in job.nodes:
+            node.unregister_occupant(job.job_id)
+        for alloc in self.allocs:
+            alloc.release()
+        self.sched.cluster.track_release(cores=self.cores, gpus=self.gpus)
+        job.failure_cause = cause
+        self.sched._retire(job)

@@ -140,6 +140,23 @@ class TestFaultInjector:
         env.run()
         assert interrupted == ["small-00000"]
 
+    def test_fingerprint_lists_node_awaiting_recovery(self):
+        env = Environment()
+        c = hetero_cluster(env)
+        inj = FaultInjector(env, c, schedule=[(50.0, "big-00000")], downtime=100.0)
+        env.run(until=60)
+        assert inj.ckpt_fingerprint()["pending_recoveries"] == ["big-00000"]
+        env.run(until=200)
+        assert c.node("big-00000").is_up
+        assert inj.ckpt_fingerprint()["pending_recoveries"] == []
+
+    def test_fingerprint_omits_node_down_for_good(self):
+        env = Environment()
+        c = hetero_cluster(env)
+        inj = FaultInjector(env, c, schedule=[(50.0, "big-00000")], downtime=None)
+        env.run(until=60)
+        assert inj.ckpt_fingerprint()["pending_recoveries"] == []
+
     def test_stochastic_failures_deterministic_with_seed(self):
         def run(seed):
             env = Environment()
