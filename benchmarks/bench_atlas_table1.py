@@ -4,14 +4,14 @@ Paper (99 SRA files on EC2): Salmon is the most resource-consuming
 step (CPU 94%/100%, memory up to 2.8 GB); fasterq-dump has the worst
 mean iowait (26%, max 91%); prefetch barely uses CPU (21% mean); no
 step exceeds 4 GB RAM; the whole batch takes ~2.7 h with zero
-failures.
+failures.  The run is the registry's E5 traced run at ``full`` scale
+(``repro.report.scenarios``).
 """
 
 import pytest
 
-from repro.atlas import run_experiment, table1
-from repro.atlas.steps import PIPELINE_STEPS
-from repro.report.scenarios import SCENARIOS, e5_rules
+from repro.atlas import table1
+from repro.report.scenarios import SCENARIOS
 from repro.viz import render_table
 
 PAPER_TABLE1 = {
@@ -23,13 +23,12 @@ PAPER_TABLE1 = {
 }
 
 
-def run_cloud():
-    return run_experiment("cloud", seed=0, **SCENARIOS["E5"].scales["full"])
-
-
 @pytest.mark.slow
 def test_atlas_table1(benchmark, report, verdict):
-    result = benchmark.pedantic(run_cloud, rounds=1, iterations=1)
+    e5 = SCENARIOS["E5"]
+    result, tracer = benchmark.pedantic(
+        e5.trace, args=("full",), rounds=1, iterations=1
+    )
     rows = table1(result.records)
 
     rendered = render_table(
@@ -77,17 +76,5 @@ def test_atlas_table1(benchmark, report, verdict):
     # No step's memory approaches the 8 GiB instance (4 GB guidance).
     assert all(r.mem_max_mb < 4000 for r in rows)
 
-    rep = verdict(
-        "E5",
-        title="Table 1 — per-step instance metrics, cloud run",
-        headline={
-            "files": len(result.records),
-            "failures": result.failures,
-            "makespan_h": result.makespan / 3600,
-            "salmon_cpu_mean_pct": by_step["salmon"].cpu_mean_pct,
-            "salmon_mem_max_mb": by_step["salmon"].mem_max_mb,
-            "fasterq_iowait_mean_pct": by_step["fasterq_dump"].iowait_mean_pct,
-        },
-        rules=e5_rules(),
-    )
+    rep = verdict(e5.report(e5.scales["full"], True, result, tracer, None))
     assert rep.ok

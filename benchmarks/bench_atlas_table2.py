@@ -3,13 +3,15 @@
 Paper: prefetch is 87% slower on HPC (the cloud downloads from S3 over
 the AWS backbone), fasterq-dump 30% faster on HPC, Salmon 19% faster,
 DESeq2 no difference; cloud batch ≈ 2.7 h, HPC ≈ 2.5 h, HPC job
-efficiency ≈ 72%.
+efficiency ≈ 72%.  Both runs are the registry's E6 pair at ``full``
+scale (``repro.report.scenarios``): the traced HPC run and the
+untraced cloud run.
 """
 
 import pytest
 
-from repro.atlas import compare_cloud_hpc, run_experiment
-from repro.report.scenarios import SCENARIOS, e6_rules
+from repro.atlas import compare_cloud_hpc
+from repro.report.scenarios import SCENARIOS
 from repro.viz import render_table
 
 PAPER_VERDICTS = {
@@ -20,16 +22,12 @@ PAPER_VERDICTS = {
 }
 
 
-def run_both():
-    e6 = SCENARIOS["E6"]
-    cloud = e6.extra("full")
-    hpc = run_experiment("hpc", seed=0, **e6.scales["full"])
-    return cloud, hpc
-
-
 @pytest.mark.slow
 def test_atlas_table2(benchmark, report, verdict):
-    cloud, hpc = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    e6 = SCENARIOS["E6"]
+    cloud, (hpc, tracer) = benchmark.pedantic(
+        lambda: (e6.extra("full"), e6.trace("full")), rounds=1, iterations=1
+    )
     rows = compare_cloud_hpc(cloud.records, hpc.records)
 
     rendered = render_table(
@@ -67,18 +65,5 @@ def test_atlas_table2(benchmark, report, verdict):
     # Overall: both finish in the same few-hour band; efficiency ~72%.
     assert 0.6 <= hpc.job_efficiency() <= 0.85
 
-    rep = verdict(
-        "E6",
-        title="Table 2 — cloud vs HPC per-step execution times",
-        headline={
-            "cloud_makespan_h": cloud.makespan / 3600,
-            "hpc_makespan_h": hpc.makespan / 3600,
-            "hpc_job_efficiency": hpc.job_efficiency(),
-            "prefetch_hpc_rel_diff": by_step["prefetch"].hpc_relative_diff,
-            "fasterq_hpc_rel_diff": by_step["fasterq_dump"].hpc_relative_diff,
-            "salmon_hpc_rel_diff": by_step["salmon"].hpc_relative_diff,
-            "deseq2_hpc_rel_diff": by_step["deseq2"].hpc_relative_diff,
-        },
-        rules=e6_rules(),
-    )
+    rep = verdict(e6.report(e6.scales["full"], True, hpc, tracer, cloud))
     assert rep.ok

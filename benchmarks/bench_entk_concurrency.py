@@ -14,14 +14,15 @@ at ``full`` scale (``repro.report.scenarios``).
 import numpy as np
 import pytest
 
-from repro.report.scenarios import SCENARIOS, e3_rules
+from repro.report.scenarios import SCENARIOS
 from repro.viz import render_series, render_table
 
 
 @pytest.mark.slow
 def test_entk_concurrency_curves(benchmark, report, verdict):
+    e3 = SCENARIOS["E3"]
     result, tracer = benchmark.pedantic(
-        SCENARIOS["E3"].trace, args=("full",), rounds=1, iterations=1
+        e3.trace, args=("full",), rounds=1, iterations=1
     )
     assert result.succeeded
     prof = result.profiles[0]
@@ -70,18 +71,5 @@ def test_entk_concurrency_curves(benchmark, report, verdict):
         assert np.array_equal(values_q, np.asarray(prof_series[1]))
     assert q.concurrency(category="entk.exec", component=pilot).peak == 1000
 
-    rep = verdict(
-        "E3",
-        tracer,
-        title="Fig 5 — EnTK task-state concurrency curves",
-        headline={
-            "scheduling_throughput": sched_slope,
-            "launch_throughput": launch_slope,
-            "peak_concurrency": prof.peak_concurrency,
-            "tasks_done": prof.tasks_done,
-        },
-        rules=e3_rules(8000),
-        component=pilot,
-        straggler_category="entk.exec",
-    )
+    rep = verdict(e3.report(e3.scales["full"], True, result, tracer, None))
     assert rep.ok

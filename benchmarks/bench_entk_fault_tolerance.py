@@ -19,15 +19,16 @@ import pytest
 
 from repro.cluster import FaultInjector
 from repro.entk import AgentConfig, EnTask, TaskState
-from repro.report.scenarios import SCENARIOS, e4_rules
+from repro.report.scenarios import SCENARIOS
 from repro.simkernel import Environment
 from repro.viz import render_table
 
 
 @pytest.mark.slow
 def test_entk_fault_tolerance(benchmark, report, verdict):
+    e4 = SCENARIOS["E4"]
     result, tracer = benchmark.pedantic(
-        SCENARIOS["E4"].trace, args=("full",), rounds=1, iterations=1
+        e4.trace, args=("full",), rounds=1, iterations=1
     )
     prof = result.profiles[0]
     tasks = [t for pl in result.pipelines for t in pl.all_tasks()]
@@ -65,19 +66,7 @@ def test_entk_fault_tolerance(benchmark, report, verdict):
     }
     assert result.tasks_done() == len(tasks) - 2
 
-    rep = verdict(
-        "E4",
-        tracer,
-        title="EnTK fault tolerance under a node failure",
-        headline={
-            "tasks_done": result.tasks_done(),
-            "task_failure_events": prof.tasks_failed_events,
-            "permanently_failed": len(permanently_failed),
-        },
-        rules=e4_rules(len(tasks)),
-        component="entk-pilot-0",
-        straggler_category="entk.exec",
-    )
+    rep = verdict(e4.report(e4.scales["full"], True, result, tracer, None))
     assert rep.ok
 
 

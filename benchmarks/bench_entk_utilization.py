@@ -17,14 +17,15 @@ import numpy as np
 import pytest
 
 from repro.obs.export import write_chrome_trace
-from repro.report.scenarios import SCENARIOS, e2_rules
+from repro.report.scenarios import SCENARIOS
 from repro.viz import render_series, render_stacked_bar, render_table
 
 
 @pytest.mark.slow
 def test_entk_frontier_utilization(benchmark, report, verdict):
+    e2 = SCENARIOS["E2"]
     result, tracer = benchmark.pedantic(
-        SCENARIOS["E2"].trace, args=("full",), rounds=1, iterations=1
+        e2.trace, args=("full",), rounds=1, iterations=1
     )
     assert result.succeeded
     prof = result.profiles[0]
@@ -95,25 +96,10 @@ def test_entk_frontier_utilization(benchmark, report, verdict):
     write_chrome_trace(tracer, trace_path, include_metrics=False)
     assert trace_path.stat().st_size > 0
 
-    # Machine-readable verdict (BENCH_E2.json) with the same shape
-    # targets as SLO rules, plus the critical-path decomposition.
-    rep = verdict(
-        "E2",
-        tracer,
-        title="Fig 4 — EnTK resource utilization on Frontier",
-        headline={
-            "tasks_done": prof.tasks_done,
-            "core_utilization": prof.core_utilization,
-            "gpu_utilization": prof.gpu_utilization,
-            "ovh_s": prof.ovh,
-            "ttx_s": prof.ttx,
-            "job_runtime_s": prof.job_runtime,
-        },
-        rules=e2_rules(8000),
-        component="entk-pilot-0",
-        straggler_category="entk.exec",
-        idle_metric=("entk-pilot-0", "cores"),
-    )
+    # Machine-readable verdict (BENCH_E2.json): the registry's E2
+    # report, with the shape targets as SLO rules, plus the
+    # critical-path decomposition.
+    rep = verdict(e2.report(e2.scales["full"], True, result, tracer, None))
     assert rep.ok
     # The critical path tiles the pilot job exactly: phase durations
     # sum to the job runtime, and the bootstrap phase is the 85 s OVH.

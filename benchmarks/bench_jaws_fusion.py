@@ -12,15 +12,16 @@ dominates short tasks.  Fusing the chain removes three of the four
 per-sample overheads and 75% of the shards.
 """
 
-from repro.report.scenarios import SCENARIOS, e7_rules
+from repro.report.scenarios import SCENARIOS
 from repro.viz import render_table
 
 
 def test_jaws_task_fusion(benchmark, report, verdict):
     e7 = SCENARIOS["E7"]
-    baseline, ((fused, fusions), _) = benchmark.pedantic(
+    baseline, (outcome, tracer) = benchmark.pedantic(
         lambda: (e7.extra("full"), e7.trace("full")), rounds=1, iterations=1
     )
+    fused, fusions = outcome
     # Per-sample critical path: 4 sequential shards vs 1 fused shard.
     time_cut = 1 - fused.makespan / baseline.makespan
     shard_cut = 1 - fused.shard_count / baseline.shard_count
@@ -42,17 +43,6 @@ def test_jaws_task_fusion(benchmark, report, verdict):
     assert shard_cut == 0.75                      # paper: 71%
     assert 0.55 <= time_cut <= 0.85               # paper: 70%
 
-    # e7_rules' critical rules are weaker forms of the asserts above.
-    verdict(
-        "E7",
-        title="JGI task fusion: 4-task QC chain -> 1",
-        headline={
-            "baseline_makespan_s": baseline.makespan,
-            "fused_makespan_s": fused.makespan,
-            "time_cut": time_cut,
-            "baseline_shards": baseline.shard_count,
-            "fused_shards": fused.shard_count,
-            "shard_cut": shard_cut,
-        },
-        rules=e7_rules(),
-    )
+    # The E7 rules' critical rules are weaker forms of the asserts above.
+    rep = verdict(e7.report(e7.scales["full"], True, outcome, tracer, baseline))
+    assert rep.ok

@@ -9,24 +9,18 @@ forwarding loop recovers from an injected failure, and the produced
 phylogeny is scientifically coherent (recovers the planted clones).
 """
 
-from repro.report.scenarios import SCENARIOS, e8_rules
+from repro.report.scenarios import PHYLOFLOW_STEPS, SCENARIOS
 from repro.viz import render_table
-
-PIPELINE_ORDER = [
-    "vcf_transform_from_file",
-    "pyclone_vi_from_futures",
-    "spruce_format_from_futures",
-    "spruce_phylogeny_from_futures",
-]
 
 
 def test_llm_phyloflow_pipeline(benchmark, report, verdict):
     # The first driver run, then the error-forwarding run with one
     # injected transient failure.
     e8 = SCENARIOS["E8"]
-    ((result, tree), _), (recovery, tree2) = benchmark.pedantic(
+    (outcome, tracer), recovery_run = benchmark.pedantic(
         lambda: (e8.trace("full"), e8.extra("full")), rounds=1, iterations=1
     )
+    (result, tree), (recovery, tree2) = outcome, recovery_run
 
     table = render_table(
         ["metric", "paper behaviour", "measured"],
@@ -45,7 +39,7 @@ def test_llm_phyloflow_pipeline(benchmark, report, verdict):
     )
     report("E8_llm_phyloflow", "E8: NL-driven Phyloflow execution\n\n" + table)
 
-    assert result.calls_made() == PIPELINE_ORDER
+    assert result.calls_made() == PHYLOFLOW_STEPS
     assert result.api_calls == 5
     assert result.stopped and not result.errors
     assert tree["n_clones"] == 3
@@ -56,18 +50,5 @@ def test_llm_phyloflow_pipeline(benchmark, report, verdict):
     assert recovery.calls_made().count("pyclone_vi_from_futures") == 2
     assert tree2["n_clones"] == 3
 
-    rep = verdict(
-        "E8",
-        title="NL-driven Phyloflow execution via function calling",
-        headline={
-            "api_calls": result.api_calls,
-            "steps_in_order": int(result.calls_made() == PIPELINE_ORDER),
-            "futures_registered": len(result.future_ids),
-            "n_clones": tree["n_clones"],
-            "confidence": tree["confidence"],
-            "errors_forwarded": len(recovery.errors),
-            "recovered_n_clones": tree2["n_clones"],
-        },
-        rules=e8_rules(),
-    )
+    rep = verdict(e8.report(e8.scales["full"], True, outcome, tracer, recovery_run))
     assert rep.ok

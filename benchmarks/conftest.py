@@ -30,20 +30,20 @@ def report():
 
 @pytest.fixture
 def verdict():
-    """``verdict(bench_id, **build_report_kwargs)`` — machine verdict.
+    """``verdict(report)`` — write the run's machine verdict.
 
-    Builds a :class:`repro.report.RunReport` from the benchmark's own
-    run (tracer, headline scalars, SLO rules), writes the
-    ``BENCH_<id>.json`` document to ``benchmarks/results/`` (the file
-    CI uploads and gates on), and returns the report so the test can
+    ``report`` is the registry's judgement of the benchmark's own run
+    (``Scenario.report`` in :mod:`repro.report.scenarios`), so the
+    ``BENCH_<id>.json`` written to ``benchmarks/results/`` (the file CI
+    uploads and gates on) has the bytes ``python -m repro.report
+    --bench <id> --full`` writes.  Returns the report so the test can
     assert on it.
     """
-    from repro.report import build_report, write_verdict
+    from repro.report import write_verdict
 
-    def _verdict(bench_id: str, *args, **kwargs):
-        rep = build_report(bench_id, *args, **kwargs)
+    def _verdict(rep):
         path = write_verdict(rep, RESULTS_DIR)
-        print(f"\n[{bench_id} verdict: {rep.status} -> {path}]")
+        print(f"\n[{rep.bench_id} verdict: {rep.status} -> {path}]")
         return rep
 
     return _verdict

@@ -522,19 +522,22 @@ class _TimedExec(TimedOccupant):
     event sequence matches the process it replaces.
     """
 
-    __slots__ = ("agent", "task", "nodes", "span")
+    __slots__ = ("agent", "task", "nodes", "span", "attempt")
 
     def __init__(self, agent: PilotAgent, task: EnTask, nodes: list):
         self.agent = agent
         self.task = task
         self.nodes = nodes
         self.span = None
+        # The launch-time count: ``_begin`` increments ``task.attempts``.
+        self.attempt = task.attempts
         super().__init__(agent.env)
 
     @property
     def name(self) -> str:
-        """Label of this executor's dispatch units in sanitizer reports."""
-        return f"exec:{self.task.name}#{self.task.attempts}"
+        """Label of this executor's dispatch units in sanitizer reports,
+        the name the ``exec:`` process of a ``work=`` task gets."""
+        return f"exec:{self.task.name}#{self.attempt}"
 
     def _start(self, _event) -> None:
         agent, task, nodes = self.agent, self.task, self.nodes

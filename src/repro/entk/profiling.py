@@ -1,16 +1,12 @@
 """Run profiles: the quantities Figs 4 and 5 report.
 
-Two equivalent construction paths feed the same computation:
-
-- :meth:`RunProfile.from_agent` — from the live :class:`PilotAgent`'s
-  monitors at the end of a simulated run (the historical path), and
-- :meth:`RunProfile.from_trace` — post hoc, from a tracer (live or
-  reloaded from JSONL), using the very same registry metrics the agent
-  adopted into the trace plus the pilot's job/bootstrap spans.
-
-Because the agent registers its monitors with the tracer's metrics
-registry, both paths read identical series and must agree exactly —
-a property the profiling tests pin.
+:meth:`RunProfile.from_agent` reads them from the live
+:class:`PilotAgent`'s monitors at the end of a simulated run.  The
+agent registers those monitors with the tracer's metrics registry, so
+a trace carries the same series; the trace-side Fig 4 numbers come
+from :func:`repro.obs.analyze.decompose_overheads`, and the E2/E3
+benchmarks assert that the trace-derived concurrency curves equal
+these.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.entk.agent import PilotAgent
-from repro.obs.metrics import Gauge, UtilizationTracker
+from repro.obs.metrics import Gauge
 
 
 @dataclass
@@ -54,86 +50,36 @@ class RunProfile:
         job_end: float,
         throughput_horizon_s: Optional[float] = None,
     ) -> "RunProfile":
-        return _build_profile(
-            cls,
-            executing=agent.executing,
-            pending=agent.pending_launch,
-            scheduled_cum=agent.scheduled_cum,
-            launched_cum=agent.launched_cum,
-            core_util=agent.core_util,
-            gpu_util=agent.gpu_util,
-            ovh=agent.bootstrap_overhead or 0.0,
-            job_start=job_start,
-            job_end=job_end,
+        executing = agent.executing
+        ovh = agent.bootstrap_overhead or 0.0
+        boot_end = job_start + ovh
+        if throughput_horizon_s is None:
+            throughput_horizon_s = _default_horizon(executing, boot_end, job_end)
+        times_c, values_c = executing.resample(n=400, t_end=job_end)
+        times_p, values_p = agent.pending_launch.resample(n=400, t_end=job_end)
+        return cls(
+            job_runtime=job_end - job_start,
+            ovh=ovh,
+            ttx=job_end - boot_end,
+            core_utilization=agent.core_util.utilization(job_start, job_end),
+            gpu_utilization=(
+                agent.gpu_util.utilization(job_start, job_end)
+                if agent.gpu_util
+                else None
+            ),
+            scheduling_throughput=(
+                agent.scheduled_cum.value_at(boot_end + throughput_horizon_s)
+                / throughput_horizon_s
+            ),
+            launch_throughput=(
+                agent.launched_cum.value_at(boot_end + throughput_horizon_s)
+                / throughput_horizon_s
+            ),
+            peak_concurrency=executing.peak,
             tasks_done=int(agent.done_count.current),
             tasks_failed_events=len(agent.failures),
-            throughput_horizon_s=throughput_horizon_s,
-        )
-
-    @classmethod
-    def from_trace(
-        cls,
-        tracer,
-        component: Optional[str] = None,
-        throughput_horizon_s: Optional[float] = None,
-    ) -> "RunProfile":
-        """Rebuild the profile from a trace alone.
-
-        ``tracer`` may be the live tracer or one reloaded with
-        :func:`repro.obs.export.tracer_from_jsonl`; ``component`` is
-        the pilot name (``"entk-pilot-0"``), defaulting to the only
-        pilot in the trace.  Requires the trace to carry the agent's
-        registry metrics (the default for both exporters).
-        """
-        from repro.obs.analyze import pilot_components
-        from repro.obs.query import TraceQuery
-
-        q = TraceQuery(tracer)
-        if component is None:
-            pilots = pilot_components(q)
-            if len(pilots) != 1:
-                raise ValueError(
-                    f"trace has {len(pilots)} pilots {pilots}; pass component="
-                )
-            component = pilots[0]
-
-        jobs = q.spans(category="rm.job", name=component)
-        if not jobs or jobs[0].end is None:
-            raise ValueError(f"no finished rm.job span for {component!r}")
-        job = jobs[0]
-        boots = q.spans(category="entk.bootstrap", component=component)
-        ovh = (boots[0].end - boots[0].start) if boots and boots[0].end else 0.0
-
-        def metric(name, required=True):
-            try:
-                return tracer.metrics.get(name, component=component)
-            except KeyError:
-                if required:
-                    raise ValueError(
-                        f"trace has no {component}/{name} metric; "
-                        "export with include_metrics=True"
-                    ) from None
-                return None
-
-        failed = [
-            s
-            for s in q.spans(category="entk.exec", component=component)
-            if s.tags.get("state") == "FAILED"
-        ]
-        return _build_profile(
-            cls,
-            executing=metric("executing"),
-            pending=metric("pending_launch"),
-            scheduled_cum=metric("scheduled_cum"),
-            launched_cum=metric("launched_cum"),
-            core_util=metric("cores"),
-            gpu_util=metric("gpus", required=False),
-            ovh=ovh,
-            job_start=job.start,
-            job_end=job.end,
-            tasks_done=int(metric("done").current),
-            tasks_failed_events=len(failed),
-            throughput_horizon_s=throughput_horizon_s,
+            concurrency_series=(tuple(times_c), tuple(values_c)),
+            pending_series=(tuple(times_p), tuple(values_p)),
         )
 
     def summary_lines(self) -> list:
@@ -166,47 +112,3 @@ def _default_horizon(executing: Gauge, boot_end: float, job_end: float) -> float
     )
     return max(1.0, 0.9 * (t_peak - boot_end))
 
-
-def _build_profile(
-    cls,
-    executing: Gauge,
-    pending: Gauge,
-    scheduled_cum: Gauge,
-    launched_cum: Gauge,
-    core_util: UtilizationTracker,
-    gpu_util: Optional[UtilizationTracker],
-    ovh: float,
-    job_start: float,
-    job_end: float,
-    tasks_done: int,
-    tasks_failed_events: int,
-    throughput_horizon_s: Optional[float],
-) -> "RunProfile":
-    """The single computation both constructors share."""
-    boot_end = job_start + ovh
-    if throughput_horizon_s is None:
-        throughput_horizon_s = _default_horizon(executing, boot_end, job_end)
-    times_c, values_c = executing.resample(n=400, t_end=job_end)
-    times_p, values_p = pending.resample(n=400, t_end=job_end)
-    return cls(
-        job_runtime=job_end - job_start,
-        ovh=ovh,
-        ttx=job_end - boot_end,
-        core_utilization=core_util.utilization(job_start, job_end),
-        gpu_utilization=(
-            gpu_util.utilization(job_start, job_end) if gpu_util else None
-        ),
-        scheduling_throughput=(
-            scheduled_cum.value_at(boot_end + throughput_horizon_s)
-            / throughput_horizon_s
-        ),
-        launch_throughput=(
-            launched_cum.value_at(boot_end + throughput_horizon_s)
-            / throughput_horizon_s
-        ),
-        peak_concurrency=executing.peak,
-        tasks_done=tasks_done,
-        tasks_failed_events=tasks_failed_events,
-        concurrency_series=(tuple(times_c), tuple(values_c)),
-        pending_series=(tuple(times_p), tuple(values_p)),
-    )

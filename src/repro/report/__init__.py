@@ -246,10 +246,10 @@ def build_report(
     metrics and scalar rules are evaluated.
 
     ``stream=True`` marks a trace read back by the compact JSONL
-    reader (:class:`~repro.obs.stream.StubTrace`, see
-    :func:`stream_report_from_jsonl`); any tracer is analysed as it
-    is.  Such a trace keeps only each span's ``state`` tag, so
-    dependency-aware critical paths (``deps``) are rejected with it.
+    reader (:class:`~repro.obs.stream.StubTrace`); any tracer is
+    analysed as it is.  Such a trace keeps only each span's ``state``
+    tag, so dependency-aware critical paths (``deps``) are rejected
+    with it.
     """
     if stream and deps is not None:
         raise ValueError(
@@ -356,27 +356,6 @@ def build_report(
     )
 
 
-def stream_report_from_jsonl(
-    path: Union[str, pathlib.Path],
-    bench_id: Optional[str] = None,
-    **kwargs,
-) -> RunReport:
-    """Build a report from a JSONL trace without materializing spans.
-
-    The file is parsed line by line into a compact
-    :class:`~repro.obs.stream.StubTrace` (tags reduced to ``state``;
-    events and instants are never held), then :func:`build_report`
-    runs the unchanged analyses over it.  Output is byte-identical to
-    loading the full trace and reporting on it.
-    """
-    from repro.obs.stream import StubTrace
-
-    trace = StubTrace.from_jsonl_path(path)
-    if bench_id is None:
-        bench_id = pathlib.Path(path).stem.split(".")[0]
-    return build_report(bench_id, trace, stream=True, **kwargs)
-
-
 def write_verdict(
     report: RunReport, out_dir: Union[str, pathlib.Path]
 ) -> pathlib.Path:
@@ -395,7 +374,6 @@ __all__ = [
     "build_report",
     "resilience_context",
     "stock_resilience_rules",
-    "stream_report_from_jsonl",
     "write_verdict",
     "Rule",
     "VERDICT_VERSION",

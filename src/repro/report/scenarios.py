@@ -24,11 +24,15 @@ Both read one parameter row from the scenario's ``scales`` table:
     The paper-scale parameters the ``benchmarks/bench_*.py`` suite
     runs (``--full`` on the report CLI).
 
-:func:`run_scenario` packages a run as a :class:`~repro.report.RunReport`
-with the scenario's SLO rules.  The rule sets are the benchmarks' shape
-assertions restated as SLOs: a ``critical`` rule firing at the end of
-the run fails the report (and the CI smoke job); ``warning`` rules flag
-paper-number drift without failing anything.
+``Scenario.report`` is the one builder of a scenario's verdict: the
+bench suite judges its ``full`` run with it, so the bench and
+``python -m repro.report --bench EX --full`` write the same
+``BENCH_EX.json`` bytes.  :func:`run_scenario` packages a run as a
+:class:`~repro.report.RunReport` with the scenario's SLO rules.  The
+rule sets are the benchmarks' shape assertions restated as SLOs: a
+``critical`` rule firing at the end of the run fails the report (and
+the CI smoke job); ``warning`` rules flag paper-number drift without
+failing anything.
 
 Domain packages are imported inside each builder, so importing a rule
 set (``e2_rules``) loads nothing beyond the report layer.
@@ -86,10 +90,8 @@ class Scenario:
 
 # -- SLO rule sets ---------------------------------------------------------------
 #
-# The benchmarks' shape assertions restated as alert rules, shared
-# between the scenario builders here and the bench_*.py suite (which
-# runs the same experiments at paper scale and attaches the same rules
-# to its verdicts).
+# The benchmarks' shape assertions restated as alert rules, attached
+# to every verdict by the scenario builders below.
 
 
 def e1_rules() -> list:

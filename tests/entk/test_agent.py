@@ -413,3 +413,37 @@ class TestTimedExecutor:
         assert names == [
             "driver", "pilot-sched", "pilot-launch", "exec:w#0", "work:w"
         ]
+
+    @pytest.mark.parametrize("timed", [True, False], ids=["timer", "process"])
+    def test_dispatch_units_share_one_label(self, timed):
+        """Every dispatch unit of one executor carries the launch-time
+        attempt count in its sanitizer label, as the ``exec:`` process's
+        fixed name does."""
+        from repro.sanitizer.core import _describe
+
+        class Recorder:
+            def __init__(self):
+                self.labels = []
+
+            def begin_batch(self, t, batch):
+                pass
+
+            def begin_unit(self, index, event):
+                self.labels.append(_describe(event))
+
+            def end_batch(self):
+                pass
+
+        env = Environment()
+        _, agent = make_agent(env, bootstrap_s=0.0)
+        env.observer = recorder = Recorder()
+        task = EnTask(
+            duration=5.0 if timed else None,
+            work=None if timed else _as_work(5.0),
+            name="t0",
+        )
+        done, _ = run_stage(env, agent, [task])
+        assert done == [task]
+        exec_labels = [x for x in recorder.labels if x.startswith("exec:")]
+        assert len(exec_labels) >= 2
+        assert set(exec_labels) == {"exec:t0#0"}

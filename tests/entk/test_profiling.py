@@ -1,71 +1,20 @@
-"""RunProfile construction paths must agree (Fig 4/5 quantities).
+"""The Fig 4/5 quantities of a :class:`RunProfile` built from the agent.
 
-``from_agent`` reads the live agent's monitors; ``from_trace`` rebuilds
-the same profile from a trace — live or reloaded from JSONL.  All three
-must agree on every field, because the agent registers its monitors
-with the tracer's registry: same series, same computation.
+``from_agent`` reads the live agent's monitors at the end of the run.
+The trace-side numbers come from ``repro.obs.analyze``; the E2/E3
+benchmarks assert that they equal the live monitors.
 """
 
-import dataclasses
-
 import pytest
-
-from repro.entk.profiling import RunProfile
-from repro.obs.export import to_jsonl, tracer_from_jsonl
 
 from tests.obs.minirun import mini_entk_run
 
 
-@pytest.fixture(scope="module")
-def run():
-    profile, tracer = mini_entk_run()
-    return profile, tracer
-
-
-def assert_profiles_equal(a: RunProfile, b: RunProfile):
-    for f in dataclasses.fields(RunProfile):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if f.name in ("concurrency_series", "pending_series"):
-            assert tuple(va[0]) == pytest.approx(tuple(vb[0])), f.name
-            assert tuple(va[1]) == pytest.approx(tuple(vb[1])), f.name
-        elif isinstance(va, float):
-            assert va == pytest.approx(vb), f.name
-        else:
-            assert va == vb, f.name
-
-
-class TestFromTrace:
-    def test_agrees_with_from_agent(self, run):
-        profile, tracer = run
-        assert_profiles_equal(profile, RunProfile.from_trace(tracer))
-
-    def test_agrees_after_jsonl_roundtrip(self, run):
-        profile, tracer = run
-        reloaded = tracer_from_jsonl(to_jsonl(tracer))
-        assert_profiles_equal(profile, RunProfile.from_trace(reloaded))
-
-    def test_fig4_values(self, run):
-        _, tracer = run
-        p = RunProfile.from_trace(tracer)
-        assert p.ovh == pytest.approx(85.0)        # Fig 4 bootstrap OVH
-        assert p.job_runtime == pytest.approx(p.ovh + p.ttx)
-        assert p.core_utilization > 0.85
-        assert p.tasks_done == 400
-        assert p.tasks_failed_events == 0
-        assert p.peak_concurrency == 50
-
-    def test_explicit_component(self, run):
-        profile, tracer = run
-        p = RunProfile.from_trace(tracer, component="entk-pilot-0")
-        assert_profiles_equal(profile, p)
-
-    def test_unknown_component_raises(self, run):
-        _, tracer = run
-        with pytest.raises(ValueError, match="rm.job"):
-            RunProfile.from_trace(tracer, component="nope")
-
-    def test_untraced_run_has_no_pilot(self):
-        from repro.obs import Tracer
-
-        with pytest.raises(ValueError, match="pilots"):
-            RunProfile.from_trace(Tracer())
+def test_fig4_values():
+    p, _ = mini_entk_run()
+    assert p.ovh == pytest.approx(85.0)        # Fig 4 bootstrap OVH
+    assert p.job_runtime == pytest.approx(p.ovh + p.ttx)
+    assert p.core_utilization > 0.85
+    assert p.tasks_done == 400
+    assert p.tasks_failed_events == 0
+    assert p.peak_concurrency == 50

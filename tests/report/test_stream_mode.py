@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs.export import read_jsonl, to_jsonl, write_jsonl
 from repro.obs.stream import StubTrace
-from repro.report import build_report, stream_report_from_jsonl, write_verdict
+from repro.report import build_report, write_verdict
 from repro.report.__main__ import main
 from repro.report.scenarios import SCENARIOS
 
@@ -50,16 +50,17 @@ class TestStreamReportFromJsonl:
         batch = build_report(
             "MINI", read_jsonl(trace_file), title="t"
         ).to_verdict()
-        stream = stream_report_from_jsonl(
-            trace_file, bench_id="MINI", title="t"
+        stream = build_report(
+            "MINI", StubTrace.from_jsonl_path(trace_file), title="t"
         ).to_verdict()
         assert json.dumps(batch, sort_keys=True) == json.dumps(
             stream, sort_keys=True
         )
 
-    def test_bench_id_defaults_to_file_stem(self, trace_file):
-        report = stream_report_from_jsonl(trace_file)
-        assert report.bench_id == "mini"
+    def test_bench_id_defaults_to_file_stem(self, trace_file, tmp_path, capsys):
+        assert main([str(trace_file), "--out", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["bench"] == "mini"
+        assert (tmp_path / "BENCH_mini.json").exists()
 
     def test_cli_stream_trace_mode(self, trace_file, tmp_path, capsys):
         code = main(
