@@ -5,8 +5,7 @@
 that steered the calendar-queue rewrite (docs/SIMKERNEL.md) works for
 the scheduler-bound and end-to-end scenarios too.  The
 event-driven scheduler fast path was steered by exactly this tool:
-``--scenario sched_small_jobs`` showed the per-wakeup full queue scans,
-``--scenario jaws_shards`` the per-call WDL runtime re-parsing.
+``--scenario sched_small_jobs`` showed the per-wakeup full queue scans.
 
 Usage (from the repo root)::
 

@@ -12,6 +12,19 @@ batch substrate with the features §6 leans on:
   (task, container digest, evaluated inputs),
 - **per-shard overhead** — container start + file staging costs paid by
   every task execution; this is what task fusion (E7) eliminates.
+
+Each call (or scatter shard) runs as a small ``_Call`` handle driven by
+callbacks on kernel events that exist anyway: an URGENT start event,
+the upstream calls' output events, the scatter gate's grant and the
+batch job's completion.  There is no generator process per call, so a
+5,000-call scatter starts a handful of processes (the run, each
+scatter, each gathered array), not 5,000.  The handle takes the
+process's dispatch slots: its start where the process's ``Initialize``
+was, each later step where the process would have resumed.  Only the
+process-end events are gone, and the run and each scatter wait on the
+calls' output events instead.  Expressions are still evaluated by the
+``_eval`` generator; a handle runs it to completion without simulated
+time, or up to the first upstream output event it would wait on.
 """
 
 from __future__ import annotations
@@ -35,7 +48,8 @@ from repro.jaws.wdl import (
 )
 from repro.rm.base import Job, JobState, ResourceRequest
 from repro.rm.batch import BatchScheduler
-from repro.simkernel import Environment, Resource
+from repro.simkernel import Environment, Event, Resource
+from repro.simkernel.events import URGENT
 
 
 class WdlRuntimeError(RuntimeError):
@@ -188,12 +202,11 @@ class CromwellEngine:
                 if self.options.max_scatter_concurrency
                 else None
             )
-            procs = []
-            self._launch_body(
-                document, wf.body, scope, call_events, result, procs, scatter_gate
+            waits = self._launch_body(
+                document, wf.body, scope, call_events, result, scatter_gate
             )
-            if procs:
-                yield self.env.all_of(procs)
+            if waits:
+                yield self.env.all_of(waits)
             # Workflow outputs.
             for decl in wf.outputs:
                 result.outputs[decl.name] = yield from self._eval(
@@ -207,26 +220,20 @@ class CromwellEngine:
             result.t_end = self.env.now
             result.done.succeed(result)
 
-    def _launch_body(
-        self, document, body, scope, call_events, result, procs, scatter_gate
-    ):
+    def _launch_body(self, document, body, scope, call_events, result, scatter_gate):
+        """Start every item of ``body``; returns the events that mark
+        each one done (a call's output event, a scatter's process)."""
+        waits = []
         for item in body:
             if isinstance(item, WdlCall):
                 ev = self.env.event()
                 call_events[item.name] = ev
-                procs.append(
-                    self.env.process(
-                        self._run_call(
-                            document, item, dict(scope), call_events, result,
-                            ev, shard=None, gate=None,
-                        ),
-                        name=f"call:{item.name}",
-                    )
-                )
+                _Call(self, document, item, dict(scope), call_events, result,
+                      ev, shard=None, gate=None)
+                waits.append(ev)
             elif isinstance(item, WdlScatter):
-                ev = self.env.event()
                 # A scatter's calls publish arrays keyed by call name.
-                procs.append(
+                waits.append(
                     self.env.process(
                         self._run_scatter(
                             document, item, dict(scope), call_events, result,
@@ -237,6 +244,7 @@ class CromwellEngine:
                 )
             else:  # pragma: no cover - parser only produces the above
                 raise WdlRuntimeError(f"Unknown body item {item!r}")
+        return waits
 
     def _run_scatter(self, document, scatter, scope, call_events, result, gate):
         collection = yield from self._eval(
@@ -264,7 +272,7 @@ class CromwellEngine:
                 tags={"variable": scatter.variable, "shards": len(collection)},
             )
         shard_events: dict = {c.name: [] for c in inner_calls}
-        procs = []
+        waits = []
         for idx, value in enumerate(collection):
             shard_scope = dict(scope)
             shard_scope[scatter.variable] = value
@@ -273,15 +281,9 @@ class CromwellEngine:
                 ev = self.env.event()
                 shard_events[call.name].append(ev)
                 shard_call_events[call.name] = ev
-                procs.append(
-                    self.env.process(
-                        self._run_call(
-                            document, call, shard_scope, shard_call_events,
-                            result, ev, shard=idx, gate=gate,
-                        ),
-                        name=f"call:{call.name}[{idx}]",
-                    )
-                )
+                _Call(self, document, call, shard_scope, shard_call_events,
+                      result, ev, shard=idx, gate=gate)
+                waits.append(ev)
         # Publish array-valued results for references after the scatter.
         for call in inner_calls:
             agg = self.env.event()
@@ -290,12 +292,19 @@ class CromwellEngine:
                 self._aggregate(shard_events[call.name], agg),
                 name=f"gather:{call.name}",
             )
-        if procs:
-            yield self.env.all_of(procs)
+        if waits:
+            yield self.env.all_of(waits)
 
     def _aggregate(self, events: list, target):
         if events:
-            yield self.env.all_of(events)
+            try:
+                yield self.env.all_of(events)
+            except Exception as exc:
+                # A failed shard fails the gathered array too; the
+                # scatter's own wait reports the failure to the run.
+                target.fail(exc)
+                target.defused = True
+                return
             values = [e.value for e in events]
         else:
             values = []
@@ -307,41 +316,15 @@ class CromwellEngine:
                 merged.setdefault(k, []).append(v)
         target.succeed(merged)
 
-    def _run_call(
-        self, document, call, scope, call_events, result, event, shard, gate
-    ):
-        task: WdlTask = document.tasks[call.task_name]
-        record = CallRecord(
-            call_name=call.name, task_name=task.name, shard=shard
-        )
-        result.records.append(record)
-        # Evaluate the call's inputs (waits on referenced calls).
-        # Literal and in-scope Ident are synchronous no-wait shapes —
-        # the common case for scatter shards — so they skip the
-        # generator round-trip through _eval.
-        bound: dict = {}
-        for pname, expr in call.inputs.items():
-            if isinstance(expr, Literal):
-                bound[pname] = expr.value
-            elif isinstance(expr, Ident) and expr.name in scope:
-                bound[pname] = scope[expr.name]
-            else:
-                bound[pname] = yield from self._eval(expr, scope, call_events)
-        for decl in task.inputs:
-            if decl.name not in bound:
-                if decl.expr is not None:
-                    bound[decl.name] = yield from self._eval(decl.expr, bound, {})
-                elif decl.name in scope:
-                    bound[decl.name] = scope[decl.name]
-                else:
-                    raise WdlRuntimeError(
-                        f"call {call.name!r}: missing input {decl.name!r}"
-                    )
+    def _task_cost(self, task: WdlTask) -> tuple:
+        """``(docker, cores, duration, total, request, has_file_output,
+        task)``.
 
-        # The task's cost model (docker image, resources, duration) is a
-        # pure function of its runtime{} section — static per document —
-        # so a 10k-shard scatter resolves it once, not 10k times.  The
-        # shared frozen ResourceRequest is safe: schedulers only read it.
+        The task's cost model is a pure function of its runtime{}
+        section — static per document — so a 10k-shard scatter resolves
+        it once, not 10k times.  The shared frozen ResourceRequest is
+        safe: schedulers only read it.
+        """
         if self._task_info_opts is not self.options:
             self._task_info.clear()
             self._task_info_opts = self.options
@@ -376,113 +359,16 @@ class CromwellEngine:
             info = (docker, cores, duration, total, request,
                     has_file_output, task)
             self._task_info[id(task)] = info
-        docker, cores, duration, total, request, has_file_output, _ = info
-
-        tracer = self.env.tracer
-        # The cache key (and the content id derived from it) is only
-        # consulted when call caching is on or a File output embeds the
-        # content id in its path; a scatter of plain value outputs skips
-        # the per-shard repr/sort entirely.
-        if self.options.call_caching or has_file_output:
-            cache_key = (
-                task.name,
-                docker,
-                tuple(sorted((k, repr(v)) for k, v in bound.items())),
-            )
-        else:
-            cache_key = None
-        if self.options.call_caching and cache_key in self._cache:
-            record.cached = True
-            record.start_time = record.end_time = self.env.now
-            # Zero-duration span: the cache hit is visible in the trace
-            # as a call that cost nothing.
-            if tracer.enabled:
-                tracer.start(
-                    call.name + (f"[{shard}]" if shard is not None else ""),
-                    category="jaws.call",
-                    component="cromwell",
-                    tags={"task": task.name, "shard": shard, "cached": True},
-                ).finish()
-            event.succeed(self._cache[cache_key])
-            return
-
-        if tracer.enabled:
-            call_span = tracer.start(
-                call.name + (f"[{shard}]" if shard is not None else ""),
-                category="jaws.call",
-                component="cromwell",
-                tags={"task": task.name, "shard": shard, "cached": False},
-            )
-            # Expose the cost split on the span so trace analysis can
-            # attribute shard time to overhead vs useful compute
-            # without re-deriving the engine's cost model.
-            call_span.tag(
-                container_start_s=self.options.container_start_s,
-                stage_overhead_s=self.options.stage_overhead_s,
-                compute_s=duration,
-            )
-        else:
-            call_span = None
-        if gate is not None:
-            req = gate.request()
-            yield req
-        else:
-            req = None
-        try:
-            record.cores = cores
-            record.start_time = self.env.now
-            job = Job(
-                request=request,
-                duration=total,
-                name=f"{result.workflow_name}/{call.name}"
-                + (f"[{shard}]" if shard is not None else ""),
-                user="jaws",
-            )
-            self.batch.submit(job)
-            yield job.completion
-            record.end_time = self.env.now
-            if job.state != JobState.COMPLETED:
-                raise WdlRuntimeError(
-                    f"call {call.name!r} failed: {job.failure_cause!r}"
-                )
-        finally:
-            # record.end_time is only set once the job completed; any
-            # earlier exception leaves the call aborted.
-            outcome = job.state.value if record.end_time is not None else "aborted"
-            if call_span is not None:
-                call_span.tag(state=outcome).finish()
-            if req is not None:
-                gate.release(req)
-
-        outputs = {}
-        # File outputs carry content identity: the same logical filename
-        # produced from different inputs is a different file, so the
-        # digest of the bound inputs goes into the synthesized path
-        # (keeps downstream call-cache keys honest).
-        content_id = None
-        for decl in task.outputs:
-            expr = decl.expr
-            if isinstance(expr, Literal):
-                value = expr.value
-            elif isinstance(expr, Ident) and expr.name in bound:
-                value = bound[expr.name]
-            else:
-                value = yield from self._eval(expr, bound, {})
-            if decl.type.name == "File" and isinstance(value, str):
-                if content_id is None:
-                    content_id = hashlib.sha256(
-                        repr(cache_key).encode()
-                    ).hexdigest()[:8]
-                value = f"{call.name}-{content_id}/{value}"
-            outputs[decl.name] = value
-        if self.options.call_caching:
-            self._cache[cache_key] = outputs
-        event.succeed(outputs)
+        return info
 
     # -- expression evaluation ------------------------------------------------------
 
     def _eval(self, expr, scope: dict, call_events: dict):
-        """Generator evaluating an expression, waiting on call results."""
+        """Generator evaluating an expression, waiting on call results.
+
+        It yields only a call's output event that is not yet processed,
+        or that failed; :func:`_settle` runs it without a process.
+        """
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, ArrayLit):
@@ -500,7 +386,7 @@ class CromwellEngine:
             cname = expr.base.name
             if cname in call_events:
                 ev = call_events[cname]
-                if not (ev.callbacks is None):  # not yet processed
+                if ev.callbacks is not None or not ev._ok:
                     yield ev
                 namespace = ev.value
             elif cname in scope and isinstance(scope[cname], dict):
@@ -524,3 +410,258 @@ class CromwellEngine:
                 return str(args[0]).replace(str(args[1]), str(args[2]))
             raise WdlRuntimeError(f"Unknown function {expr.name!r}")
         raise WdlRuntimeError(f"Cannot evaluate {expr!r}")
+
+
+def _settle(gen):
+    """Run an :meth:`CromwellEngine._eval` generator without simulated
+    time: its value, or the first call output event it would wait on."""
+    try:
+        event = gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+    gen.close()
+    return event
+
+
+class _Call:
+    """One call (or scatter shard) of a run, driven by kernel callbacks.
+
+    A handle rather than a process, so that a 10k-shard scatter holds
+    10k small objects but no generator frames, and dispatches no
+    process-end events.  Its steps, each a callback on an event that
+    exists anyway:
+
+    1. ``_start`` runs at an URGENT event, the slot where a process
+       would have been initialised, and records the call;
+    2. ``_bind`` evaluates the inputs.  At the first upstream output
+       event not yet processed it registers itself there and returns;
+       when that event fires it binds again from the start (binding
+       is pure);
+    3. a cache hit publishes at once; otherwise ``_gated`` holds a
+       scatter-gate slot (when there is a gate) and ``_submit`` hands
+       the job to the batch system;
+    4. at the job's completion ``_close`` ends the span, the gate slot
+       is returned, and ``_publish`` succeeds the output event ``out``,
+       or fails it (defused: whoever waits on it reports the failure).
+
+    A call waiting on a failed upstream call stops there silently: the
+    run already carries the upstream error.  ``name`` is what the
+    sanitizer prints for the call's dispatch units.
+    """
+
+    __slots__ = (
+        "engine", "call", "task", "scope", "call_events", "result", "out",
+        "shard", "gate", "label", "record", "bound", "cost", "cache_key",
+        "span", "req",
+    )
+
+    def __init__(self, engine, document, call, scope, call_events, result,
+                 out, shard, gate):
+        self.engine = engine
+        self.call = call
+        self.task = document.tasks[call.task_name]
+        self.scope = scope
+        self.call_events = call_events
+        self.result = result
+        self.out = out
+        self.shard = shard
+        self.gate = gate
+        self.label = call.name + (f"[{shard}]" if shard is not None else "")
+        self.span = self.req = None
+        start = engine.env.event()
+        start.callbacks.append(self._start)
+        start.succeed(priority=URGENT)
+
+    @property
+    def name(self) -> str:
+        return f"call:{self.label}"
+
+    def _start(self, _event) -> None:
+        self.record = CallRecord(
+            call_name=self.call.name, task_name=self.task.name, shard=self.shard
+        )
+        self.result.records.append(self.record)
+        self._bind()
+
+    def _fail(self, exc: Exception) -> None:
+        self.out.fail(exc)
+        self.out.defused = True
+
+    def _bind(self, _upstream=None) -> None:
+        try:
+            bound = self._inputs()
+            if isinstance(bound, Event):
+                # A processed event here is a failed upstream call: stop.
+                if bound.callbacks is not None:
+                    bound.callbacks.append(self._bind)
+                return
+            self._launch(bound)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _inputs(self):
+        """The bound inputs, or the upstream event they wait on.
+
+        Literal and in-scope Ident are the common case for scatter
+        shards, so they skip the generator round-trip through _eval.
+        """
+        scope = self.scope
+        bound: dict = {}
+        for pname, expr in self.call.inputs.items():
+            if isinstance(expr, Literal):
+                bound[pname] = expr.value
+            elif isinstance(expr, Ident) and expr.name in scope:
+                bound[pname] = scope[expr.name]
+            else:
+                value = _settle(self.engine._eval(expr, scope, self.call_events))
+                if isinstance(value, Event):
+                    return value
+                bound[pname] = value
+        for decl in self.task.inputs:
+            if decl.name not in bound:
+                if decl.expr is not None:
+                    bound[decl.name] = _settle(
+                        self.engine._eval(decl.expr, bound, {})
+                    )
+                elif decl.name in scope:
+                    bound[decl.name] = scope[decl.name]
+                else:
+                    raise WdlRuntimeError(
+                        f"call {self.call.name!r}: missing input {decl.name!r}"
+                    )
+        return bound
+
+    def _launch(self, bound: dict) -> None:
+        engine, task, shard = self.engine, self.task, self.shard
+        options = engine.options
+        self.bound = bound
+        self.cost = engine._task_cost(task)
+        docker, _, duration, _, _, has_file_output, _ = self.cost
+        tracer = engine.env.tracer
+        # The cache key (and the content id derived from it) is only
+        # consulted when call caching is on or a File output embeds the
+        # content id in its path; a scatter of plain value outputs skips
+        # the per-shard repr/sort entirely.
+        if options.call_caching or has_file_output:
+            self.cache_key = (
+                task.name,
+                docker,
+                tuple(sorted((k, repr(v)) for k, v in bound.items())),
+            )
+        else:
+            self.cache_key = None
+        if options.call_caching and self.cache_key in engine._cache:
+            record = self.record
+            record.cached = True
+            record.start_time = record.end_time = engine.env.now
+            # Zero-duration span: the cache hit is visible in the trace
+            # as a call that cost nothing.
+            if tracer.enabled:
+                tracer.start(
+                    self.label,
+                    category="jaws.call",
+                    component="cromwell",
+                    tags={"task": task.name, "shard": shard, "cached": True},
+                ).finish()
+            self.out.succeed(engine._cache[self.cache_key])
+            return
+        if tracer.enabled:
+            self.span = tracer.start(
+                self.label,
+                category="jaws.call",
+                component="cromwell",
+                tags={"task": task.name, "shard": shard, "cached": False},
+            )
+            # Expose the cost split on the span so trace analysis can
+            # attribute shard time to overhead vs useful compute
+            # without re-deriving the engine's cost model.
+            self.span.tag(
+                container_start_s=options.container_start_s,
+                stage_overhead_s=options.stage_overhead_s,
+                compute_s=duration,
+            )
+        if self.gate is not None:
+            self._gated(None)
+        else:
+            self._submit(self._finish)
+
+    def _gated(self, event) -> None:
+        """A gate slot's whole lease: claim it (``event`` None), submit
+        the job once it is granted, and return it when the job ends."""
+        gate = self.gate
+        if event is None:
+            self.req = gate.request()
+            self.req.callbacks.append(self._gated)
+        elif event is self.req:
+            self._submit(self._gated)
+        else:
+            try:
+                self._close(event.value)
+            finally:
+                gate.release(self.req)
+            self._publish(event.value)
+
+    def _submit(self, on_completion) -> None:
+        _, cores, _, total, request, _, _ = self.cost
+        record = self.record
+        record.cores = cores
+        record.start_time = self.engine.env.now
+        job = Job(
+            request=request,
+            duration=total,
+            name=f"{self.result.workflow_name}/{self.label}",
+            user="jaws",
+        )
+        self.engine.batch.submit(job)
+        job.completion.callbacks.append(on_completion)
+
+    def _finish(self, completion) -> None:
+        self._close(completion.value)
+        self._publish(completion.value)
+
+    def _close(self, job: Job) -> None:
+        self.record.end_time = self.engine.env.now
+        if self.span is not None:
+            self.span.tag(state=job.state.value).finish()
+
+    def _publish(self, job: Job) -> None:
+        if job.state != JobState.COMPLETED:
+            self._fail(
+                WdlRuntimeError(
+                    f"call {self.call.name!r} failed: {job.failure_cause!r}"
+                )
+            )
+            return
+        try:
+            outputs = self._outputs()
+        except Exception as exc:
+            self._fail(exc)
+            return
+        if self.engine.options.call_caching:
+            self.engine._cache[self.cache_key] = outputs
+        self.out.succeed(outputs)
+
+    def _outputs(self) -> dict:
+        bound, cache_key = self.bound, self.cache_key
+        outputs = {}
+        # File outputs carry content identity: the same logical filename
+        # produced from different inputs is a different file, so the
+        # digest of the bound inputs goes into the synthesized path
+        # (keeps downstream call-cache keys honest).
+        content_id = None
+        for decl in self.task.outputs:
+            expr = decl.expr
+            if isinstance(expr, Literal):
+                value = expr.value
+            elif isinstance(expr, Ident) and expr.name in bound:
+                value = bound[expr.name]
+            else:
+                value = _settle(self.engine._eval(expr, bound, {}))
+            if decl.type.name == "File" and isinstance(value, str):
+                if content_id is None:
+                    content_id = hashlib.sha256(
+                        repr(cache_key).encode()
+                    ).hexdigest()[:8]
+                value = f"{self.call.name}-{content_id}/{value}"
+            outputs[decl.name] = value
+        return outputs

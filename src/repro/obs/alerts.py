@@ -354,17 +354,31 @@ def _outcome(rule: Rule, quantity, t_end: float) -> RuleOutcome:
     A :class:`~repro.obs.metrics.Gauge` (or a
     :class:`~repro.obs.metrics.UtilizationTracker`'s busy gauge) yields
     one alert per sustained violation interval; a scalar that violates
-    its threshold yields one alert firing at ``t_end``.
+    its threshold yields one alert firing at ``t_end``.  A series
+    outcome's ``value`` is the extreme the rule bounds over the judged
+    samples: the maximum for ``<``/``<=``, the minimum for ``>``/``>=``,
+    and the last value for ``==``/``!=``.
     """
     _, op, threshold = rule.parts
     ok_fn = _OPS[op]
     if isinstance(quantity, UtilizationTracker):
         quantity = quantity.busy
     if isinstance(quantity, Gauge):
+        upper = op in ("<", "<=")
+        extreme = None
+
+        def ok(v: float) -> bool:
+            # _violations judges each walked sample through this call
+            # once, so the extreme is kept in the same walk.
+            nonlocal extreme
+            if extreme is None or (v > extreme if upper else v < extreme):
+                extreme = v
+            return ok_fn(v, threshold)
+
+        violations = _violations(quantity, ok, threshold, t_end, rule.for_s)
         value = quantity.current
-        violations = _violations(
-            quantity, lambda v: ok_fn(v, threshold), threshold, t_end, rule.for_s
-        )
+        if op in ("<", "<=", ">", ">=") and extreme is not None:
+            value = extreme
     else:
         value = float(quantity)
         violations = [] if ok_fn(value, threshold) else [(t_end, None, value)]

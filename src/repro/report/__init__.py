@@ -228,6 +228,7 @@ def build_report(
     phase_of: Optional[Callable] = None,
     deps: Optional[dict] = None,
     straggler_category: Optional[str] = None,
+    straggler_group_by: Optional[Callable] = None,
     idle_metric: Optional[tuple] = None,
     record_alerts: bool = True,
     notes: Sequence[str] = (),
@@ -239,11 +240,13 @@ def build_report(
     (default: the pilot job's interval when there is exactly one,
     otherwise the whole trace), overheads are decomposed when an EnTK
     pilot is present, stragglers are hunted in ``straggler_category``
-    (default: the busiest leaf category), idle gaps are read from the
-    registry metric named by ``idle_metric=(component, name)`` when
-    given, and ``rules`` are evaluated on simulated time with the
-    headline scalars as context.  Without a tracer, only headline
-    metrics and scalar rules are evaluated.
+    (default: the busiest leaf category) among siblings keyed by
+    ``straggler_group_by`` (default: category and component), idle
+    gaps are read from the registry metric named by
+    ``idle_metric=(component, name)`` when given, and ``rules`` are
+    evaluated on simulated time with the headline scalars as context.
+    Without a tracer, only headline metrics and scalar rules are
+    evaluated.
 
     ``stream=True`` marks a trace read back by the compact JSONL
     reader (:class:`~repro.obs.stream.StubTrace`); any tracer is
@@ -318,7 +321,9 @@ def build_report(
                     sorted(leaf_counts), key=lambda c: leaf_counts[c]
                 )
         if straggler_category:
-            stragglers = find_stragglers(query, category=straggler_category)
+            stragglers = find_stragglers(
+                query, category=straggler_category, group_by=straggler_group_by
+            )
 
         if idle_metric is not None:
             comp, name = idle_metric

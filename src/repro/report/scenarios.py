@@ -434,6 +434,12 @@ def _e5_traced(n_files, max_instances):
     return result, tracer
 
 
+def _per_step(span) -> tuple:
+    """Straggler siblings for ATLAS: one group per pipeline step.  A
+    salmon step is long by nature, not slow against its siblings."""
+    return (span.category, span.component, span.name)
+
+
 def _e5_report(row, full, result, tracer, _extra) -> RunReport:
     from repro.atlas import table1
 
@@ -454,6 +460,7 @@ def _e5_report(row, full, result, tracer, _extra) -> RunReport:
         headline=headline,
         rules=e5_rules(),
         straggler_category="atlas.step",
+        straggler_group_by=_per_step,
         notes=[
             f"{n_files} SRA files"
             + ("" if full else " (reduced scale; paper: 99)"),
@@ -497,6 +504,7 @@ def _e6_report(row, full, hpc, tracer, cloud) -> RunReport:
         headline=headline,
         rules=e6_rules(),
         straggler_category="atlas.step",
+        straggler_group_by=_per_step,
         notes=[
             f"{row['n_files']} files per environment; trace covers the HPC run",
             "paper: prefetch 87% slower on HPC, fasterq 30% / salmon 19% "
@@ -824,6 +832,11 @@ def run_scenario(bench_id: str, full: bool = False) -> RunReport:
 def golden_trace(bench_id: str) -> str:
     """The text a golden digest pins: the traced run at ``golden`` scale,
     exported as JSONL with metrics (E8: the canonical JSON of its run)."""
+    return scenario_trace(bench_id, "golden")
+
+
+def scenario_trace(bench_id: str, scale: str) -> str:
+    """:func:`golden_trace`'s export of the run at any registry ``scale``."""
     from repro.obs import to_jsonl
 
     scenario = SCENARIOS[scenario_id(bench_id)]
@@ -831,7 +844,7 @@ def golden_trace(bench_id: str) -> str:
     # but reset the legacy global RNG anyway so a stray np.random.* call
     # cannot couple one scenario's digest to whatever ran before it.
     np.random.seed(0)  # simlint: disable=DET002 -- resets, never draws from, the global stream
-    outcome, tracer = scenario.trace("golden")
+    outcome, tracer = scenario.trace(scale)
     if tracer is None:
         return scenario.canonical(outcome)
     return to_jsonl(tracer, include_metrics=True)
@@ -856,4 +869,5 @@ __all__ = [
     "pinned_digests",
     "run_scenario",
     "scenario_id",
+    "scenario_trace",
 ]

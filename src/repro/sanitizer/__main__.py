@@ -5,6 +5,7 @@ Usage (from any directory; the scenarios come from the registry in
 
     python -m repro.sanitizer                     # all of E1-E8
     python -m repro.sanitizer --only E2,E5        # a subset (case-insensitive)
+    python -m repro.sanitizer --scale reduced     # a larger, unpinned scale
     python -m repro.sanitizer --out SIMSAN.json   # machine report
 
 Exit codes: 0 all scenarios pass, 1 at least one divergent trace,
@@ -41,6 +42,13 @@ def main(argv=None) -> int:
         "--seed", type=int, default=1, help="shuffle seed (default: 1)"
     )
     parser.add_argument(
+        "--scale",
+        choices=("golden", "reduced"),
+        default="golden",
+        help="registry scale to run (default: golden; only golden has "
+        "pinned digests)",
+    )
+    parser.add_argument(
         "--out", type=Path, help="also write the JSON report to this path"
     )
     args = parser.parse_args(argv)
@@ -57,7 +65,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    report = run_check(only=only, modes=modes, seed=args.seed)
+    report = run_check(only=only, modes=modes, seed=args.seed, scale=args.scale)
 
     for res in report["results"]:
         status = "ok  " if res["passed"] else "FAIL"

@@ -3,7 +3,9 @@
 One loop over the scenario registry (:mod:`repro.report.scenarios`):
 each bench id's golden-scale traced run (:func:`golden_trace`) is the
 baseline, so the check needs only ``src`` on the path and runs from
-any directory.
+any directory.  Any other registry scale (``reduced``) runs the same
+check through :func:`scenario_trace`; no digest pins it, so its
+permuted runs are compared with its unpermuted run only.
 
 The calendar-queue kernel dispatches every event scheduled at the same
 simulated instant as one batch, in insertion order.  Correct models
@@ -203,11 +205,12 @@ def check_scenario(
     bench_id: str,
     modes: Iterable[str] = MODES,
     seed: int = 1,
+    scale: str = "golden",
 ) -> list[PermutationResult]:
     """Run one scenario unpermuted, then once per permutation mode."""
     from repro.report import scenarios
 
-    base = scenarios.golden_trace(bench_id)
+    base = scenarios.scenario_trace(bench_id, scale)
     results = []
     for mode in modes:
         sanitizers: list = []
@@ -216,7 +219,7 @@ def check_scenario(
             sanitizers.append(enable_sanitizer(env, permute=_mode, seed=seed))
 
         with tracing_hook(hook):
-            perm = scenarios.golden_trace(bench_id)
+            perm = scenarios.scenario_trace(bench_id, scale)
         verdict, detail = classify(base, perm)
         races: list = []
         order_warnings: list = []
@@ -246,9 +249,11 @@ def run_check(
     only: Optional[Iterable[str]] = None,
     modes: Iterable[str] = MODES,
     seed: int = 1,
+    scale: str = "golden",
 ) -> dict:
     """Run the permutation check over registry ids ``only`` (default:
-    every scenario); returns the SIMSAN report document.
+    every scenario) at registry ``scale``; returns the SIMSAN report
+    document.  Only the ``golden`` scale is checked for digest drift.
 
     Raises :class:`KeyError` for an id the registry does not know.
     """
@@ -259,7 +264,9 @@ def run_check(
     results: list[PermutationResult] = []
     drift: list[str] = []
     for bench_id in bench_ids:
-        results.extend(check_scenario(bench_id, modes, seed))
+        results.extend(check_scenario(bench_id, modes, seed, scale))
+        if scale != "golden":
+            continue
         # Drift of the *unpermuted* baseline against the pinned digest
         # is a different failure (the golden suite's), but worth
         # flagging here: it means this check compared against a moved
@@ -270,6 +277,7 @@ def run_check(
     return {
         "tool": "simsan-permute",
         "seed": seed,
+        "scale": scale,
         "modes": list(modes),
         "results": [r.to_json() for r in results],
         "baseline_drift": drift,

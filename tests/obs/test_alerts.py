@@ -182,6 +182,15 @@ class TestSeriesRules:
         assert alert.value == 10.0  # worst sample during the violation
         assert outcome.ok and report.ok
 
+    def test_outcome_value_is_the_judged_extreme(self):
+        tracer = self.make_trace([(5.0, 10.0), (8.0, 2.0)])
+        upper, lower = evaluate_rules(
+            [Rule("series(p/q) <= 50"), Rule("series(p/q) >= 0")], trace=tracer
+        ).outcomes
+        # The peak the upper bound holds over, not the last sample (2.0).
+        assert upper.value == 10.0
+        assert lower.value == 0.0
+
     def test_unrecovered_violation_fires(self):
         tracer = self.make_trace([(5.0, 10.0)])
         report = evaluate_rules(

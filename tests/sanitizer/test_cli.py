@@ -50,3 +50,19 @@ def test_ids_match_case_insensitively_and_skip_empty_entries(tmp_path):
     assert {r["bench_id"] for r in json.loads(out.read_text())["results"]} == {
         "E5"
     }
+
+
+def test_reduced_scale_is_checked_against_its_own_unpermuted_run(tmp_path):
+    out = tmp_path / "simsan.json"
+    assert main(["--only", "E7", "--scale", "reduced", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["scale"] == "reduced" and doc["passed"]
+    # No digest pins a reduced run, so there is no drift to report.
+    assert doc["baseline_drift"] == []
+    assert {r["mode"] for r in doc["results"]} == {"reverse", "shuffle"}
+
+
+def test_unknown_scale_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--scale", "full"])
+    assert exc.value.code == 2
