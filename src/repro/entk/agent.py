@@ -28,7 +28,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.cluster.node import Node, TimedOccupant
+from repro.cluster.node import Node, NodeState, TimedOccupant
 from repro.entk.pst import EnTask, TaskState
 from repro.resilience import NodeHealth, QuarantineSpec, RetryPolicy
 from repro.simkernel import (
@@ -77,8 +77,8 @@ class PilotAgent:
     ``duration / min(speed)`` timer with the same sequence number
     relative to the launcher's own ``timeout(period)``.  The timer's
     callback runs the shared epilogue (:meth:`_finish`) where the
-    process used to be resumed, so the node-freed pulse and the task's
-    terminal event are scheduled at the same instant in the same order.
+    process used to be resumed, so the node-freed pulse and the wave
+    countdown run at the same instant in the same order.
     A node failure's interrupt tombstones the timer and runs the
     epilogue with the cause.  Traces and outcomes are unchanged; with
     ``trace_kernel=True`` the per-task ``exec:`` ``kernel.process``
@@ -86,6 +86,14 @@ class PilotAgent:
 
     ``work=`` tasks keep the process (:meth:`_execute`): their generator
     yields arbitrary events.
+
+    **Wave countdown.**  A :meth:`run_stage` wave ends on a
+    :class:`_WaveCountdown`, not an ``AllOf`` over per-task terminal
+    events.  The task that counts it to zero succeeds one stand-in event
+    where its terminal event was; the stand-in's callback succeeds
+    ``done`` where the ``AllOf`` was.  Same two dispatch rounds, so the
+    stage resumes at the same position within the same instant, minus
+    one event and one callback per other task.
     """
 
     def __init__(
@@ -182,15 +190,14 @@ class PilotAgent:
             return None
         return self.config.bootstrap_s
 
-    @property
-    def usable_nodes(self) -> int:
-        return len(self.nodes) - len(self._blacklist)
-
     def run_stage(self, tasks: list):
         """Process generator: run a set of independent tasks to completion.
 
         Retries failed tasks in order-preserving waves as the config's
         ``retry_policy`` allows.  Returns ``(done, failed)`` lists.
+
+        A wave waits on its ``task._wave`` countdown (class docstring); a
+        shutdown that strands queued tasks leaves it untriggered.
         """
         tasks = list(tasks)
         for task in tasks:
@@ -217,11 +224,11 @@ class PilotAgent:
                 break
             tracer = self.env.tracer
             traced = tracer.enabled
-            terminal_events = []
+            countdown = _WaveCountdown(self.env, len(wave))
             for task in wave:
                 task.state = TaskState.NEW
                 task.submit_time = self.env.now
-                task._terminal = self.env.event()
+                task._wave = countdown
                 # Whole-lifecycle span (submit → terminal); the pending
                 # and exec child spans nest inside it.
                 task._obs_span = (
@@ -234,11 +241,10 @@ class PilotAgent:
                     if traced
                     else None
                 )
-                terminal_events.append(task._terminal)
                 self._submit_q.append(task)
             if self._submit_q and not self._submit_wake.triggered:
                 self._submit_wake.succeed()
-            yield self.env.all_of(terminal_events)
+            yield countdown.done
             failed = [t for t in wave if t.state == TaskState.FAILED]
             retryable = []
             for t in failed:
@@ -390,9 +396,9 @@ class PilotAgent:
         return taken
 
     def _release(self, nodes: list) -> None:
-        for n in nodes:
-            if n.id not in self._blacklist:
-                self._free.append(n)
+        if self._blacklist:
+            nodes = [n for n in nodes if n.id not in self._blacklist]
+        self._free.extend(nodes)
         self._pulse_freed()
 
     def _pulse_freed(self, node_id: Optional[str] = None) -> None:
@@ -435,20 +441,21 @@ class PilotAgent:
             if tracer.enabled
             else None
         )
+        # Inlined ``is_up``/``register_occupant``: runs per node per task.
         for n in nodes:
-            if not n.is_up:
+            if n.state is not NodeState.UP:
                 return exec_span, f"dead-node:{n.id}"
         for n in nodes:
-            n.register_occupant(executor, executor)
+            n.occupants[executor] = executor
         return exec_span, None
 
     def _finish(self, task: EnTask, nodes: list, executor, exec_span, cause) -> None:
         """Executor epilogue: release the nodes and monitors, record the
         outcome (``cause is None`` means DONE), strike dead nodes and
-        fire the task's terminal event."""
+        count the task's wave down."""
         now = self.env.now
         for n in nodes:
-            n.unregister_occupant(executor)
+            n.occupants.pop(executor, None)
         self.executing.increment(now, -1)
         self.core_util.release(now, task.total_cores)
         if self.gpu_util and task.total_gpus:
@@ -478,7 +485,7 @@ class PilotAgent:
             task_span.tag(state=task.state.value).finish()
         self._release(nodes)
         self._live_execs.pop(executor, None)
-        task._terminal.succeed(task)
+        task._wave.count_down(task)
 
     def _execute(self, task: EnTask, nodes: list):
         """The ``exec:`` process of a ``work=`` task."""
@@ -497,21 +504,6 @@ class PilotAgent:
             cause = exc
         finally:
             self._finish(task, nodes, me, exec_span, cause)
-
-    # -- profiling helpers -----------------------------------------------------------
-
-    def scheduling_throughput(self, horizon_s: float = 30.0) -> float:
-        """Initial slope of the cumulative-scheduled curve (tasks/s)."""
-        start = self._bootstrapped_at or 0.0
-        return self.scheduled_cum.value_at(start + horizon_s) / horizon_s
-
-    def launch_throughput(self, horizon_s: float = 30.0) -> float:
-        """Initial slope of the cumulative-launched curve (tasks/s)."""
-        start = self._bootstrapped_at or 0.0
-        return self.launched_cum.value_at(start + horizon_s) / horizon_s
-
-    def utilization(self, t_start=None, t_end=None) -> float:
-        return self.core_util.utilization(t_start, t_end)
 
 
 class _TimedExec(TimedOccupant):
@@ -549,3 +541,21 @@ class _TimedExec(TimedOccupant):
 
     def _finish(self, cause) -> None:
         self.agent._finish(self.task, self.nodes, self, self.span, cause)
+
+
+class _WaveCountdown:
+    """A wave's unfinished-task count and the ``done`` event its stage
+    waits on; one per wave, as pipelines share the agent."""
+
+    __slots__ = ("left", "done")
+
+    def __init__(self, env: Environment, count: int):
+        self.left = count
+        self.done = env.event()
+
+    def count_down(self, task: EnTask) -> None:
+        self.left -= 1
+        if not self.left:
+            last = self.done.env.event()
+            last.callbacks.append(self.done.succeed)
+            last.succeed(task)

@@ -19,8 +19,10 @@ Supported grammar (enough for the JGI-style workflows of §6)::
     }
 
 Types: ``File String Int Float Boolean Array[T]``.  Expressions:
-identifiers, dotted references (``call.output``), literals, arrays,
-and calls ``range(n)`` / ``length(x)`` / ``sub(s, a, b)``.
+identifiers, dotted references (``call.output``), literals (a ``-``
+directly before a digit is part of a numeric literal), arrays, and
+calls ``range(n)`` / ``length(x)`` / ``sub(s, a, b)``.  A negative
+literal ``cpu``, ``memory`` or ``runtime_minutes`` is a parse error.
 """
 
 from __future__ import annotations
@@ -169,8 +171,8 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+|\#[^\n]*)
   | (?P<command><<<.*?>>>)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<float>\d+\.\d+)
-  | (?P<int>\d+)
+  | (?P<float>-?\d+\.\d+)
+  | (?P<int>-?\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{}()\[\]=:,.])
     """,
@@ -196,6 +198,10 @@ def _tokenize(text: str) -> list:
 
 
 # -- parser ------------------------------------------------------------------------------
+
+#: Runtime keys the engine turns into a core count, a memory size and a
+#: delay, none of which may be negative.
+_NON_NEGATIVE_RUNTIME = frozenset({"cpu", "memory", "runtime_minutes"})
 
 
 class _Parser:
@@ -269,7 +275,7 @@ class _Parser:
             elif section == "output":
                 task.outputs = self.parse_declarations(require_expr=True)
             elif section == "runtime":
-                task.runtime = self.parse_runtime()
+                task.runtime = self.parse_runtime(name)
             else:
                 raise WdlParseError(f"Unknown task section {section!r}")
         return task
@@ -300,13 +306,23 @@ class _Parser:
             return WdlType("Array", item)
         return WdlType(base)
 
-    def parse_runtime(self) -> dict:
+    def parse_runtime(self, task_name: str) -> dict:
         self.expect("punct", "{")
         entries = {}
         while not self.accept("punct", "}"):
             key = self.expect("ident")
             self.expect("punct", ":")
-            entries[key] = self.parse_expr()
+            expr = entries[key] = self.parse_expr()
+            if (
+                key in _NON_NEGATIVE_RUNTIME
+                and isinstance(expr, Literal)
+                and type(expr.value) in (int, float)
+                and expr.value < 0
+            ):
+                raise WdlParseError(
+                    f"task {task_name!r}: runtime {key} must not be "
+                    f"negative, got {expr.value!r}"
+                )
             self.accept("punct", ",")  # commas between entries are optional
         return entries
 

@@ -116,7 +116,7 @@ class TestBasicExecution:
         run_stage(env, agent, tasks)
         # Pending-launch queue must have built up (blue over orange).
         assert agent.pending_launch.peak > 10
-        assert agent.scheduling_throughput(2.0) > agent.launch_throughput(2.0)
+        assert agent.scheduled_cum.value_at(2.0) > agent.launched_cum.value_at(2.0)
 
     def test_utilization_accounting(self):
         env = Environment()
@@ -173,7 +173,7 @@ class TestNodeFailures:
         assert len(agent.failures) >= 1
         # The failed node is blacklisted after its strike.
         assert "n-00000" in agent._blacklist
-        assert agent.usable_nodes == 3
+        assert agent._avoid_set() == {"n-00000"}
         # The retry is visible in the trace as a second exec attempt.
         [retried] = [t for t in tasks if t.attempts > 1]
         spans = tracer.query().spans(category="entk.exec", tags={"task": retried.name})

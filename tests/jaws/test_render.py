@@ -32,7 +32,8 @@ FIXTURES = [
         runtime { runtime_minutes: 2 }
     }
     workflow fan {
-        input { Int n = 4, Array[String] tags = ["a", "b"] }
+        input { Int n = 4, Int lo = -1, Float step = -0.5,
+                Array[String] tags = ["a", "b"] }
         scatter (i in range(n)) {
             call work as w1 { input: x = i }
         }

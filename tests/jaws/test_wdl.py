@@ -113,6 +113,21 @@ class TestParsing:
         assert decl.type.item.name == "Int"
         assert [i.value for i in decl.expr.items] == [1, 2, 3]
 
+    def test_negative_numeric_literals(self):
+        doc = parse_wdl(
+            """
+            task t {
+                input { Int x = -1, Float f = -0.5, Array[Int] xs = [-2, 3] }
+                command <<< true >>>
+            }
+            workflow w { call t { input: x = -7 } }
+            """
+        )
+        x, f, xs = doc.tasks["t"].inputs
+        assert x.expr == Literal(-1) and f.expr == Literal(-0.5)
+        assert [i.value for i in xs.expr.items] == [-2, 3]
+        assert doc.workflow.body[0].inputs["x"] == Literal(-7)
+
 
 class TestParseErrors:
     def test_unknown_task_reference(self):
@@ -154,6 +169,16 @@ class TestParseErrors:
         with pytest.raises(WdlParseError, match="Unexpected character"):
             parse_wdl("workflow w @ {}")
 
+    @pytest.mark.parametrize("key", ["cpu", "memory", "runtime_minutes"])
+    @pytest.mark.parametrize("value", ["-100", "-0.5"])
+    def test_negative_runtime_literal(self, key, value):
+        src = (
+            "task t { command <<< x >>> runtime { %s: %s } } "
+            "workflow w { call t }" % (key, value)
+        )
+        with pytest.raises(WdlParseError, match=f"task 't': runtime {key}"):
+            parse_wdl(src)
+
     def test_multiple_workflows(self):
         src = """
         workflow a { }
@@ -170,7 +195,7 @@ def mutated_wdl(draw):
     text = draw(st.sampled_from([SIMPLE, SCATTERED]))
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(text) - 1))
-        ch = draw(st.sampled_from(list('{}()<>[]"~:=,.\n x1')))
+        ch = draw(st.sampled_from(list('{}()<>[]"~:=,.\n x1-')))
         op = draw(st.sampled_from(["delete", "insert", "replace"]))
         if op == "delete":
             text = text[:i] + text[i + 1:]
